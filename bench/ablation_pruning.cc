@@ -1,24 +1,18 @@
 // Ablation of CloGSgrow's pruning machinery (DESIGN.md §4, "design
-// ablations"): the memoized closure-check hot path (DESIGN.md §5),
-// landmark border checking (Theorem 5), the insert-candidate
+// ablations"): landmark border checking (Theorem 5), the insert-candidate
 // per-sequence-count filter, and the inherited candidate event list.
 //
 // All variants produce the identical closed-pattern set (verified by the
-// test suite, and re-asserted here for the memoized-vs-seed pair); this
-// harness quantifies their effect on runtime and DFS size, mirroring the
-// paper's claim that "our closed-pattern mining algorithm is sped up
-// significantly with these two checking strategies".
-//
-// The harness also carries the storage ablation for the delta-compressed
-// posting blocks (DESIGN.md §9): every dataset runs the full variant twice,
-// once on the default compressed index and once on a plain-postings build,
-// with index_bytes recorded per row. The two encodings must produce the
-// identical closed set — a mismatch in any identity gate (plain-vs-
-// compressed or memoized-vs-seed) makes the harness exit non-zero.
+// test suite); this harness quantifies their effect on runtime and DFS
+// size, mirroring the paper's claim that "our closed-pattern mining
+// algorithm is sped up significantly with these two checking strategies".
+// As a cheap identity gate, every completed variant must report the same
+// closed-pattern count as the full variant; a mismatch makes the harness
+// exit non-zero.
 //
 // Rows land in BENCH_ablation_pruning.json (and, when GSGROW_BENCH_JSON is
-// set, are appended there too) so the memoized-vs-seed speedup and the
-// compression ratio are tracked across PRs, not inferred from stdout.
+// set, are appended there too) so the per-variant cost is tracked across
+// PRs, not inferred from stdout.
 
 #include <cstdio>
 #include <string>
@@ -38,7 +32,6 @@ namespace {
 
 struct Variant {
   const char* name;
-  bool memoized_closure;
   bool lb_pruning;
   bool insert_filter;
   bool candidate_list;
@@ -50,7 +43,6 @@ MinerOptions VariantOptions(const Variant& v, uint64_t min_sup,
   options.min_support = min_sup;
   options.time_budget_seconds = budget;
   options.collect_patterns = false;
-  options.use_memoized_closure = v.memoized_closure;
   options.use_landmark_border_pruning = v.lb_pruning;
   options.use_insert_candidate_filter = v.insert_filter;
   options.use_candidate_list = v.candidate_list;
@@ -65,9 +57,7 @@ int main() {
   bench::PrintPreamble(
       "Ablation: CloGSgrow pruning strategies",
       "LBCheck prunes whole subtrees; disabling it must not change the "
-      "output but grows the search (cf. Example 3.5/3.6). The memoized "
-      "closure path must beat the seed regrow path >=2x on the "
-      "closure-heavy config with an identical closed set.");
+      "output but grows the search (cf. Example 3.5/3.6).");
 
   std::vector<std::pair<std::string, SequenceDatabase>> datasets;
   datasets.emplace_back("jboss-like(28)", GenerateJBossTraces());
@@ -87,8 +77,7 @@ int main() {
   {
     // Closure-heavy configuration: a small alphabet over long sequences
     // yields large supports, many insert candidates surviving the filter,
-    // and deep DFS paths — the per-node closure check dominates the run,
-    // which is exactly the regime the memoized hot path targets.
+    // and deep DFS paths — the per-node closure check dominates the run.
     QuestParams params;
     params.num_sequences =
         static_cast<uint32_t>(std::max(20.0, 400 * scale));
@@ -99,31 +88,11 @@ int main() {
     datasets.emplace_back("closure-heavy " + params.Name(),
                           GenerateQuest(params));
   }
-  {
-    // Storage-dense configuration: very long sequences over a tiny
-    // alphabet, so per-(sequence,event) position lists run to hundreds of
-    // entries and the delta-compressed blocks engage fully (multi-group
-    // packing, ~2x+ byte reduction). The support floor sits near the top
-    // event counts — occurrence-based support explodes combinatorially on
-    // this shape, and a near-saturation threshold keeps the run finishing
-    // inside the budget so the encoding identity gate is verified on
-    // completed output.
-    QuestParams params;
-    params.num_sequences =
-        static_cast<uint32_t>(std::max(10.0, 100 * scale));
-    params.num_events = 8;
-    params.avg_sequence_length = 600;
-    params.avg_pattern_length = 8;
-    datasets.emplace_back("storage-dense " + params.Name(),
-                          GenerateQuest(params));
-  }
-
   const Variant variants[] = {
-      {"full (memoized)", true, true, true, true},
-      {"seed regrow path", false, true, true, true},
-      {"no LBCheck", true, false, true, true},
-      {"no insert filter", true, true, false, true},
-      {"no candidate list", true, true, true, false},
+      {"full", true, true, true},
+      {"no LBCheck", false, true, true},
+      {"no insert filter", true, false, true},
+      {"no candidate list", true, true, false},
   };
 
   std::vector<std::string> json_rows;
@@ -131,31 +100,33 @@ int main() {
   for (const auto& [name, db] : datasets) {
     std::printf("%s\n", FormatStatsReport(name, db).c_str());
     InvertedIndex index(db);
-    InvertedIndex plain_index(db,
-                              IndexBuildOptions{.compress_postings = false});
     uint64_t min_sup = bench::ScaledMinSup(20, scale);
     if (name.rfind("jboss", 0) == 0) min_sup = 18;
     // The closure-heavy corpus has far larger supports (small alphabet,
     // long sequences); a matching threshold keeps the run closure-bound
-    // yet finishing within the budget, so the memoized-vs-seed wall-clock
-    // ratio is measured on completed, identical-output runs.
+    // yet finishing within the budget, so the variants are compared on
+    // completed runs.
     if (name.rfind("closure-heavy", 0) == 0) {
       min_sup = bench::ScaledMinSup(160, scale);
-    }
-    if (name.rfind("storage-dense", 0) == 0) {
-      min_sup = bench::ScaledMinSup(9200, scale);
     }
     TextTable table({"variant", "threads", "time", "closed patterns",
                      "nodes visited", "lb-pruned subtrees", "insgrow calls",
                      "next queries", "regrow events"});
-    bench::Cell memoized_cell, seed_cell, plain_cell;
+    bench::Cell full_cell;
     for (const Variant& v : variants) {
       MiningResult result =
           MineClosedFrequent(index, VariantOptions(v, min_sup, budget));
       bench::Cell cell = bench::ToCell(result);
       cell.index_bytes = index.MemoryUsage();
-      if (std::string(v.name) == "full (memoized)") memoized_cell = cell;
-      if (std::string(v.name) == "seed regrow path") seed_cell = cell;
+      if (&v == &variants[0]) {
+        full_cell = cell;
+      } else if (!cell.truncated() && !full_cell.truncated() &&
+                 cell.patterns() != full_cell.patterns()) {
+        std::printf("%s: %llu closed patterns, full: %llu (BUG)\n", v.name,
+                    static_cast<unsigned long long>(cell.patterns()),
+                    static_cast<unsigned long long>(full_cell.patterns()));
+        gates_ok = false;
+      }
       table.AddRow({v.name, "1", bench::CellTime(cell),
                     bench::CellCount(cell),
                     WithThousandsSeparators(result.stats.nodes_visited),
@@ -166,29 +137,6 @@ int main() {
                         result.stats.closure_regrow_events)});
       std::string json =
           bench::CellJson("ablation_pruning", name, v.name, cell);
-      json_rows.push_back(json);
-      bench::AppendBenchJson(json);
-    }
-    // Storage ablation arm: the full variant on the PLAIN (uncompressed)
-    // index. Everything about the search is identical — only the posting
-    // storage and the cursor decode path differ — so this row isolates the
-    // cost/benefit of the delta-compressed blocks (DESIGN.md §9).
-    {
-      MiningResult result = MineClosedFrequent(
-          plain_index, VariantOptions(variants[0], min_sup, budget));
-      plain_cell = bench::ToCell(result);
-      plain_cell.index_bytes = plain_index.MemoryUsage();
-      table.AddRow({"plain postings", "1", bench::CellTime(plain_cell),
-                    bench::CellCount(plain_cell),
-                    WithThousandsSeparators(result.stats.nodes_visited),
-                    WithThousandsSeparators(result.stats.lb_pruned_subtrees),
-                    WithThousandsSeparators(result.stats.insgrow_calls),
-                    WithThousandsSeparators(result.stats.next_queries),
-                    WithThousandsSeparators(
-                        result.stats.closure_regrow_events)});
-      std::string json =
-          bench::CellJson("ablation_pruning", name, "plain postings",
-                          plain_cell);
       json_rows.push_back(json);
       bench::AppendBenchJson(json);
     }
@@ -204,8 +152,8 @@ int main() {
       MiningResult result = MineClosedFrequent(index, options);
       bench::Cell cell = bench::ToCell(result, threads);
       cell.index_bytes = index.MemoryUsage();
-      table.AddRow({"full (memoized)", std::to_string(threads),
-                    bench::CellTime(cell), bench::CellCount(cell),
+      table.AddRow({"full", std::to_string(threads), bench::CellTime(cell),
+                    bench::CellCount(cell),
                     WithThousandsSeparators(result.stats.nodes_visited),
                     WithThousandsSeparators(result.stats.lb_pruned_subtrees),
                     WithThousandsSeparators(result.stats.insgrow_calls),
@@ -214,73 +162,20 @@ int main() {
                         result.stats.closure_regrow_events)});
       std::string json = bench::CellJson(
           "ablation_pruning", name,
-          std::string("full (memoized) x") + std::to_string(threads) +
-              " threads",
-          cell);
+          "full x" + std::to_string(threads) + " threads", cell);
       json_rows.push_back(json);
       bench::AppendBenchJson(json);
-      if (threads == 4 && !cell.truncated() && !memoized_cell.truncated() &&
+      if (threads == 4 && !cell.truncated() && !full_cell.truncated() &&
           cell.seconds() > 0) {
         std::printf("4-thread speedup over 1 thread: %.2fx\n",
-                    memoized_cell.seconds() / cell.seconds());
+                    full_cell.seconds() / cell.seconds());
       }
     }
     std::printf("(min_sup=%llu)\n%s",
                 static_cast<unsigned long long>(min_sup),
                 table.ToString().c_str());
-    std::printf(
-        "index bytes: compressed %s vs plain %s (%.2fx smaller)\n",
-        WithThousandsSeparators(index.MemoryUsage()).c_str(),
-        WithThousandsSeparators(plain_index.MemoryUsage()).c_str(),
-        index.MemoryUsage() > 0
-            ? static_cast<double>(plain_index.MemoryUsage()) /
-                  static_cast<double>(index.MemoryUsage())
-            : 0.0);
-    // The memoized-vs-seed pair must agree exactly; when neither run was
-    // cut off, re-mine with collection on and compare the pattern sets so
-    // the speedup claim is tied to identical output. The collecting
-    // re-runs are slower than the count-only runs, so they may hit the
-    // budget themselves — a truncated prefix proves nothing either way
-    // and is reported as unverified, not as a mismatch. A verified
-    // mismatch fails the harness (non-zero exit).
-    if (!memoized_cell.truncated() && !seed_cell.truncated()) {
-      MinerOptions collect_memo =
-          VariantOptions(variants[0], min_sup, budget);
-      collect_memo.collect_patterns = true;
-      MinerOptions collect_seed = VariantOptions(variants[1], min_sup, budget);
-      collect_seed.collect_patterns = true;
-      MiningResult memo = MineClosedFrequent(index, collect_memo);
-      MiningResult seeded = MineClosedFrequent(index, collect_seed);
-      const double speedup =
-          memoized_cell.seconds() > 0
-              ? seed_cell.seconds() / memoized_cell.seconds()
-              : 0.0;
-      const bool verified = !memo.stats.truncated && !seeded.stats.truncated;
-      if (verified && memo.patterns != seeded.patterns) gates_ok = false;
-      const char* identical =
-          !verified ? "not verified (collection run truncated)"
-                    : (memo.patterns == seeded.patterns ? "yes" : "NO (BUG)");
-      std::printf("memoized vs seed: %.2fx speedup, closed set identical: %s\n",
-                  speedup, identical);
-      // Encoding identity gate: the plain-postings arm must mine the exact
-      // same closed set as the compressed default.
-      if (!plain_cell.truncated()) {
-        MiningResult plain_mined =
-            MineClosedFrequent(plain_index, collect_memo);
-        const bool plain_verified =
-            !memo.stats.truncated && !plain_mined.stats.truncated;
-        if (plain_verified && memo.patterns != plain_mined.patterns) {
-          gates_ok = false;
-        }
-        std::printf(
-            "compressed vs plain: closed set identical: %s\n",
-            !plain_verified
-                ? "not verified (collection run truncated)"
-                : (memo.patterns == plain_mined.patterns ? "yes"
-                                                         : "NO (BUG)"));
-      }
-    }
-    std::printf("\n");
+    std::printf("index bytes: %s\n\n",
+                WithThousandsSeparators(index.MemoryUsage()).c_str());
   }
   bench::WriteJsonArray("BENCH_ablation_pruning.json", json_rows);
   std::printf("wrote BENCH_ablation_pruning.json (%zu rows)\n",

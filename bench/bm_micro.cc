@@ -1,20 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives of §III-D:
 // inverted-index construction, next() queries (binary-search point queries
-// vs the galloping PositionCursor), root instance sets, INSgrow steps
-// (cursor-based scratch-buffer fast path vs the pre-cursor reference), one
-// CloGSgrow closure check (memoized vs seed path), and whole supComp runs
+// vs the galloping PositionCursor), root instance sets, cursor-based INSgrow
+// steps, one CloGSgrow closure check (DESIGN.md §5), and whole supComp runs
 // as pattern length grows.
-//
-// The INSgrow and closure-check pairs are the measured halves of the
-// ablation acceptance: BM_INSgrow* vs BM_INSgrow*Reference is the
-// INSgrow-throughput claim, BM_ClosureCheckMemoized vs BM_ClosureCheckSeed
-// the per-node closure-check claim (see DESIGN.md §5).
-//
-// The *Plain variants re-run the cursor, INSgrow, and index-build
-// benchmarks on an uncompressed-postings index (IndexBuildOptions): the
-// unsuffixed benchmarks measure the default delta-compressed blocks, so
-// each Plain/default pair is the decode-cost half of the DESIGN.md §9
-// storage ablation (the byte-count half lives in the table harnesses).
 
 #include <benchmark/benchmark.h>
 
@@ -45,12 +33,6 @@ const InvertedIndex& TestIndex() {
   return *index;
 }
 
-const InvertedIndex& TestPlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      TestDb(), IndexBuildOptions{.compress_postings = false});
-  return *index;
-}
-
 // Dense corpus: small alphabet over long sequences, so per-(sequence,
 // event) position lists are long and support sets carry many instances per
 // sequence run — the regime the cursor's run-resolved galloping targets
@@ -73,16 +55,9 @@ const InvertedIndex& DenseIndex() {
   return *index;
 }
 
-const InvertedIndex& DensePlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      DenseDb(), IndexBuildOptions{.compress_postings = false});
-  return *index;
-}
-
 // Long-list corpus: one multi-thousand-event sequence over a 5-event
-// alphabet, so each (sequence, event) list spans MANY packed groups. This
-// is the regime the delta-compressed blocks target — skip pointers gallop
-// over whole groups and the byte footprint shrinks well past 2x.
+// alphabet, so each (sequence, event) position list runs to thousands of
+// entries and the cursor's galloping search covers long distances.
 const SequenceDatabase& LongDb() {
   static SequenceDatabase* db = [] {
     std::vector<EventId> events;
@@ -106,12 +81,6 @@ const InvertedIndex& LongIndex() {
   return *index;
 }
 
-const InvertedIndex& LongPlainIndex() {
-  static InvertedIndex* index = new InvertedIndex(
-      LongDb(), IndexBuildOptions{.compress_postings = false});
-  return *index;
-}
-
 // Most frequent events of a corpus, for stable pattern construction.
 std::vector<EventId> TopEvents(const InvertedIndex& index, size_t k) {
   std::vector<EventId> events(index.present_events().begin(),
@@ -123,25 +92,16 @@ std::vector<EventId> TopEvents(const InvertedIndex& index, size_t k) {
   return events;
 }
 
-void IndexBuild(benchmark::State& state, const IndexBuildOptions& options) {
+void BM_IndexBuild(benchmark::State& state) {
   const SequenceDatabase& db = TestDb();
   for (auto _ : state) {
-    InvertedIndex index(db, options);
+    InvertedIndex index(db);
     benchmark::DoNotOptimize(index.alphabet_size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(db.Stats().total_length));
 }
-
-void BM_IndexBuild(benchmark::State& state) {
-  IndexBuild(state, IndexBuildOptions{.compress_postings = true});
-}
 BENCHMARK(BM_IndexBuild);
-
-void BM_IndexBuildPlain(benchmark::State& state) {
-  IndexBuild(state, IndexBuildOptions{.compress_postings = false});
-}
-BENCHMARK(BM_IndexBuildPlain);
 
 void BM_NextQuery(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
@@ -160,8 +120,7 @@ BENCHMARK(BM_NextQuery);
 // The same rising-bound query stream answered by one PositionCursor per
 // sweep: the event slot is resolved once and queries gallop forward. The
 // sweep runs over the LONGEST position list of the corpus's most frequent
-// event, so on the compressed index the cursor works across multiple
-// packed groups (skip + decode), not a degenerate short list.
+// event, not a degenerate short list.
 void NextQueryCursor(benchmark::State& state, const InvertedIndex& index) {
   EventId e = TopEvents(index, 1)[0];
   SeqId seq = index.Postings(e)[0].seq;
@@ -188,36 +147,20 @@ void BM_NextQueryCursor(benchmark::State& state) {
 }
 BENCHMARK(BM_NextQueryCursor);
 
-void BM_NextQueryCursorPlain(benchmark::State& state) {
-  NextQueryCursor(state, TestPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorPlain);
-
 void BM_NextQueryCursorDense(benchmark::State& state) {
   NextQueryCursor(state, DenseIndex());
 }
 BENCHMARK(BM_NextQueryCursorDense);
-
-void BM_NextQueryCursorDensePlain(benchmark::State& state) {
-  NextQueryCursor(state, DensePlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorDensePlain);
 
 void BM_NextQueryCursorLong(benchmark::State& state) {
   NextQueryCursor(state, LongIndex());
 }
 BENCHMARK(BM_NextQueryCursorLong);
 
-void BM_NextQueryCursorLongPlain(benchmark::State& state) {
-  NextQueryCursor(state, LongPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorLongPlain);
-
-// Rising-bound queries with a large stride: most queries skip past whole
-// packed groups, so the compressed cursor answers from the group-max skip
-// pointers without decoding the skipped groups.
-void NextQueryCursorSkip(benchmark::State& state,
-                         const InvertedIndex& index) {
+// Rising-bound queries with a large stride: every query gallops past
+// hundreds of positions.
+void BM_NextQueryCursorSkipLong(benchmark::State& state) {
+  const InvertedIndex& index = LongIndex();
   EventId e = TopEvents(index, 1)[0];
   SeqId seq = index.Postings(e)[0].seq;
   for (const auto& posting : index.Postings(e)) {
@@ -238,16 +181,7 @@ void NextQueryCursorSkip(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_NextQueryCursorSkipLong(benchmark::State& state) {
-  NextQueryCursorSkip(state, LongIndex());
-}
 BENCHMARK(BM_NextQueryCursorSkipLong);
-
-void BM_NextQueryCursorSkipLongPlain(benchmark::State& state) {
-  NextQueryCursorSkip(state, LongPlainIndex());
-}
-BENCHMARK(BM_NextQueryCursorSkipLongPlain);
 
 void BM_RootInstances(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
@@ -262,7 +196,7 @@ BENCHMARK(BM_RootInstances);
 
 // One INSgrow step through the production hot path: cursor-based queries
 // into a reused scratch buffer (zero steady-state allocations).
-void INSgrowFast(benchmark::State& state, const InvertedIndex& index) {
+void INSgrow(benchmark::State& state, const InvertedIndex& index) {
   std::vector<EventId> top = TopEvents(index, 2);
   SupportSet base = RootInstances(index, top[0]);
   SupportSet scratch;
@@ -276,51 +210,17 @@ void INSgrowFast(benchmark::State& state, const InvertedIndex& index) {
                           static_cast<int64_t>(base.size()));
 }
 
-// The pre-cursor INSgrow: a full binary search per next() query, fresh
-// allocation per growth — the seed baseline the fast path is measured
-// against.
-void INSgrowReference(benchmark::State& state, const InvertedIndex& index) {
-  std::vector<EventId> top = TopEvents(index, 2);
-  SupportSet base = RootInstances(index, top[0]);
-  for (auto _ : state) {
-    SupportSet grown = GrowSupportSetReference(index, base, top[1]);
-    benchmark::DoNotOptimize(grown.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(base.size()));
-}
-
-void BM_INSgrow(benchmark::State& state) { INSgrowFast(state, TestIndex()); }
+void BM_INSgrow(benchmark::State& state) { INSgrow(state, TestIndex()); }
 BENCHMARK(BM_INSgrow);
 
-void BM_INSgrowReference(benchmark::State& state) {
-  INSgrowReference(state, TestIndex());
-}
-BENCHMARK(BM_INSgrowReference);
-
-void BM_INSgrowPlain(benchmark::State& state) {
-  INSgrowFast(state, TestPlainIndex());
-}
-BENCHMARK(BM_INSgrowPlain);
-
 void BM_INSgrowDense(benchmark::State& state) {
-  INSgrowFast(state, DenseIndex());
+  INSgrow(state, DenseIndex());
 }
 BENCHMARK(BM_INSgrowDense);
 
-void BM_INSgrowDensePlain(benchmark::State& state) {
-  INSgrowFast(state, DensePlainIndex());
-}
-BENCHMARK(BM_INSgrowDensePlain);
-
-void BM_INSgrowDenseReference(benchmark::State& state) {
-  INSgrowReference(state, DenseIndex());
-}
-BENCHMARK(BM_INSgrowDenseReference);
-
 // One full CloGSgrow closure check (CCheck + LBCheck scan) on a
 // representative node of the dense corpus.
-void ClosureCheck(benchmark::State& state, bool memoized) {
+void BM_ClosureCheck(benchmark::State& state) {
   const InvertedIndex& index = DenseIndex();
   std::vector<EventId> top = TopEvents(index, 3);
   const std::vector<EventId> pattern = {top[0], top[1], top[2], top[0]};
@@ -337,7 +237,6 @@ void ClosureCheck(benchmark::State& state, bool memoized) {
     return;
   }
   MinerOptions options;
-  options.use_memoized_closure = memoized;
   ClosurePruning pruning(index, options);
   MiningStats stats;
   const GrowthNode node{pattern, prefix_sets, supports, stats};
@@ -348,15 +247,7 @@ void ClosureCheck(benchmark::State& state, bool memoized) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_ClosureCheckMemoized(benchmark::State& state) {
-  ClosureCheck(state, true);
-}
-BENCHMARK(BM_ClosureCheckMemoized);
-
-void BM_ClosureCheckSeed(benchmark::State& state) {
-  ClosureCheck(state, false);
-}
-BENCHMARK(BM_ClosureCheckSeed);
+BENCHMARK(BM_ClosureCheck);
 
 void BM_SupComp(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();

@@ -44,8 +44,8 @@ struct Cell {
   size_t threads = 1;
   std::string semantics;
   /// InvertedIndex::MemoryUsage() of the index the run executed against
-  /// (0 when the harness did not record it) — makes the posting-compression
-  /// footprint a recorded number in the JSON rows, not a claim.
+  /// (0 when the harness did not record it) — makes the index footprint a
+  /// recorded number in the JSON rows, not a claim.
   uint64_t index_bytes = 0;
   /// Per-query latency percentiles in microseconds (0 when the harness ran
   /// the configuration once and percentiles are meaningless). Derived from

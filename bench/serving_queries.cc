@@ -11,14 +11,7 @@
 // and additionally measures the incremental path: appending a stream of
 // sequences followed by an O(delta) snapshot, vs re-indexing the world.
 //
-// A third arm runs the same batch against a PLAIN-postings service
-// (MiningService(IndexBuildOptions)) — the storage ablation for the
-// delta-compressed posting blocks (DESIGN.md §9). Its responses feed the
-// same identity gate, and every row records the index footprint
-// (index_bytes), so the compression ratio on the serving corpus is a
-// tracked number.
-//
-// A fourth segment measures the epoch-aware result cache (DESIGN.md §12):
+// A third segment measures the epoch-aware result cache (DESIGN.md §12):
 // the SAME query mix replayed round after round, interleaved with appends
 // that advance the epoch, against a warm (cache on) and a cold (cache off)
 // service. Warm responses must be byte-identical (FormatMineResponse) to
@@ -32,7 +25,8 @@
 //
 // Rows land in BENCH_serving_queries.json; the summary row records the
 // shared-vs-rebuild speedup (acceptance asks for >= 2x on this corpus)
-// plus the compressed and plain index byte counts.
+// plus the index byte count; every per-query row records it too
+// (index_bytes).
 
 #include <algorithm>
 #include <cstdio>
@@ -268,51 +262,13 @@ int main() {
   const uint64_t shared_index_bytes =
       service.Snapshot()->index.MemoryUsage();
 
-  // --- Arm 3: the same service shape on PLAIN postings (storage
-  // ablation). Same batch, same snapshot amortization — only the block
-  // encoding differs, so per-query deltas against arm 2 isolate the
-  // cursor decode cost and the byte counts isolate the footprint win. ---
-  MiningService plain_service(IndexBuildOptions{.compress_postings = false});
-  if (!plain_service.Ingest(db).ok()) {
-    std::printf("plain ingest failed\n");
-    return 1;
-  }
-  const uint64_t plain_index_bytes =
-      plain_service.Snapshot()->index.MemoryUsage();
-  std::vector<MineResponse> plain_responses(queries.size());
-  std::vector<double> plain_seconds(queries.size(), 0.0);
-  std::vector<std::vector<uint64_t>> plain_us(queries.size());
-  double plain_total = 0;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      WallTimer timer;
-      const std::shared_ptr<const ServiceSnapshot> view =
-          plain_service.Snapshot();
-      MineResponse response =
-          MiningService::ExecuteOn(*view, queries[i].request);
-      const uint64_t us = timer.ElapsedMicros();
-      const double s = static_cast<double>(us) * 1e-6;
-      plain_us[i].push_back(us);
-      plain_seconds[i] += s;
-      plain_total += s;
-      if (rep == 0) {
-        plain_responses[i] = std::move(response);
-      } else if (response.patterns != plain_responses[i].patterns) {
-        std::printf("plain arm nondeterministic at query %zu\n", i);
-        return 1;
-      }
-    }
-  }
-
-  // --- Identity gate + report. All three arms must agree on every query.
+  // --- Identity gate + report. Both arms must agree on every query.
   bool identical = true;
-  TextTable table({"query", "patterns", "rebuild", "shared", "plain",
-                   "speedup", "identical"});
+  TextTable table({"query", "patterns", "rebuild", "shared", "speedup",
+                   "identical"});
   std::vector<std::string> json_rows;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const bool same =
-        SameAnswers(rebuild_responses[i], shared_responses[i]) &&
-        SameAnswers(shared_responses[i], plain_responses[i]);
+    const bool same = SameAnswers(rebuild_responses[i], shared_responses[i]);
     identical = identical && same;
     const double speedup =
         shared_seconds[i] > 0 ? rebuild_seconds[i] / shared_seconds[i] : 0;
@@ -320,15 +276,12 @@ int main() {
                   std::to_string(shared_responses[i].patterns.size()),
                   FormatSeconds(rebuild_seconds[i]),
                   FormatSeconds(shared_seconds[i]),
-                  FormatSeconds(plain_seconds[i]),
                   FormatDouble(speedup, 2) + "x", same ? "yes" : "NO (BUG)"});
     for (const auto& [arm, resp, secs, bytes, samples] :
          {std::tuple{"rebuild", &rebuild_responses[i], rebuild_seconds[i],
                      rebuild_index_bytes, &rebuild_us[i]},
           std::tuple{"shared", &shared_responses[i], shared_seconds[i],
-                     shared_index_bytes, &shared_us[i]},
-          std::tuple{"plain", &plain_responses[i], plain_seconds[i],
-                     plain_index_bytes, &plain_us[i]}}) {
+                     shared_index_bytes, &shared_us[i]}}) {
       bench::Cell cell;
       cell.stats = resp->stats;
       cell.stats.elapsed_seconds = secs;
@@ -343,14 +296,8 @@ int main() {
     }
   }
   std::printf("%s\n", table.ToString().c_str());
-  std::printf(
-      "index bytes: compressed %llu vs plain %llu (%.2fx smaller)\n",
-      static_cast<unsigned long long>(shared_index_bytes),
-      static_cast<unsigned long long>(plain_index_bytes),
-      shared_index_bytes > 0
-          ? static_cast<double>(plain_index_bytes) /
-                static_cast<double>(shared_index_bytes)
-          : 0.0);
+  std::printf("index bytes: %llu\n",
+              static_cast<unsigned long long>(shared_index_bytes));
 
   const double batch_speedup =
       shared_total > 0 ? rebuild_total / shared_total : 0;
@@ -691,10 +638,8 @@ int main() {
       std::to_string(queries.size()) +
       ",\"rebuild_seconds\":" + std::to_string(rebuild_total) +
       ",\"shared_seconds\":" + std::to_string(shared_total) +
-      ",\"plain_seconds\":" + std::to_string(plain_total) +
       ",\"speedup\":" + std::to_string(batch_speedup) +
-      ",\"index_bytes_compressed\":" + std::to_string(shared_index_bytes) +
-      ",\"index_bytes_plain\":" + std::to_string(plain_index_bytes) +
+      ",\"index_bytes\":" + std::to_string(shared_index_bytes) +
       ",\"ingest_seconds\":" + std::to_string(ingest_seconds) +
       ",\"snapshot_seconds\":" + std::to_string(snapshot_seconds) +
       ",\"append_stream_seconds\":" + std::to_string(append_seconds) +

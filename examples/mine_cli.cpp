@@ -44,7 +44,8 @@ using namespace gsgrow;
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const std::string input = flags.GetString("input", "");
-  if (input.empty()) {
+  const std::string algorithm = flags.GetString("algorithm", "closed");
+  if (input.empty() || (algorithm != "closed" && algorithm != "all")) {
     std::fprintf(stderr,
                  "usage: mine_cli --input=db.txt [--format=text|spmf] "
                  "[--algorithm=closed|all] [--min_sup=N] [--max_len=N] "
@@ -110,7 +111,6 @@ int main(int argc, char** argv) {
     options.semantics = *parsed;
   }
 
-  const std::string algorithm = flags.GetString("algorithm", "closed");
   request.miner = algorithm == "all" ? MineRequest::Miner::kAll
                                      : MineRequest::Miner::kClosed;
   const bool trace_enabled = flags.GetBool("trace", false);

@@ -310,18 +310,16 @@ class NoPruning {
 /// event, then regrow e_{j+1}..e_m with Apriori early exit. Candidates are
 /// pre-filtered by the sound per-sequence-count condition (DESIGN.md §1).
 ///
-/// The default hot path (use_memoized_closure) is allocation-free in steady
-/// state (DESIGN.md §5): the per-node tables — per-sequence counts,
-/// relevant-sequence list, candidate events — are built once per node and
-/// shared across every (gap, candidate) pair; the sequence-restricted
-/// prefix sets are built lazily (only for gaps actually reached, never for
-/// the last prefix) into an arena whose buffers persist across nodes; and
-/// the regrow chain runs cursor-based INSgrow through two scratch buffers
-/// with the per-sequence-count early exit fused into every step — a doomed
-/// candidate aborts at its first under-covered sequence run instead of
-/// regrowing the rest of the pattern.
-/// The pre-memoization path is kept verbatim (CheckInsertExtensionsSeed)
-/// as the ablation baseline; both paths make identical decisions.
+/// The check is allocation-free in steady state (DESIGN.md §5): the
+/// per-node tables — per-sequence counts, relevant-sequence list, candidate
+/// events — are built once per node and shared across every (gap,
+/// candidate) pair; the sequence-restricted prefix sets are built lazily
+/// (only for gaps actually reached, never for the last prefix) into an
+/// arena whose buffers persist across nodes; and the regrow chain runs
+/// cursor-based INSgrow through two scratch buffers with the
+/// per-sequence-count early exit fused into every step — a doomed candidate
+/// aborts at its first under-covered sequence run instead of regrowing the
+/// rest of the pattern.
 class ClosurePruning {
  public:
   static constexpr bool kNeedsChildren = true;
@@ -332,16 +330,9 @@ class ClosurePruning {
   EmitDecision Decide(const GrowthNode& node, bool equal_support_append);
 
  private:
-  // Memoized hot path.
   bool CheckInsertExtensions(const GrowthNode& node, bool* non_closed);
-  // The seed implementation: eager restricted sets, allocating
-  // binary-search INSgrow per regrow step. Ablation baseline
-  // (use_memoized_closure = false).
-  bool CheckInsertExtensionsSeed(const GrowthNode& node, bool* non_closed);
   static bool BorderDoesNotShiftRight(const SupportSet& extended,
                                       const SupportSet& original);
-  // Seed-path candidate enumeration (allocates its result per node).
-  std::vector<EventId> InsertCandidates(const SupportSet& support_set);
 
   // Fills seq_counts_, relevant_, and candidates_ for the current node and
   // invalidates the restricted-prefix cache.

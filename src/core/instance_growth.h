@@ -15,8 +15,7 @@
 // a fresh binary search per instance; DESIGN.md §5). The allocating
 // GrowSupportSet is a thin wrapper. GrowSupportSetReference preserves the
 // pre-cursor implementation — a full NextAtOrAfter binary search per query
-// into a freshly allocated set — as the differential-test baseline and the
-// seed arm of bench/ablation_pruning and bm_micro.
+// into a freshly allocated set — as the differential-test oracle.
 
 #ifndef GSGROW_CORE_INSTANCE_GROWTH_H_
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
@@ -51,8 +50,8 @@ void GrowSupportSetInto(const InvertedIndex& index,
 
 /// The pre-cursor INSgrow: one full binary search (event slot + position)
 /// per next() query, result freshly allocated. Semantically identical to
-/// GrowSupportSet; kept as the differential-test baseline and as the seed
-/// arm measured by bench/ablation_pruning and bm_micro.
+/// GrowSupportSet; kept as the differential-test oracle
+/// (instance_growth_test).
 SupportSet GrowSupportSetReference(const InvertedIndex& index,
                                    const SupportSet& support_set, EventId e);
 

@@ -9,8 +9,7 @@
 
 namespace gsgrow {
 
-InvertedIndex::InvertedIndex(const SequenceDatabase& db,
-                             const IndexBuildOptions& options) {
+InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   alphabet_size_ = db.AlphabetSize();
   seq_blocks_.resize(db.size());
   // One arena backs every block and postings array of this build; the last
@@ -58,8 +57,7 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db,
       postings_acc[e].push_back(Posting{i, count});
       totals[e] += count;
     }
-    seq_blocks_[i] = BuildSeqBlock(events, offsets, positions,
-                                   options.compress_postings, arena);
+    seq_blocks_[i] = BuildSeqBlock(events, offsets, positions, arena);
   }
 
   postings_.resize(alphabet_size_);
@@ -72,7 +70,7 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db,
 
 std::shared_ptr<const InvertedIndex::SeqBlock> InvertedIndex::BuildSeqBlock(
     std::span<const EventId> events, std::span<const uint32_t> offsets,
-    std::span<const Position> positions, bool compress,
+    std::span<const Position> positions,
     const std::shared_ptr<Arena>& arena) {
   GSGROW_DCHECK(offsets.size() == events.size() + 1);
   GSGROW_DCHECK(!events.empty());
@@ -80,32 +78,7 @@ std::shared_ptr<const InvertedIndex::SeqBlock> InvertedIndex::BuildSeqBlock(
   Arena& a = *arena;
   block->events = a.CopyArray(events);
   block->offsets = a.CopyArray(offsets);
-  if (!compress) {
-    block->plain = a.CopyArray(positions);
-  } else {
-    // Plan each slot: short lists stay plain (located via data_off), long
-    // lists go through the shared encoder.
-    std::vector<uint32_t> data_off(events.size());
-    std::vector<Position> shorts;
-    PostingEncoder encoder;
-    for (size_t k = 0; k < events.size(); ++k) {
-      const uint32_t count = offsets[k + 1] - offsets[k];
-      const std::span<const Position> list =
-          positions.subspan(offsets[k], count);
-      if (count < kPostingCompressMinCount) {
-        data_off[k] = static_cast<uint32_t>(shorts.size());
-        shorts.insert(shorts.end(), list.begin(), list.end());
-      } else {
-        data_off[k] = static_cast<uint32_t>(encoder.groups().size());
-        encoder.Add(list);
-      }
-    }
-    block->plain = a.CopyArray(std::span<const Position>(shorts));
-    block->data_off = a.CopyArray(std::span<const uint32_t>(data_off));
-    block->groups =
-        a.CopyArray(std::span<const PackedGroup>(encoder.groups()));
-    block->words = a.CopyArray(std::span<const uint64_t>(encoder.words()));
-  }
+  block->positions = a.CopyArray(positions);
   block->owner = arena;
   return block;
 }
@@ -127,7 +100,8 @@ int InvertedIndex::FindEventSlot(const SeqBlock& block, EventId e) {
   return static_cast<int>(it - block.events.begin());
 }
 
-PositionListView InvertedIndex::Positions(SeqId i, EventId e) const {
+std::span<const Position> InvertedIndex::Positions(SeqId i,
+                                                  EventId e) const {
   GSGROW_DCHECK(i < seq_blocks_.size());
   const SeqBlock* block = seq_blocks_[i].get();
   if (block == nullptr) return {};
@@ -138,9 +112,7 @@ PositionListView InvertedIndex::Positions(SeqId i, EventId e) const {
 
 Position InvertedIndex::NextAtOrAfter(SeqId i, EventId e,
                                       Position from) const {
-  const PositionListView view = Positions(i, e);
-  if (view.compressed()) return PackedLowerBound(view.packed(), from);
-  const std::span<const Position> pos{view.plain_data(), view.size()};
+  const std::span<const Position> pos = Positions(i, e);
   auto it = std::lower_bound(pos.begin(), pos.end(), from);
   return it == pos.end() ? kNoPosition : *it;
 }
@@ -176,105 +148,6 @@ size_t InvertedIndex::MemoryUsage() const {
     if (ep != nullptr) bytes += ep->postings.size_bytes();
   }
   return bytes;
-}
-
-Position PositionCursor::NextCompressed(Position from) {
-  uint32_t g = idx_ / kPostingGroupSize;
-  if (slice_.groups[g].max < from) {
-    // Cheap exhaustion check against the last skip pointer: everything at
-    // or after `from` would have to be <= the global max.
-    if (slice_.groups[slice_.num_groups - 1].max < from) {
-      idx_ = count_;
-      return kNoPosition;
-    }
-    // Skip whole groups: gallop over the per-group max values, then
-    // binary-search the bracket for the first group with max >= from. None
-    // of the skipped groups is ever decoded.
-    uint32_t lo = g;  // groups[lo].max < from
-    uint32_t step = 1;
-    while (lo + step < slice_.num_groups &&
-           slice_.groups[lo + step].max < from) {
-      lo += step;
-      step <<= 1;
-    }
-    uint32_t l = lo + 1;
-    uint32_t h = std::min(lo + step, slice_.num_groups - 1);
-    while (l < h) {
-      const uint32_t m = l + (h - l) / 2;
-      if (slice_.groups[m].max < from) {
-        l = m + 1;
-      } else {
-        h = m;
-      }
-    }
-    g = l;
-    // The previous group's max (its last value) is < from, so every
-    // position before group g is consumed.
-    idx_ = g * kPostingGroupSize;
-  }
-  const PackedGroup& gr = slice_.groups[g];
-  const uint32_t in_group = idx_ & (kPostingGroupSize - 1);
-  if (in_group == 0 && from <= gr.base) {
-    // The answer is the group's first value — no decode needed. This is the
-    // common case right after a skip, and for dense forward scans it defers
-    // decoding until a query actually lands inside the group.
-    return gr.base;
-  }
-  const uint32_t n = PackedGroupCount(slice_, g);
-  if (buf_group_ != g) {
-    if (probe_group_ != g) {
-      // First query landing inside this group: answer with an in-group
-      // binary search over the packed words (O(log) ExtractBitsAt reads)
-      // instead of decoding. A skip-heavy scan touches each group at most
-      // once and never pays a decode; the full unpack is deferred to the
-      // SECOND query landing in the same group, which signals a local scan.
-      probe_group_ = g;
-      uint32_t l = in_group;
-      uint32_t h = n - 1;  // value(n-1) == gr.max >= from
-      while (l < h) {
-        const uint32_t m = l + (h - l) / 2;
-        const Position v =
-            m == 0 ? gr.base
-                   : gr.base + static_cast<Position>(ExtractBitsAt(
-                                   slice_.words,
-                                   uint64_t{gr.word_off} * 64 +
-                                       uint64_t{m - 1} * gr.width,
-                                   gr.width));
-        if (v < from) {
-          l = m + 1;
-        } else {
-          h = m;
-        }
-      }
-      idx_ = g * kPostingGroupSize + l;
-      return l == 0 ? gr.base
-                    : gr.base + static_cast<Position>(ExtractBitsAt(
-                                    slice_.words,
-                                    uint64_t{gr.word_off} * 64 +
-                                        uint64_t{l - 1} * gr.width,
-                                    gr.width));
-    }
-    DecodePackedGroup(slice_, g, buf_);
-    buf_group_ = g;
-    // The probe path may have parked idx_ ON the answer for this bound
-    // (NextAtOrAfter does not consume), so re-check the current slot
-    // before galloping past it.
-    if (buf_[in_group] >= from) return buf_[in_group];
-  }
-  // Gallop within the decoded group from the next unconsumed slot (the
-  // same idiom as the plain path): buf_[in_group] < from here, and gr.max
-  // >= from guarantees a hit before the group ends.
-  uint32_t lo = in_group;
-  uint32_t step = 1;
-  while (lo + step < n && buf_[lo + step] < from) {
-    lo += step;
-    step <<= 1;
-  }
-  const uint32_t hi = std::min(lo + step, n);
-  const Position* it = std::lower_bound(buf_ + lo + 1, buf_ + hi, from);
-  GSGROW_DCHECK(it != buf_ + n);  // gr.max >= from guarantees a hit
-  idx_ = g * kPostingGroupSize + static_cast<uint32_t>(it - buf_);
-  return *it;
 }
 
 }  // namespace gsgrow

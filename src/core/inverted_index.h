@@ -11,21 +11,12 @@
 // O(1 + log of the step size) instead of a slot lookup plus a full binary
 // search each time (DESIGN.md §5).
 //
-// Layout: per sequence, a CSR block (sorted unique events + offsets +
-// position lists). Position lists are stored in one of two encodings chosen
-// at build time (IndexBuildOptions):
-//   - plain: one concatenated Position array, lists indexed by the offsets;
-//   - compressed (default): delta-encoded fixed-width bit-packed groups with
-//     a per-group max as skip pointer (core/posting_codec.h), except that
-//     lists shorter than kPostingCompressMinCount stay plain — group
-//     metadata would outweigh them. Which side a list lives on is a pure
-//     function of its length, so no per-slot flag is stored.
-// All block arrays live in a shared Arena (util/arena.h) owned by the block
-// through a shared_ptr, so a whole build is one allocation batch and dies
-// with its last block. Positions() returns a PositionListView that hides the
-// encoding: O(1) size/operator[], forward iteration (group-at-a-time decode
-// into an iterator-local buffer), and Materialize() for callers that need a
-// contiguous span (DESIGN.md §9).
+// Layout: per sequence, a CSR block — the sorted distinct events, offsets
+// delimiting the per-event lists, and all position lists concatenated into
+// one Position array. This is the paper's plain position-list index; every
+// list is a contiguous std::span. All block arrays live in a shared Arena
+// (util/arena.h) owned by the block through a shared_ptr, so a whole build
+// is one allocation batch and dies with its last block (DESIGN.md §9).
 //
 // Additionally a per-event postings list of (sequence, count) pairs supports
 // root instance-set construction and the insert-candidate filter of
@@ -42,126 +33,17 @@
 #define GSGROW_CORE_INVERTED_INDEX_H_
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "core/posting_codec.h"
 #include "core/sequence_database.h"
 #include "core/types.h"
+#include "util/logging.h"
 
 namespace gsgrow {
 
 class Arena;
-
-/// Build-time storage options for an InvertedIndex (batch or incremental).
-/// Plain postings are kept for the ablation bench; compressed is the
-/// default and the encoding every production path runs on.
-struct IndexBuildOptions {
-  bool compress_postings = true;
-};
-
-/// Read-only view of one (sequence, event) position list, independent of
-/// the block encoding. Cheap to copy (two pointers + a slice descriptor).
-/// Valid as long as the index (or snapshot block) it came from.
-class PositionListView {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = Position;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Position*;
-    using reference = Position;
-
-    iterator() = default;
-
-    Position operator*() const {
-      return plain_ != nullptr ? plain_[idx_]
-                               : buf_[idx_ % kPostingGroupSize];
-    }
-    iterator& operator++() {
-      ++idx_;
-      if (plain_ == nullptr && idx_ < count_ &&
-          idx_ % kPostingGroupSize == 0) {
-        DecodePackedGroup(slice_, idx_ / kPostingGroupSize, buf_);
-      }
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator tmp = *this;
-      ++*this;
-      return tmp;
-    }
-    friend bool operator==(const iterator& a, const iterator& b) {
-      return a.idx_ == b.idx_;
-    }
-
-   private:
-    friend class PositionListView;
-    const Position* plain_ = nullptr;
-    PackedSlice slice_;
-    uint32_t idx_ = 0;
-    uint32_t count_ = 0;
-    Position buf_[kPostingGroupSize];  // decoded group (compressed only)
-  };
-
-  /// Empty list.
-  PositionListView() = default;
-
-  /*implicit*/ PositionListView(std::span<const Position> plain)
-      : plain_(plain.data()), count_(static_cast<uint32_t>(plain.size())) {}
-
-  explicit PositionListView(const PackedSlice& slice)
-      : slice_(slice), count_(slice.count) {}
-
-  size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  bool compressed() const { return count_ > 0 && plain_ == nullptr; }
-
-  Position operator[](size_t i) const {
-    GSGROW_DCHECK(i < count_);
-    return plain_ != nullptr
-               ? plain_[i]
-               : PackedValueAt(slice_, static_cast<uint32_t>(i));
-  }
-
-  /// The list as a contiguous span. Plain lists are returned in place;
-  /// compressed lists are decoded into `scratch` (resized as needed). The
-  /// span may alias `scratch`, so it is invalidated by the next Materialize
-  /// into the same vector.
-  std::span<const Position> Materialize(std::vector<Position>& scratch) const {
-    if (plain_ != nullptr || count_ == 0) return {plain_, count_};
-    scratch.resize(count_);
-    DecodePackedAll(slice_, scratch.data());
-    return {scratch.data(), count_};
-  }
-
-  iterator begin() const {
-    iterator it;
-    it.plain_ = plain_;
-    it.slice_ = slice_;
-    it.count_ = count_;
-    if (compressed()) DecodePackedGroup(slice_, 0, it.buf_);
-    return it;
-  }
-  iterator end() const {
-    iterator it;
-    it.idx_ = count_;
-    it.count_ = count_;
-    return it;
-  }
-
-  /// Underlying storage handles (cursor construction / tests).
-  const Position* plain_data() const { return plain_; }
-  const PackedSlice& packed() const { return slice_; }
-
- private:
-  const Position* plain_ = nullptr;
-  PackedSlice slice_;
-  uint32_t count_ = 0;
-};
 
 /// Forward-only reader over one (sequence, event) position list. The list is
 /// resolved once at construction; successive NextAtOrAfter queries with
@@ -169,27 +51,14 @@ class PositionListView {
 /// never re-searching the already-consumed prefix. This is the query shape
 /// of INSgrow within one per-sequence run (the `from` bound is the max of a
 /// rising floor and the run's rising last landmarks).
-///
-/// Over a compressed list the cursor gallops over per-group skip pointers
-/// (group max values) first and only decodes the landing group into a local
-/// buffer, so skipped groups are never unpacked (DESIGN.md §9).
 class PositionCursor {
  public:
   /// Cursor over an absent event: every query answers kNoPosition.
   PositionCursor() = default;
 
   explicit PositionCursor(std::span<const Position> positions)
-      : plain_(positions.data()),
+      : positions_(positions.data()),
         count_(static_cast<uint32_t>(positions.size())) {}
-
-  explicit PositionCursor(const PositionListView& view)
-      : count_(static_cast<uint32_t>(view.size())) {
-    if (view.compressed()) {
-      slice_ = view.packed();
-    } else {
-      plain_ = view.plain_data();
-    }
-  }
 
   /// Smallest unconsumed position p >= `from`, or kNoPosition. Queries MUST
   /// be issued with non-decreasing `from` (checked in debug builds): the
@@ -203,24 +72,21 @@ class PositionCursor {
     last_from_ = from;
 #endif
     if (idx_ >= count_) return kNoPosition;
-    if (plain_ != nullptr) return NextPlain(from);
-    // Compressed hot path, inline: the current group is already decoded and
-    // the answer is the value the cursor sits on or the one right after it
-    // (the cursor rests AT the last returned position, so a sequential
-    // sweep's next query lands one slot ahead). Both cases touch only the
-    // cursor-local buffer; the out-of-line slow path handles everything
-    // else — group skips, decodes, and longer in-group jumps.
-    const uint32_t g = idx_ / kPostingGroupSize;
-    const uint32_t in_group = idx_ & (kPostingGroupSize - 1);
-    if (buf_group_ == g) {
-      if (buf_[in_group] >= from) return buf_[in_group];
-      if (in_group + 1 < kPostingGroupSize && idx_ + 1 < count_ &&
-          buf_[in_group + 1] >= from) {
-        ++idx_;
-        return buf_[in_group + 1];
-      }
+    if (positions_[idx_] >= from) return positions_[idx_];
+    // Gallop: double the step until it overshoots `from`, then binary-search
+    // the last (lo, hi] bracket. Total work is O(log step), and consumed
+    // positions are never revisited.
+    size_t lo = idx_;  // positions_[lo] < from
+    size_t step = 1;
+    while (lo + step < count_ && positions_[lo + step] < from) {
+      lo += step;
+      step <<= 1;
     }
-    return NextCompressed(from);
+    const size_t hi = std::min<size_t>(lo + step, count_);
+    const Position* it =
+        std::lower_bound(positions_ + lo + 1, positions_ + hi, from);
+    idx_ = static_cast<uint32_t>(it - positions_);
+    return idx_ < count_ ? positions_[idx_] : kNoPosition;
   }
 
   /// True iff the underlying position list is empty (event absent in the
@@ -228,40 +94,9 @@ class PositionCursor {
   bool empty() const { return count_ == 0; }
 
  private:
-  Position NextPlain(Position from) {
-    if (plain_[idx_] >= from) return plain_[idx_];
-    // Gallop: double the step until it overshoots `from`, then binary-search
-    // the last (lo, hi] bracket. Total work is O(log step), and consumed
-    // positions are never revisited.
-    size_t lo = idx_;  // plain_[lo] < from
-    size_t step = 1;
-    while (lo + step < count_ && plain_[lo + step] < from) {
-      lo += step;
-      step <<= 1;
-    }
-    const size_t hi = std::min<size_t>(lo + step, count_);
-    const auto it =
-        std::lower_bound(plain_ + lo + 1, plain_ + hi, from);
-    idx_ = static_cast<uint32_t>(it - plain_);
-    return idx_ < count_ ? plain_[idx_] : kNoPosition;
-  }
-
-  // Defined in inverted_index.cc — skip-gallop over group maxes, then a
-  // lazy decode of the landing group into buf_.
-  Position NextCompressed(Position from);
-
-  const Position* plain_ = nullptr;
-  PackedSlice slice_;
+  const Position* positions_ = nullptr;
   uint32_t count_ = 0;
   uint32_t idx_ = 0;  // next unconsumed list index
-  // Compressed path: group currently decoded into buf_, and the last group
-  // answered by a no-decode packed probe (kNoGroup = none). A group is only
-  // unpacked on its second query — one-shot landings (skip-heavy scans)
-  // stay on O(log) packed reads.
-  static constexpr uint32_t kNoGroup = UINT32_MAX;
-  uint32_t buf_group_ = kNoGroup;
-  uint32_t probe_group_ = kNoGroup;
-  Position buf_[kPostingGroupSize];
 #ifndef NDEBUG
   Position last_from_ = 0;
 #endif
@@ -280,52 +115,31 @@ class InvertedIndex {
   };
 
   /// Per-sequence CSR block: sorted distinct events, offsets delimiting the
-  /// per-event position lists, and the lists themselves in either encoding
-  /// (see file comment). All spans point into `owner`. Immutable once
-  /// published; snapshots of an incremental index share blocks across
-  /// epochs.
+  /// per-event position lists, and the lists themselves concatenated. All
+  /// spans point into `owner`. Immutable once published; snapshots of an
+  /// incremental index share blocks across epochs.
   struct SeqBlock {
     /// Sorted distinct events of this sequence.
     std::span<const EventId> events;
-    /// Logical CSR offsets: offsets[k+1] - offsets[k] is the occurrence
-    /// count of events[k], offsets.back() the sequence length. In a plain
-    /// block they also index `plain` directly.
+    /// CSR offsets into `positions`: offsets[k+1] - offsets[k] is the
+    /// occurrence count of events[k], offsets.back() the sequence length.
     std::span<const uint32_t> offsets;
-    /// Plain block: all lists concatenated. Compressed block: only the
-    /// short (< kPostingCompressMinCount) lists, located via data_off.
-    std::span<const Position> plain;
-    /// Compressed block only: per-slot start index into `plain` (short
-    /// lists) or `groups` (long lists). Empty in a plain block.
-    std::span<const uint32_t> data_off;
-    /// Compressed block only: packed groups + delta words of the long lists.
-    std::span<const PackedGroup> groups;
-    std::span<const uint64_t> words;
+    /// All position lists concatenated, each ascending.
+    std::span<const Position> positions;
     /// Keeps every span above alive.
     std::shared_ptr<const Arena> owner;
 
-    bool compressed() const { return !data_off.empty(); }
-
     size_t num_events() const { return events.size(); }
 
-    /// View of the position list of slot `k`.
-    PositionListView Slot(size_t k) const {
-      const uint32_t count = offsets[k + 1] - offsets[k];
-      if (!compressed()) {
-        return PositionListView(plain.subspan(offsets[k], count));
-      }
-      if (count < kPostingCompressMinCount) {
-        return PositionListView(plain.subspan(data_off[k], count));
-      }
-      return PositionListView(PackedSlice{groups.data() + data_off[k],
-                                          words.data(),
-                                          PackedNumGroups(count), count});
+    /// The position list of slot `k`.
+    std::span<const Position> Slot(size_t k) const {
+      return positions.subspan(offsets[k], offsets[k + 1] - offsets[k]);
     }
 
     /// Bytes of storage this block holds in its arena.
     size_t StorageBytes() const {
       return events.size_bytes() + offsets.size_bytes() +
-             plain.size_bytes() + data_off.size_bytes() +
-             groups.size_bytes() + words.size_bytes();
+             positions.size_bytes();
     }
   };
 
@@ -341,10 +155,7 @@ class InvertedIndex {
   /// handle holds before its first assignment.
   InvertedIndex() = default;
 
-  explicit InvertedIndex(const SequenceDatabase& db)
-      : InvertedIndex(db, IndexBuildOptions{}) {}
-
-  InvertedIndex(const SequenceDatabase& db, const IndexBuildOptions& options);
+  explicit InvertedIndex(const SequenceDatabase& db);
 
   /// Snapshot-assembly constructor (serve/incremental_index.h): adopts
   /// already-frozen blocks and postings. Entries may be null only when the
@@ -362,14 +173,14 @@ class InvertedIndex {
         present_events_(std::move(present_events)),
         alphabet_size_(alphabet_size) {}
 
-  /// Freezes one sequence's CSR arrays into an arena-backed block in the
-  /// requested encoding. Shared by the batch constructor and the
-  /// incremental index's Snapshot() freeze. `offsets` has events.size() + 1
+  /// Freezes one sequence's CSR arrays into an arena-backed block. Shared
+  /// by the batch constructor and the incremental index's Snapshot()
+  /// freeze. `offsets` has events.size() + 1
   /// entries indexing `positions`; each per-event list must be strictly
   /// ascending.
   static std::shared_ptr<const SeqBlock> BuildSeqBlock(
       std::span<const EventId> events, std::span<const uint32_t> offsets,
-      std::span<const Position> positions, bool compress,
+      std::span<const Position> positions,
       const std::shared_ptr<Arena>& arena);
 
   /// Freezes one event's postings into an arena-backed EventPostings.
@@ -378,7 +189,7 @@ class InvertedIndex {
       const std::shared_ptr<Arena>& arena);
 
   /// Sorted positions of `e` in sequence `i` (possibly empty).
-  PositionListView Positions(SeqId i, EventId e) const;
+  std::span<const Position> Positions(SeqId i, EventId e) const;
 
   /// Smallest position p >= `from` with S_i[p] == e, or kNoPosition.
   ///

@@ -134,15 +134,6 @@ struct MinerOptions {
   /// per-sequence-count condition (see DESIGN.md §1). Disable only for
   /// ablation studies; the output is identical either way.
   bool use_insert_candidate_filter = true;
-
-  /// Memoized closure-check hot path (DESIGN.md §5): lazily built,
-  /// arena-backed restricted prefix sets shared across gaps and candidates,
-  /// a per-sequence-count early exit before any regrow, and double-buffered
-  /// cursor-based INSgrow. When false, the pre-memoization path (eager
-  /// restricted sets, allocating binary-search INSgrow per regrow step) is
-  /// used instead. Disable only for ablation studies; the output — and the
-  /// DFS shape (nodes_visited) — is identical either way.
-  bool use_memoized_closure = true;
 };
 
 /// True when the restriction list admits `e` (empty list allows

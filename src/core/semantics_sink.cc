@@ -55,9 +55,7 @@ void TableIAnnotator::Annotate(const std::vector<EventId>& events,
             events.size() == 1
                 ? index_->Count(seq, events[0])
                 : InteractionCountFromLandmarks(
-                      completions_,
-                      index_->Positions(seq, events.back())
-                          .Materialize(interaction_scratch_));
+                      completions_, index_->Positions(seq, events.back()));
       }
     }
     if (sel.gap_occurrences) {

@@ -94,9 +94,6 @@ class TableIAnnotator {
   std::vector<PositionCursor> cursors_;
   std::vector<ProjectedEvent> projection_;
   std::vector<EventId> alphabet_;
-  // Decode buffer for the last-event occurrence list the interaction sweep
-  // random-accesses (no-op for plain-encoded indexes).
-  std::vector<Position> interaction_scratch_;
   GapCountScratch gap_scratch_;
 };
 

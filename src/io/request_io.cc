@@ -62,7 +62,9 @@ Status ParseQueryArgs(std::string_view verb,
       if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "max_len=N");
       request.options.max_pattern_length = static_cast<size_t>(n);
     } else if (key == "budget") {
-      if (!ParseDouble(value, &d) || d <= 0) {
+      // Written as !(d > 0) so NaN, which compares false to everything, is
+      // rejected too: a NaN budget would never expire.
+      if (!ParseDouble(value, &d) || !(d > 0)) {
         return BadArg(verb, tokens[i], "budget=SECONDS");
       }
       request.options.time_budget_seconds = d;
@@ -217,7 +219,6 @@ void CanonicalizeMineRequest(MineRequest* request) {
   options.use_candidate_list = true;
   options.use_landmark_border_pruning = true;
   options.use_insert_candidate_filter = true;
-  options.use_memoized_closure = true;
   request->topk_support_floor_hint = 0;
 
   // One restriction, one spelling: names sorted + deduplicated; a name

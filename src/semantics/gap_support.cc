@@ -79,12 +79,7 @@ uint64_t GapOccurrenceCountWithCursor(const InvertedIndex& index, SeqId i,
                                       GapCountScratch* scratch) {
   const size_t m = pattern.size();
   if (m == 0) return 0;
-  // The DP random-accesses the current and previous occurrence lists, so
-  // compressed lists are decoded into the scratch's ping-pong buffers
-  // (event j lands in occ_a for even j, occ_b for odd j — the previous
-  // list's buffer is never overwritten while still referenced).
-  const std::span<const Position> first =
-      index.Positions(i, pattern[0]).Materialize(scratch->occ_a);
+  const std::span<const Position> first = index.Positions(i, pattern[0]);
   if (first.empty()) return 0;
   // dp over the occurrence list of the current pattern event; the reference
   // DP's zero entries (positions without the event) contribute nothing to
@@ -95,9 +90,7 @@ uint64_t GapOccurrenceCountWithCursor(const InvertedIndex& index, SeqId i,
   dp.assign(first.size(), 1);
   std::span<const Position> prev_occ = first;
   for (size_t j = 1; j < m; ++j) {
-    const std::span<const Position> occ =
-        index.Positions(i, pattern[j])
-            .Materialize(j % 2 == 0 ? scratch->occ_a : scratch->occ_b);
+    const std::span<const Position> occ = index.Positions(i, pattern[j]);
     if (occ.empty()) return 0;
     // prefix[k] = dp[0] + .. + dp[k-1] (saturating), over prev_occ.
     prefix.resize(prev_occ.size() + 1);

@@ -50,17 +50,12 @@ double GapSupportRatio(const Sequence& sequence, const Pattern& pattern,
 // --- Incremental entry point (landmark replay; DESIGN.md §7) -------------
 
 /// Caller-owned scratch for GapOccurrenceCountWithCursor: the DP and prefix
-/// arrays — plus the two buffers occurrence lists are materialized into
-/// when the index stores them compressed — persist across calls, so
-/// emission-time annotation allocates nothing in steady state.
+/// arrays persist across calls, so emission-time annotation allocates
+/// nothing in steady state.
 struct GapCountScratch {
   std::vector<uint64_t> dp;
   std::vector<uint64_t> next;
   std::vector<uint64_t> prefix;
-  // Ping-pong decode buffers: the DP needs random access to the current AND
-  // previous occurrence lists at once, so consecutive events alternate.
-  std::vector<Position> occ_a;
-  std::vector<Position> occ_b;
 };
 
 /// GapOccurrenceCount for sequence `i`, computed over the index's occurrence

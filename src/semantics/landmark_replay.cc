@@ -9,7 +9,7 @@ void ReplayLeftmostCompletions(const InvertedIndex& index, SeqId i,
                                std::vector<LandmarkCompletion>* out,
                                std::vector<PositionCursor>* cursors) {
   out->clear();
-  const PositionListView starts = index.Positions(i, pattern[0]);
+  const std::span<const Position> starts = index.Positions(i, pattern[0]);
   if (starts.empty()) return;
   if (pattern.size() == 1) {
     out->reserve(starts.size());

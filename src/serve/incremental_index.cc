@@ -164,8 +164,8 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
         positions.insert(positions.end(), list.begin(), list.end());
       }
       offsets.push_back(static_cast<uint32_t>(positions.size()));
-      sa.frozen = InvertedIndex::BuildSeqBlock(
-          sa.events, offsets, positions, options_.compress_postings, arena);
+      sa.frozen =
+          InvertedIndex::BuildSeqBlock(sa.events, offsets, positions, arena);
     }
     sa.dirty = false;
   }

@@ -79,12 +79,6 @@ class IncrementalInvertedIndex {
  public:
   IncrementalInvertedIndex() = default;
 
-  /// Storage options are fixed at construction and apply to every block the
-  /// index ever freezes (mixing encodings across epochs would defeat the
-  /// block-sharing equality the differential suite pins).
-  explicit IncrementalInvertedIndex(const IndexBuildOptions& options)
-      : options_(options) {}
-
   /// Registers a new (possibly empty) sequence; returns its SeqId.
   SeqId AddSequence(std::span<const EventId> events);
 
@@ -179,7 +173,6 @@ class IncrementalInvertedIndex {
   // method that forgets is a build error (DESIGN.md §11).
   ExternalSerialization writer_lock_;
 
-  IndexBuildOptions options_;  // immutable after construction
   std::vector<SeqAccum> seqs_ GSGROW_GUARDED_BY(writer_lock_);
   std::vector<EventAccum> events_ GSGROW_GUARDED_BY(writer_lock_);
   // Clean→dirty transitions since the last snapshot; the freeze loop walks

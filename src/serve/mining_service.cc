@@ -533,6 +533,13 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
     response.status = Status::InvalidArgument("k must be >= 1");
     return response;
   }
+  // An inverted range admits no gap at all, so it would silently answer
+  // with single events only.
+  if (request.miner == MineRequest::Miner::kGapConstrained &&
+      request.gap.min_gap > request.gap.max_gap) {
+    response.status = Status::InvalidArgument("min_gap must be <= max_gap");
+    return response;
+  }
 
   MinerOptions options = request.options;
   if (!ResolveRequestAlphabet(request, *snapshot.db,

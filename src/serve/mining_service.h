@@ -51,6 +51,9 @@
 
 namespace gsgrow {
 
+/// Empty (one index encoding); kept because e2ebench/ still passes it.
+struct IndexBuildOptions {};
+
 /// How a durable service is opened (DESIGN.md §10).
 struct DurabilityOptions {
   /// Directory holding the CHECKPOINT file and wal-<seq>.log segments.
@@ -87,16 +90,12 @@ class MiningService {
  public:
   MiningService() : MiningService(IndexBuildOptions{}) {}
 
-  /// Service whose index freezes blocks with the given storage options —
-  /// the plain-postings arm of bench/serving_queries uses this; production
-  /// callers take the (compressed) default. The result cache
-  /// (serve/result_cache.h) is ON by default; cache_options.max_bytes == 0
-  /// disables it (every query mines cold) — the bench cold arms and the
-  /// cache-on/off differential use that.
-  explicit MiningService(const IndexBuildOptions& index_options,
+  /// The result cache (serve/result_cache.h) is ON by default;
+  /// cache_options.max_bytes == 0 disables it (every query mines cold) —
+  /// the bench cold arms and the cache-on/off differential use that.
+  explicit MiningService(const IndexBuildOptions& /*index_options*/,
                          const ResultCacheOptions& cache_options = {})
-      : index_(index_options),
-        cache_(cache_options.max_bytes == 0
+      : cache_(cache_options.max_bytes == 0
                    ? nullptr
                    : std::make_unique<ResultCache>(cache_options)) {}
 

@@ -1,7 +1,7 @@
 // Bump-pointer arena for immutable index storage (DESIGN.md §9).
 //
 // The inverted-index read path is built from many small immutable arrays
-// (per-sequence event tables, offsets, packed posting groups). Allocating
+// (per-sequence event tables, offsets, position lists). Allocating
 // each as its own heap vector fragments the general heap and scatters one
 // block's arrays across the address space; an epoch-snapshot workload
 // (serve/incremental_index.h) multiplies that by re-freezing the dirty

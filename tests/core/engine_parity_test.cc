@@ -14,6 +14,7 @@
 #include "core/gap_constrained.h"
 #include "core/gsgrow.h"
 #include "core/instance_growth.h"
+#include "core/reference.h"
 #include "core/topk.h"
 #include "datagen/quest_generator.h"
 #include "test_util.h"
@@ -172,45 +173,42 @@ TEST(EngineParity, TopKSinkEqualsSortedClosedPrefix) {
   }
 }
 
-// The memoized closure-check hot path (lazy restricted prefixes, fused
-// per-sequence-count early exits, cursor-based regrowth) must be decision-
-// identical to the seed regrow path: byte-identical closed output in the
-// engine's emission order, and the exact same DFS shape and accounting.
-TEST(EngineParity, MemoizedClosureMatchesSeedPath) {
+// The closure check (lazy restricted prefixes, fused per-sequence-count
+// early exits, cursor-based regrowth) against the definition: CloGSgrow's
+// output must equal the all-frequent set filtered to closed patterns
+// (Definition 2.6) under every LBCheck / insert-filter setting. The insert
+// filter only drops candidates that cannot reach equal support, so it must
+// not change a single decision: identical DFS shape and accounting with and
+// without it.
+TEST(EngineParity, ClosedMiningMatchesFilteredAllFrequent) {
   for (uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
     SequenceDatabase db = QuestDatabase(seed);
     InvertedIndex index(db);
+    MinerOptions options;
+    options.min_support = 4 + seed % 3;
+    const std::vector<PatternRecord> oracle =
+        FilterClosed(MineAllFrequent(index, options).patterns);
     for (bool lb_pruning : {true, false}) {
-      for (bool insert_filter : {true, false}) {
-        MinerOptions memoized;
-        memoized.min_support = 4 + seed % 3;
-        memoized.max_pattern_length = 6;
-        memoized.use_landmark_border_pruning = lb_pruning;
-        memoized.use_insert_candidate_filter = insert_filter;
-        memoized.use_memoized_closure = true;
-        MinerOptions reference = memoized;
-        reference.use_memoized_closure = false;
-
-        MiningResult memo = MineClosedFrequent(index, memoized);
-        MiningResult ref = MineClosedFrequent(index, reference);
-        const std::string label =
-            "seed=" + std::to_string(seed) +
-            " lb=" + std::to_string(lb_pruning) +
-            " filter=" + std::to_string(insert_filter);
-        // Byte-identical output: same records in the same emission order.
-        EXPECT_EQ(memo.patterns, ref.patterns) << label;
-        // Identical DFS shape and accounting, not just identical output.
-        EXPECT_EQ(memo.stats.nodes_visited, ref.stats.nodes_visited) << label;
-        EXPECT_EQ(memo.stats.lb_pruned_subtrees, ref.stats.lb_pruned_subtrees)
-            << label;
-        EXPECT_EQ(memo.stats.nonclosed_suppressed,
-                  ref.stats.nonclosed_suppressed)
-            << label;
-        EXPECT_EQ(memo.stats.closure_checks, ref.stats.closure_checks)
-            << label;
-        EXPECT_EQ(memo.stats.patterns_found, ref.stats.patterns_found)
-            << label;
-      }
+      options.use_landmark_border_pruning = lb_pruning;
+      options.use_insert_candidate_filter = true;
+      MiningResult filtered = MineClosedFrequent(index, options);
+      options.use_insert_candidate_filter = false;
+      MiningResult unfiltered = MineClosedFrequent(index, options);
+      const std::string label =
+          "seed=" + std::to_string(seed) + " lb=" + std::to_string(lb_pruning);
+      ASSERT_FALSE(filtered.stats.truncated) << label;
+      EXPECT_EQ(filtered.patterns, oracle) << label;
+      EXPECT_EQ(unfiltered.patterns, oracle) << label;
+      EXPECT_EQ(filtered.stats.nodes_visited, unfiltered.stats.nodes_visited)
+          << label;
+      EXPECT_EQ(filtered.stats.lb_pruned_subtrees,
+                unfiltered.stats.lb_pruned_subtrees)
+          << label;
+      EXPECT_EQ(filtered.stats.nonclosed_suppressed,
+                unfiltered.stats.nonclosed_suppressed)
+          << label;
+      EXPECT_EQ(filtered.stats.closure_checks, unfiltered.stats.closure_checks)
+          << label;
     }
   }
 }

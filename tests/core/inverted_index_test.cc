@@ -1,21 +1,16 @@
 #include "core/inverted_index.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
 
-#include "core/clogsgrow.h"
-#include "core/gsgrow.h"
 #include "core/sequence_database.h"
-#include "core/topk.h"
 #include "test_util.h"
 
 namespace gsgrow {
 namespace {
-
-constexpr IndexBuildOptions kPlain{.compress_postings = false};
-constexpr IndexBuildOptions kCompressed{.compress_postings = true};
 
 class InvertedIndexTest : public ::testing::Test {
  protected:
@@ -155,33 +150,39 @@ TEST_F(InvertedIndexTest, DefaultCursorIsEmpty) {
   EXPECT_EQ(cursor.NextAtOrAfter(0), kNoPosition);
 }
 
-// The galloping advance must agree with fresh binary searches for every
-// non-decreasing query stream, including large jumps that exercise the
-// doubling phase (and, compressed, the group-skip search) and repeated
-// equal bounds. Runs on BOTH encodings; sequences up to several hundred
-// positions over a small alphabet make multi-group compressed lists common.
+// Positions of `e` in `s`, by a linear scan of the raw sequence.
+std::vector<Position> ScanPositions(const Sequence& s, EventId e) {
+  std::vector<Position> out;
+  for (Position p = 0; p < s.length(); ++p) {
+    if (s[p] == e) out.push_back(p);
+  }
+  return out;
+}
+
+// The galloping advance must agree with std::lower_bound over the scanned
+// list for every non-decreasing query stream, including large jumps that
+// exercise the doubling phase and repeated equal bounds.
 TEST(InvertedIndexProperty, CursorMatchesNextAtOrAfterOnRandomStreams) {
   Rng rng(202);
   for (int round = 0; round < 50; ++round) {
     const size_t max_len = round % 3 == 2 ? 400 : 60;
     SequenceDatabase db = testing::RandomDatabase(&rng, 2, 10, max_len, 3);
-    for (const IndexBuildOptions& options : {kPlain, kCompressed}) {
-      InvertedIndex idx(db, options);
-      for (SeqId i = 0; i < db.size(); ++i) {
-        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-          PositionCursor cursor = idx.Cursor(i, e);
-          Position from = 0;
-          while (from <= db[i].length()) {
-            EXPECT_EQ(cursor.NextAtOrAfter(from),
-                      idx.NextAtOrAfter(i, e, from))
-                << "round=" << round << " seq=" << i << " e=" << e
-                << " from=" << from
-                << " compressed=" << options.compress_postings;
-            // Mix of small steps (consume adjacent positions) and jumps
-            // (force galloping over several positions / groups at once).
-            from += 1 + static_cast<Position>(rng.UniformInt(
-                           round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
-          }
+    InvertedIndex idx(db);
+    for (SeqId i = 0; i < db.size(); ++i) {
+      for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+        const std::vector<Position> list = ScanPositions(db[i], e);
+        PositionCursor cursor = idx.Cursor(i, e);
+        Position from = 0;
+        while (from <= db[i].length()) {
+          const auto it = std::lower_bound(list.begin(), list.end(), from);
+          EXPECT_EQ(cursor.NextAtOrAfter(from),
+                    it == list.end() ? kNoPosition : *it)
+              << "round=" << round << " seq=" << i << " e=" << e
+              << " from=" << from;
+          // Mix of small steps (consume adjacent positions) and jumps
+          // (force galloping over several positions at once).
+          from += 1 + static_cast<Position>(rng.UniformInt(
+                         round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
         }
       }
     }
@@ -212,124 +213,34 @@ TEST(InvertedIndexProperty, NextMatchesLinearScan) {
   }
 }
 
-// The two encodings must present the identical query surface: views,
-// random access, Materialize, counts, and point queries.
-TEST(InvertedIndexProperty, EncodingsAgreeOnFullQuerySurface) {
+// The whole query surface against the raw sequences: every position list
+// is the scanned list, point queries are std::lower_bound over it, and
+// counts and lengths follow. Long sequences over a small alphabet give long
+// lists; occasional large alphabets give many short ones.
+TEST(InvertedIndexProperty, QuerySurfaceMatchesLowerBound) {
   Rng rng(613);
-  std::vector<Position> scratch_p, scratch_c;
   for (int round = 0; round < 12; ++round) {
-    // Long sequences over a small alphabet force multi-group lists;
-    // occasional large alphabets force short (plain-within-compressed)
-    // lists.
     const size_t alphabet = round % 4 == 3 ? 20 : 3;
     SequenceDatabase db = testing::RandomDatabase(&rng, 3, 50, 500, alphabet);
-    InvertedIndex plain(db, kPlain);
-    InvertedIndex compressed(db, kCompressed);
+    InvertedIndex idx(db);
     for (SeqId i = 0; i < db.size(); ++i) {
-      ASSERT_EQ(plain.SequenceLength(i), compressed.SequenceLength(i));
+      ASSERT_EQ(idx.SequenceLength(i), db[i].length());
       for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-        const PositionListView vp = plain.Positions(i, e);
-        const PositionListView vc = compressed.Positions(i, e);
-        ASSERT_EQ(vp.size(), vc.size()) << "seq " << i << " e " << e;
-        EXPECT_FALSE(vp.compressed());
-        const auto mp = vp.Materialize(scratch_p);
-        const auto mc = vc.Materialize(scratch_c);
-        ASSERT_TRUE(std::equal(mp.begin(), mp.end(), mc.begin(), mc.end()));
-        // Iteration and operator[] agree with the materialized list.
-        size_t k = 0;
-        for (const Position p : vc) {
-          ASSERT_EQ(p, mp[k]) << "iter k=" << k;
-          ASSERT_EQ(vc[k], mp[k]) << "operator[] k=" << k;
-          ++k;
-        }
-        ASSERT_EQ(k, vc.size());
+        const std::vector<Position> want = ScanPositions(db[i], e);
+        const std::span<const Position> got = idx.Positions(i, e);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                               got.end()))
+            << "seq " << i << " e " << e;
+        ASSERT_EQ(idx.Count(i, e), want.size());
         for (Position from = 0; from <= db[i].length() + 1; ++from) {
-          ASSERT_EQ(plain.NextAtOrAfter(i, e, from),
-                    compressed.NextAtOrAfter(i, e, from))
+          const auto it = std::lower_bound(want.begin(), want.end(), from);
+          ASSERT_EQ(idx.NextAtOrAfter(i, e, from),
+                    it == want.end() ? kNoPosition : *it)
               << "seq " << i << " e " << e << " from " << from;
         }
-        ASSERT_EQ(plain.Count(i, e), compressed.Count(i, e));
       }
     }
   }
-}
-
-// Acceptance gate: mined output must be byte-identical across encodings —
-// closed (with full Table-I annotations), all-frequent, and top-K.
-TEST(InvertedIndexProperty, MiningIsIdenticalAcrossEncodings) {
-  Rng rng(871);
-  for (int round = 0; round < 6; ++round) {
-    // Small alphabets + modest lengths keep the closed-pattern space sane
-    // (repetitive support counts OCCURRENCES, so long low-alphabet
-    // sequences explode combinatorially); one long-sequence round still
-    // exercises multi-group compressed lists.
-    SequenceDatabase db =
-        round == 5 ? testing::RandomDatabase(&rng, 4, 100, 150, 6)
-                   : testing::RandomDatabase(&rng, 6, 10, 35, 5);
-    InvertedIndex plain(db, kPlain);
-    InvertedIndex compressed(db, kCompressed);
-
-    MinerOptions options;
-    options.min_support = round == 5 ? 60 : 6;
-    options.semantics = SemanticsOptions::All(/*window_width=*/6,
-                                              /*min_gap=*/0, /*max_gap=*/4);
-    ASSERT_EQ(MineClosedFrequent(plain, options).patterns,
-              MineClosedFrequent(compressed, options).patterns)
-        << "closed mining diverged, round " << round;
-
-    options.semantics = SemanticsOptions{};
-    options.max_pattern_length = 4;
-    ASSERT_EQ(MineAllFrequent(plain, options).patterns,
-              MineAllFrequent(compressed, options).patterns)
-        << "all-frequent mining diverged, round " << round;
-
-    TopKOptions topk;
-    topk.k = 10;
-    topk.min_length = 2;
-    ASSERT_EQ(MineTopKClosed(plain, topk).patterns,
-              MineTopKClosed(compressed, topk).patterns)
-        << "top-K mining diverged, round " << round;
-  }
-}
-
-// The point of the exercise, pinned as a number: long position lists must
-// take materially less storage compressed, and MemoryUsage must see it.
-TEST(InvertedIndexProperty, CompressionShrinksDenseIndexes) {
-  Rng rng(99);
-  // 3-letter alphabet, length ~1500: per-event lists of ~500 positions with
-  // small deltas — the quest-style dense regime.
-  SequenceDatabase db = testing::RandomDatabase(&rng, 10, 1200, 1500, 3);
-  InvertedIndex plain(db, kPlain);
-  InvertedIndex compressed(db, kCompressed);
-  EXPECT_GT(plain.MemoryUsage(), 0u);
-  EXPECT_GT(compressed.MemoryUsage(), 0u);
-  EXPECT_GE(plain.MemoryUsage(), 2 * compressed.MemoryUsage())
-      << "plain=" << plain.MemoryUsage()
-      << " compressed=" << compressed.MemoryUsage();
-}
-
-TEST(InvertedIndexProperty, ShortListsStayPlainInsideCompressedBlocks) {
-  // 26 events over short sequences: every list has < kPostingCompressMinCount
-  // entries, so a compressed build must store them plain (no group
-  // metadata blow-up) while still reporting compressed-block layout.
-  SequenceDatabase db = MakeDatabaseFromStrings(
-      {"ABCDEFG", "GFEDCBA", "AABB", "A"});
-  InvertedIndex compressed(db, kCompressed);
-  InvertedIndex plain(db, kPlain);
-  for (SeqId i = 0; i < db.size(); ++i) {
-    for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-      const PositionListView view = compressed.Positions(i, e);
-      EXPECT_FALSE(view.compressed());  // short list => plain storage
-      std::vector<Position> sp, sc;
-      const auto want = plain.Positions(i, e).Materialize(sp);
-      const auto got = view.Materialize(sc);
-      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
-                             got.end()));
-    }
-  }
-  // Tiny lists must not pay group-metadata overhead.
-  EXPECT_LE(compressed.MemoryUsage(),
-            plain.MemoryUsage() + db.size() * sizeof(uint32_t) * 8);
 }
 
 #ifndef NDEBUG

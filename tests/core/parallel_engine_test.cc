@@ -76,20 +76,16 @@ TEST(ParallelEngine, CloGSgrowParityAcrossThreadCounts) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     SequenceDatabase db = QuestDatabase(seed);
     InvertedIndex index(db);
-    for (bool memoized : {true, false}) {
-      MinerOptions options;
-      options.min_support = 5;
-      options.max_pattern_length = 6;
-      options.use_memoized_closure = memoized;
-      MiningResult baseline = MineClosedFrequent(index, options);
-      ASSERT_FALSE(baseline.stats.truncated);
-      for (size_t threads : {2u, 8u}) {
-        options.num_threads = threads;
-        ExpectIdenticalResults(baseline, MineClosedFrequent(index, options),
-                               "seed=" + std::to_string(seed) + " memoized=" +
-                                   std::to_string(memoized) + " threads=" +
-                                   std::to_string(threads));
-      }
+    MinerOptions options;
+    options.min_support = 5;
+    options.max_pattern_length = 6;
+    MiningResult baseline = MineClosedFrequent(index, options);
+    ASSERT_FALSE(baseline.stats.truncated);
+    for (size_t threads : {2u, 8u}) {
+      options.num_threads = threads;
+      ExpectIdenticalResults(baseline, MineClosedFrequent(index, options),
+                             "seed=" + std::to_string(seed) +
+                                 " threads=" + std::to_string(threads));
     }
   }
 }

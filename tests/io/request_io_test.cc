@@ -84,6 +84,13 @@ TEST(RequestIo, RejectsUnknownKeysAndVerbs) {
   EXPECT_FALSE(ParseServeCommand("mine frobnicate=1").ok());
   EXPECT_FALSE(ParseServeCommand("mine algo=bogus").ok());
   EXPECT_FALSE(ParseServeCommand("mine min_sup=minus").ok());
+  // A budget must be a positive number of seconds; NaN compares false to
+  // everything, and a NaN budget would never expire.
+  for (const char* budget : {"0", "-1", "nan", "-nan"}) {
+    EXPECT_FALSE(
+        ParseServeCommand(std::string("mine budget=") + budget).ok())
+        << budget;
+  }
   EXPECT_FALSE(ParseServeCommand("unknownverb").ok());
   EXPECT_FALSE(ParseServeCommand("run speed=11").ok());
   EXPECT_TRUE(ParseServeCommand("run threads=3").ok());
@@ -173,7 +180,7 @@ TEST(RequestCanonicalization, ExplicitDefaultsEqualElidedOnes) {
   programmatic.miner = MineRequest::Miner::kClosed;
   programmatic.options.min_support = 2;
   programmatic.options.num_threads = 16;
-  programmatic.options.use_memoized_closure = false;
+  programmatic.options.use_landmark_border_pruning = false;
   programmatic.k = 99;               // top-K only; closed ignores it
   programmatic.min_length = 7;       // top-K only
   programmatic.gap.min_gap = 1;      // gap miner only

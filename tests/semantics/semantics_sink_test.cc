@@ -326,15 +326,13 @@ TEST_P(ReplayProperty, InteractionCountMatchesReference) {
   InvertedIndex index(db);
   std::vector<LandmarkCompletion> completions;
   std::vector<PositionCursor> cursors;
-  std::vector<Position> scratch;
   for (const Pattern& p : TestPatterns(db)) {
     if (p.size() < 2) continue;
     for (SeqId i = 0; i < db.size(); ++i) {
       ReplayLeftmostCompletions(index, i, p.events(), &completions,
                                 &cursors);
       EXPECT_EQ(InteractionCountFromLandmarks(
-                    completions,
-                    index.Positions(i, p[p.size() - 1]).Materialize(scratch)),
+                    completions, index.Positions(i, p[p.size() - 1])),
                 InteractionOccurrenceCount(db[i], p))
           << p.ToCompactString(db.dictionary()) << " seq=" << i;
     }

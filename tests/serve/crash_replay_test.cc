@@ -154,7 +154,6 @@ std::string SerializeSurface(MiningService& service) {
   const InvertedIndex& index = snapshot->index;
   out += "sequences " + std::to_string(index.num_sequences()) + " alphabet " +
          std::to_string(index.alphabet_size()) + "\n";
-  std::vector<Position> scratch;
   for (SeqId i = 0; i < index.num_sequences(); ++i) {
     out += "seq " + std::to_string(i) + " len " +
            std::to_string(index.SequenceLength(i)) + " raw";
@@ -164,7 +163,7 @@ std::string SerializeSurface(MiningService& service) {
     out += "\n";
     for (const EventId e : index.EventsInSequence(i)) {
       out += "  e" + std::to_string(e) + ":";
-      for (const Position p : index.Positions(i, e).Materialize(scratch)) {
+      for (const Position p : index.Positions(i, e)) {
         out += " " + std::to_string(p);
       }
       out += "\n";

@@ -149,6 +149,17 @@ TEST(MiningService, InvalidRequestsReportStatus) {
   bad_k.k = 0;
   EXPECT_FALSE(service.Execute(bad_k).status.ok());
 
+  // min_gap > max_gap admits no landmark step; mining it would answer with
+  // single events only.
+  MineRequest bad_gap;
+  bad_gap.miner = MineRequest::Miner::kGapConstrained;
+  bad_gap.gap.min_gap = 5;
+  bad_gap.gap.max_gap = 1;
+  EXPECT_EQ(service.Execute(bad_gap).status.code(),
+            StatusCode::kInvalidArgument);
+  bad_gap.gap.max_gap = 5;  // an equal bound is a valid, exact gap
+  EXPECT_TRUE(service.Execute(bad_gap).status.ok());
+
   EXPECT_FALSE(service.AppendTo(99, {"A"}).ok());
 }
 
