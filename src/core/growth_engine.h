@@ -37,10 +37,12 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/instance.h"
+#include "core/instance_growth.h"
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
 #include "core/mining_result.h"
@@ -266,6 +268,8 @@ class BoundedGapExtension {
     ExtendInto(node, e, child);
     return child;
   }
+
+  const InvertedIndex& index() const { return *index_; }
 
  private:
   const SequenceDatabase* db_;
@@ -597,8 +601,14 @@ class GrowthEngine {
                                pattern_.size() < options_.max_pattern_length;
     if (want_children) {
       const uint64_t floor = EffectiveMinSupport();
+      // Occurrence bound (DESIGN.md §5): a candidate whose bound is below
+      // min(floor, support) can be neither kept nor an equal-support append
+      // (the floor may exceed a top-K node's support), so it is not grown.
+      const std::span<const EventId> to_grow =
+          append_bound_.Filter(extension_.index(), prefix_sets_.back(),
+                               candidates, std::min(floor, support));
       GrownChild child;
-      for (EventId e : candidates) {
+      for (EventId e : to_grow) {
         child.set = AcquireSet();
         extension_.ExtendInto(node, e, child);
         if (child.support == support) equal_support_append = true;
@@ -712,6 +722,7 @@ class GrowthEngine {
   // Scratch pools (see DepthScratch / AcquireSet).
   std::deque<DepthScratch> depth_scratch_;
   std::vector<SupportSet> set_pool_;
+  AppendOccurrenceBound append_bound_;
   bool stopped_ = false;
 };
 

@@ -31,8 +31,9 @@ void GrowSupportSetInto(const InvertedIndex& index,
   GSGROW_DCHECK(IsRightShiftSorted(support_set));
   GSGROW_DCHECK(&out != &support_set);
   out.clear();
+  // No reserve: `out` usually ends far smaller than its input, and a pooled
+  // buffer sized to its parent keeps that capacity for the rest of the run.
   const size_t n = support_set.size();
-  if (out.capacity() < n) out.reserve(n);
   uint64_t queries = 0;
   size_t k = 0;
   while (k < n) {
@@ -64,6 +65,46 @@ void GrowSupportSetInto(const InvertedIndex& index,
     }
   }
   if (next_queries != nullptr) *next_queries += queries;
+}
+
+std::span<const EventId> AppendOccurrenceBound::Filter(
+    const InvertedIndex& index, const SupportSet& support_set,
+    std::span<const EventId> candidates, uint64_t threshold) {
+  GSGROW_DCHECK(IsRightShiftSorted(support_set));
+  runs_.clear();
+  uint64_t distinct_events = 0;
+  for (const Instance& inst : support_set) {
+    if (!runs_.empty() && runs_.back().first == inst.seq) {
+      runs_.back().second++;
+      continue;
+    }
+    runs_.emplace_back(inst.seq, 1u);
+    // A sequence hosting an instance is non-empty, so its block exists.
+    distinct_events += index.seq_block(inst.seq)->num_events();
+  }
+  // |candidates| < distinct_events / |runs|, without the division.
+  if (candidates.size() * runs_.size() < distinct_events) return candidates;
+
+  for (EventId e : touched_) bound_[e] = 0;
+  touched_.clear();
+  if (bound_.size() < index.alphabet_size()) {
+    bound_.resize(index.alphabet_size(), 0);
+  }
+  for (const auto& [seq, n] : runs_) {
+    const InvertedIndex::SeqBlock& block = *index.seq_block(seq);
+    for (size_t k = 0; k < block.events.size(); ++k) {
+      const EventId e = block.events[k];
+      GSGROW_DCHECK(e < bound_.size());
+      const uint32_t count = block.offsets[k + 1] - block.offsets[k];
+      if (bound_[e] == 0) touched_.push_back(e);
+      bound_[e] += std::min(n, count);
+    }
+  }
+  kept_.clear();
+  for (EventId e : candidates) {
+    if (bound_[e] >= threshold) kept_.push_back(e);
+  }
+  return kept_;
 }
 
 SupportSet GrowSupportSetReference(const InvertedIndex& index,

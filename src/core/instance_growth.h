@@ -21,6 +21,8 @@
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -47,6 +49,45 @@ SupportSet GrowSupportSet(const InvertedIndex& index,
 void GrowSupportSetInto(const InvertedIndex& index,
                         const SupportSet& support_set, EventId e,
                         SupportSet& out, uint64_t* next_queries = nullptr);
+
+/// Occurrence bound on append extensions (DESIGN.md §5). For a support set
+/// with n_i instances in sequence i,
+///
+///   |GrowSupportSetInto(support_set, e)| <= Σ_i min(n_i, count_i(e)),
+///
+/// because each grown instance extends a distinct input instance and, with
+/// strictly rising last landmarks, takes a distinct occurrence of e. One
+/// sequence-driven pass over the support set's runs computes the bound for
+/// every event at once, so the DFS can drop hopeless append candidates
+/// before growing any of them. Buffers persist across calls: a dense
+/// per-event accumulator, reset through the list of events it touched.
+class AppendOccurrenceBound {
+ public:
+  /// The candidates, in their order, whose bound reaches `threshold` — or
+  /// all of `candidates` when the pass would scan more than it can save:
+  /// it reads every distinct event of the support set's sequences, while
+  /// growing costs one slot lookup per (candidate, sequence) pair, so it is
+  /// skipped when |candidates| is below the mean distinct-event count of
+  /// those sequences. The result stays valid until the next call.
+  std::span<const EventId> Filter(const InvertedIndex& index,
+                                  const SupportSet& support_set,
+                                  std::span<const EventId> candidates,
+                                  uint64_t threshold);
+
+  /// The bound of `e` from the last Filter call that ran the pass (0 for
+  /// events absent from the support set's sequences).
+  uint64_t operator[](EventId e) const {
+    return e < bound_.size() ? bound_[e] : 0;
+  }
+
+ private:
+  // (sequence, n_i) runs of the last support set.
+  std::vector<std::pair<SeqId, uint32_t>> runs_;
+  // bound_[e] for e in touched_; zero everywhere else.
+  std::vector<uint64_t> bound_;
+  std::vector<EventId> touched_;
+  std::vector<EventId> kept_;
+};
 
 /// The pre-cursor INSgrow: one full binary search (event slot + position)
 /// per next() query, result freshly allocated. Semantically identical to

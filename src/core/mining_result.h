@@ -140,12 +140,15 @@ struct MiningStats {
   /// DFS nodes visited (frequent patterns explored, including non-closed
   /// ones in CloGSgrow).
   uint64_t nodes_visited = 0;
-  /// Total INSgrow invocations (mining growth + closure checking).
+  /// Total INSgrow invocations (mining growth + closure checking). Append
+  /// candidates rejected by the occurrence bound (DESIGN.md §5) are never
+  /// grown and do not count.
   uint64_t insgrow_calls = 0;
   /// Total next() queries issued against the inverted index through the
   /// cursor-based growth path (GrowSupportSetInto). The reference growth
   /// path does not count, so ablation runs show the fast path's query
-  /// volume explicitly.
+  /// volume explicitly; neither do append candidates rejected by the
+  /// occurrence bound, which issue no query.
   uint64_t next_queries = 0;
   /// CloGSgrow: closure checks performed (one per ClosurePruning::Decide
   /// that scans insert/prepend extensions).

@@ -5,9 +5,9 @@
 namespace gsgrow {
 
 size_t ResolveNumThreads(size_t requested) {
-  if (requested != 0) return requested;
+  if (requested != 0) return std::min(requested, kMaxWorkers);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
+  return std::clamp<size_t>(hw, 1, kMaxWorkers);
 }
 
 void AccumulateStats(const MiningStats& worker, MiningStats* total) {

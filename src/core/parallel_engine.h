@@ -30,6 +30,7 @@
 #define GSGROW_CORE_PARALLEL_ENGINE_H_
 
 #include <cstddef>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,8 +42,15 @@
 
 namespace gsgrow {
 
+/// Most workers one run uses. The DFS is CPU-bound, so workers beyond the
+/// hardware threads only time-slice the same cores; the cap keeps a
+/// request's thread count from exhausting the host's thread and memory-map
+/// limits (a sanitizer runtime dies of that before std::thread can report
+/// it).
+inline constexpr size_t kMaxWorkers = 256;
+
 /// Worker count for a run: `requested`, with 0 meaning one worker per
-/// hardware thread (at least 1).
+/// hardware thread (at least 1), capped at kMaxWorkers.
 size_t ResolveNumThreads(size_t requested);
 
 /// Adds one worker's counters into `total`: counts sum, max_depth maxes.
@@ -70,8 +78,11 @@ std::vector<PatternRecord> MergeTopKPatterns(
 /// Runs `make_engine(state)` once per worker (options.num_threads workers,
 /// resolved via ResolveNumThreads) against one SharedRunState, then merges
 /// patterns with `merge_patterns(shards)` and stats as described above.
-/// With one worker no thread is spawned — the engine runs inline, making
-/// num_threads=1 exactly the classic single-threaded behavior.
+/// Worker 0 is the calling thread and only the others are spawned, so with
+/// one worker the engine runs inline, making num_threads=1 exactly the
+/// classic single-threaded behavior. A worker the host cannot spawn ends
+/// the spawning instead of the process: roots are claimed dynamically, so
+/// the workers that do run drain the dispenser and the answer is the same.
 ///
 /// `make_engine` must return a ready-to-Run GrowthEngine whose policies and
 /// sink are freshly constructed per call (workers must not share scratch);
@@ -83,20 +94,21 @@ MiningResult MineSharded(const MinerOptions& options,
   const size_t num_threads = ResolveNumThreads(options.num_threads);
   WallTimer timer;
   SharedRunState state(options);
+  // Slots of helpers that could not be spawned stay empty and merge as
+  // nothing.
   std::vector<MiningResult> results(num_threads);
-  if (num_threads == 1) {
-    results[0] = make_engine(state).Run();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t w = 0; w < num_threads; ++w) {
-      workers.emplace_back(
-          [&make_engine, &state, &results, w] {
-            results[w] = make_engine(state).Run();
-          });
+  std::vector<std::thread> helpers;
+  for (size_t w = 1; w < num_threads; ++w) {
+    try {
+      helpers.emplace_back([&make_engine, &state, &results, w] {
+        results[w] = make_engine(state).Run();
+      });
+    } catch (const std::system_error&) {
+      break;
     }
-    for (std::thread& worker : workers) worker.join();
   }
+  results[0] = make_engine(state).Run();
+  for (std::thread& helper : helpers) helper.join();
 
   MiningResult merged;
   std::vector<std::vector<PatternRecord>> shards;

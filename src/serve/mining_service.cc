@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -627,22 +628,29 @@ std::vector<MineResponse> MiningService::ExecuteBatch(
   // batch output is identical at any worker count. The cached path keeps
   // that purity: a hit returns the identical bytes a cold mine would, and
   // racing misses on one key insert-if-absent (thread count is stripped
-  // from the canonical key, so both thread policies share entries).
+  // from the canonical key, so both thread policies share entries). The
+  // caller is one of the workers, and a helper the host cannot spawn ends
+  // the spawning: the workers that run drain the dispenser either way.
   std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < requests.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        MineRequest request = requests[i];
-        request.options.num_threads = 1;
-        responses[i] = run_one(request);
-      }
-    });
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < requests.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      MineRequest request = requests[i];
+      request.options.num_threads = 1;
+      responses[i] = run_one(request);
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (size_t w = 1; w < workers; ++w) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;
+    }
   }
-  for (std::thread& worker : pool) worker.join();
+  drain();
+  for (std::thread& helper : helpers) helper.join();
   return responses;
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 
@@ -226,6 +228,116 @@ TEST(EngineParity, UnconstrainedGapPolicyEqualsGSgrow) {
     MiningResult plain = MineAllFrequent(db, options);
     EXPECT_EQ(AsSet(db, gapped.patterns), AsSet(db, plain.patterns))
         << "seed=" << seed;
+  }
+}
+
+// A wide alphabet (many events, few per sequence) is where the append
+// occurrence bound drops the most candidates before growth.
+SequenceDatabase WideQuestDatabase(uint64_t seed) {
+  QuestParams params;
+  params.num_sequences = 40;
+  params.avg_sequence_length = 10;
+  params.num_events = 60;
+  params.avg_pattern_length = 4;
+  params.num_potential_patterns = 12;
+  params.seed = seed;
+  return GenerateQuest(params);
+}
+
+// The occurrence bound must not lose a single pattern. Without candidate-
+// list inheritance every node tries every frequent root, which is where the
+// bound bites hardest: both miners must still match their oracles, while
+// growing fewer children than nodes x roots.
+TEST(EngineParity, OccurrenceBoundKeepsAnswersOnWideAlphabet) {
+  for (uint64_t seed : {71u, 72u, 73u, 74u}) {
+    SequenceDatabase db = WideQuestDatabase(seed);
+    InvertedIndex index(db);
+    MinerOptions options;
+    options.min_support = 4;
+    options.use_candidate_list = false;
+    const std::string label = "seed=" + std::to_string(seed);
+    MiningResult all = MineAllFrequent(index, options);
+    ASSERT_FALSE(all.stats.truncated) << label;
+    EXPECT_EQ(AsSet(db, all.patterns),
+              AsSet(db, ReferenceMineAll(db, options.min_support)))
+        << label;
+    MiningResult closed = MineClosedFrequent(index, options);
+    EXPECT_EQ(closed.patterns, FilterClosed(all.patterns)) << label;
+    const uint64_t roots = UnconstrainedExtension(index)
+                               .FrequentRoots(options.min_support)
+                               .size();
+    EXPECT_LT(all.stats.insgrow_calls, all.stats.nodes_visited * roots)
+        << label;
+  }
+}
+
+// TopKSink that also records every emission, kept by the heap or not.
+class RecordingTopKSink {
+ public:
+  RecordingTopKSink(size_t k, std::vector<PatternRecord>* emitted)
+      : heap_(k, 1), emitted_(emitted) {}
+  void Emit(const std::vector<EventId>& events, uint64_t support,
+            const SupportSet& support_set) {
+    emitted_->push_back(PatternRecord{Pattern(events), support});
+    heap_.Emit(events, support, support_set);
+  }
+  uint64_t SupportFloor() const { return heap_.SupportFloor(); }
+  std::vector<PatternRecord> Take() { return heap_.Take(); }
+
+ private:
+  TopKSink heap_;
+  std::vector<PatternRecord>* emitted_;
+};
+
+// Top-K raises the floor as the heap fills, so later roots start below it.
+// The bound's threshold is min(floor, support), not the floor: candidates
+// between the two are still grown because an equal-support append makes the
+// node non-closed (CCheck case 1). Every emission — kept or not — must be
+// closed, and the kept set must be the best-K prefix of the closed set.
+TEST(EngineParity, TopKOccurrenceBoundKeepsClosureBelowTheFloor) {
+  for (uint64_t seed : {71u, 72u, 73u, 74u}) {
+    SequenceDatabase db = WideQuestDatabase(seed);
+    InvertedIndex index(db);
+    MinerOptions options;
+    options.min_support = 2;
+    options.use_candidate_list = false;
+    std::vector<PatternRecord> closed =
+        FilterClosed(MineAllFrequent(index, options).patterns);
+    std::sort(closed.begin(), closed.end(), TopKSink::Better);
+    std::set<std::pair<Pattern, uint64_t>> closed_set;
+    for (const PatternRecord& r : closed) {
+      closed_set.emplace(r.pattern, r.support);
+    }
+    for (size_t k : {1u, 4u, 16u}) {
+      const std::string label =
+          "seed=" + std::to_string(seed) + " k=" + std::to_string(k);
+      ASSERT_GE(closed.size(), k) << label;
+      std::vector<PatternRecord> emitted;
+      UnconstrainedExtension extension(index);
+      ClosurePruning closure(index, options);
+      MiningResult topk =
+          GrowthEngine(extension, closure, RecordingTopKSink(k, &emitted),
+                       options)
+              .Run();
+      for (const PatternRecord& r : emitted) {
+        EXPECT_TRUE(closed_set.count({r.pattern, r.support}))
+            << label << " " << r.pattern.ToCompactString(db.dictionary());
+      }
+      EXPECT_EQ(topk.patterns,
+                std::vector<PatternRecord>(closed.begin(), closed.begin() + k))
+          << label;
+    }
+    TopKOptions facade;
+    facade.k = 8;
+    facade.min_length = 2;
+    std::vector<PatternRecord> expected;
+    for (const PatternRecord& r : closed) {
+      if (r.pattern.size() >= 2 && expected.size() < facade.k) {
+        expected.push_back(r);
+      }
+    }
+    ASSERT_EQ(expected.size(), facade.k) << "seed=" << seed;
+    EXPECT_EQ(MineTopKClosed(db, facade), expected) << "seed=" << seed;
   }
 }
 

@@ -1,5 +1,9 @@
 #include "core/instance_growth.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "gtest/gtest.h"
 
 #include "core/inverted_index.h"
@@ -202,6 +206,119 @@ TEST(GrowSupportSetInto, MatchesReferenceOnRandomDatabases) {
       EXPECT_EQ(grown, GrowSupportSetReference(idx, set, root));
     }
   }
+}
+
+// --- Occurrence bound on append extensions (AppendOccurrenceBound). ---
+
+TEST(AppendOccurrenceBound, SumsPerSequenceMinimumOfRunAndCount) {
+  // <A> has runs n_0 = 2, n_1 = 1. B occurs once in seq 0 and three times
+  // in seq 1: bound min(2,1) + min(1,3) = 2, which A ◦ B reaches. C occurs
+  // only outside the support set's sequences.
+  SequenceDatabase db = MakeDatabaseFromStrings({"AAB", "ABBB", "CC"});
+  InvertedIndex idx(db);
+  EventId a = db.dictionary().Lookup("A");
+  EventId b = db.dictionary().Lookup("B");
+  EventId c = db.dictionary().Lookup("C");
+  SupportSet base = RootInstances(idx, a);
+  const std::vector<EventId> all = {a, b, c};
+  AppendOccurrenceBound bound;
+  std::span<const EventId> kept = bound.Filter(idx, base, all, 3);
+  EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
+            std::vector<EventId>{a});
+  EXPECT_EQ(bound[a], 3u);
+  EXPECT_EQ(bound[b], 2u);
+  EXPECT_EQ(bound[c], 0u);
+  EXPECT_EQ(GrowSupportSet(idx, base, b).size(), 2u);
+  // A later pass replaces every earlier bound.
+  kept = bound.Filter(idx, RootInstances(idx, c), all, 1);
+  EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
+            std::vector<EventId>{c});
+  EXPECT_EQ(bound[a], 0u);
+  EXPECT_EQ(bound[b], 0u);
+  EXPECT_EQ(bound[c], 2u);
+}
+
+TEST(AppendOccurrenceBound, FilterSkipsThePassWhenItCannotPayOff) {
+  // One sequence with six distinct events: a single candidate is cheaper to
+  // grow than the pass, so Filter hands the candidates back untouched; the
+  // full alphabet is worth the pass, which keeps only B (bound 3; every
+  // other event occurs once).
+  SequenceDatabase db = MakeDatabaseFromStrings({"ABCDEFBB"});
+  InvertedIndex idx(db);
+  EventId a = db.dictionary().Lookup("A");
+  EventId b = db.dictionary().Lookup("B");
+  SupportSet base = RootInstances(idx, b);
+  ASSERT_EQ(base.size(), 3u);
+  AppendOccurrenceBound bound;
+  const std::vector<EventId> one = {a};
+  std::span<const EventId> kept = bound.Filter(idx, base, one, 2);
+  EXPECT_EQ(kept.data(), one.data());
+  EXPECT_EQ(kept.size(), 1u);
+  std::vector<EventId> all;
+  for (EventId e = 0; e < db.AlphabetSize(); ++e) all.push_back(e);
+  kept = bound.Filter(idx, base, all, 2);
+  EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
+            std::vector<EventId>{b});
+}
+
+// Property: on random databases, for every node set reachable by growth
+// (patterns up to length 3) and every event, the bound is exactly
+// Σ_i min(n_i, count_i(e)) and never below the grown support; and at every
+// threshold Filter keeps, in order, a subset of the candidates containing
+// each event whose grown support reaches the threshold. With the whole
+// alphabet as candidates the pass always runs (no sequence has more
+// distinct events than the alphabet).
+TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
+  Rng rng(8675309);
+  AppendOccurrenceBound bound;  // one scratch across all rounds
+  uint64_t dropped = 0;
+  for (int round = 0; round < 30; ++round) {
+    const size_t alphabet = 3 + static_cast<size_t>(rng.UniformInt(6));
+    SequenceDatabase db = testing::RandomDatabase(&rng, 5, 1, 25, alphabet);
+    InvertedIndex idx(db);
+    std::vector<EventId> all;
+    for (EventId e = 0; e < db.AlphabetSize(); ++e) all.push_back(e);
+    std::vector<SupportSet> frontier;
+    for (EventId e : all) frontier.push_back(RootInstances(idx, e));
+    for (int depth = 1; depth <= 3; ++depth) {
+      std::vector<SupportSet> next;
+      for (const SupportSet& set : frontier) {
+        if (set.empty()) continue;
+        std::vector<uint64_t> grown(all.size());
+        for (EventId e : all) grown[e] = GrowSupportSet(idx, set, e).size();
+        ASSERT_NE(bound.Filter(idx, set, all, 1).data(), all.data());
+        for (EventId e : all) {
+          uint64_t expected = 0;
+          for (size_t k = 0; k < set.size();) {
+            size_t end = k;
+            while (end < set.size() && set[end].seq == set[k].seq) ++end;
+            expected += std::min<uint64_t>(end - k, idx.Count(set[k].seq, e));
+            k = end;
+          }
+          EXPECT_EQ(bound[e], expected) << "round=" << round << " e=" << e;
+          EXPECT_GE(bound[e], grown[e]) << "round=" << round << " e=" << e;
+        }
+        for (uint64_t threshold = 1; threshold <= set.size(); ++threshold) {
+          std::span<const EventId> kept =
+              bound.Filter(idx, set, all, threshold);
+          dropped += all.size() - kept.size();
+          EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()));
+          for (EventId e : all) {
+            if (grown[e] < threshold) continue;
+            EXPECT_TRUE(std::binary_search(kept.begin(), kept.end(), e))
+                << "round=" << round << " threshold=" << threshold
+                << " e=" << e;
+          }
+        }
+        if (depth < 3) {
+          for (EventId e : all) next.push_back(GrowSupportSet(idx, set, e));
+        }
+      }
+      frontier = std::move(next);
+    }
+  }
+  // The filter dropped candidates, so the checks above had teeth.
+  EXPECT_GT(dropped, 0u);
 }
 
 TEST(ComputeSupportSet, EmptyPattern) {

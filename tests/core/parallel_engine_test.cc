@@ -306,6 +306,7 @@ TEST(ParallelEngine, TopKTieBreakAtSupportFloorIsCanonical) {
 TEST(ParallelEngine, HardwareThreadCountResolution) {
   EXPECT_GE(ResolveNumThreads(0), 1u);
   EXPECT_EQ(ResolveNumThreads(3), 3u);
+  EXPECT_EQ(ResolveNumThreads(100000), kMaxWorkers);
   // num_threads = 0 must mine correctly (resolved to hardware concurrency).
   SequenceDatabase db = QuestDatabase(91);
   MinerOptions options;
