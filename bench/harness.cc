@@ -88,8 +88,6 @@ std::string CellJson(const std::string& bench, const std::string& dataset,
       << ",\"threads\":" << cell.threads
       << ",\"semantics\":\"" << JsonEscape(cell.semantics) << "\""
       << ",\"index_bytes\":" << cell.index_bytes
-      << ",\"p50_us\":" << cell.p50_us
-      << ",\"p99_us\":" << cell.p99_us
       << ",\"seconds\":" << cell.seconds()
       << ",\"patterns\":" << cell.patterns()
       << ",\"truncated\":" << (cell.truncated() ? "true" : "false")

@@ -47,13 +47,6 @@ struct Cell {
   /// (0 when the harness did not record it) — makes the index footprint a
   /// recorded number in the JSON rows, not a claim.
   uint64_t index_bytes = 0;
-  /// Per-query latency percentiles in microseconds (0 when the harness ran
-  /// the configuration once and percentiles are meaningless). Derived from
-  /// an obs::Histogram over the per-repetition samples, so the numbers are
-  /// bucket upper bounds — conservative, never under-reported
-  /// (obs/metrics.h).
-  uint64_t p50_us = 0;
-  uint64_t p99_us = 0;
 
   double seconds() const { return stats.elapsed_seconds; }
   uint64_t patterns() const { return stats.patterns_found; }

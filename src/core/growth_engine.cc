@@ -177,10 +177,10 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
         current->clear();
         for (const auto& [seq, need] : seq_counts_) {
           const std::span<const Position> positions = index.Positions(seq, e);
-          if (positions.size() < need) {
-            alive = false;  // coverage already broken (filter disabled)
-            break;
-          }
+          // BuildNodeTables admits only candidates with count_i(e) >= n_i
+          // in every relevant sequence (the insert-candidate filter), so
+          // the prepend base always covers every n_i.
+          GSGROW_DCHECK(positions.size() >= need);
           for (Position p : positions) {
             current->push_back(Instance{seq, p, p});
           }
@@ -219,7 +219,6 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
 void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   const InvertedIndex& index = *index_;
   const SupportSet& support_set = node.prefix_sets.back();
-  const uint64_t support = support_set.size();
   // (sequence, n_i) pairs and the relevant-sequence list in one pass
   // (support_set is sorted by sequence).
   seq_counts_.clear();
@@ -239,14 +238,6 @@ void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   // filter: an out-of-alphabet equal-support extension must not declare an
   // in-alphabet pattern non-closed.
   candidates_.clear();
-  if (!options_->use_insert_candidate_filter) {
-    for (EventId e : index.present_events()) {
-      if (index.TotalCount(e) >= support && AlphabetAllows(*options_, e)) {
-        candidates_.push_back(e);
-      }
-    }
-    return;
-  }
   // Sound filter: an equal-support extension must preserve every n_i, and
   // each of the n_i non-overlapping instances consumes a distinct
   // occurrence of the inserted event, so count_i(e) >= n_i must hold in

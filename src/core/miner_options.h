@@ -130,27 +130,39 @@ struct MinerOptions {
   /// ablation studies; the output is identical either way.
   bool use_landmark_border_pruning = true;
 
-  /// Pre-filter insert/prepend closure-check candidates with the sound
-  /// per-sequence-count condition (see DESIGN.md §1). Disable only for
-  /// ablation studies; the output is identical either way.
-  bool use_insert_candidate_filter = true;
+  // --- Top-K-only fields (MineTopKClosed, core/topk.h; ignored by the
+  // min_sup miners). Top-K picks its own min_support per descent step. ---
+
+  /// Number of patterns to return.
+  size_t k = 10;
+
+  /// Ignore patterns shorter than this (1 = keep single events). Commonly
+  /// set to 2 so trivially-frequent single events do not crowd the result.
+  size_t min_length = 1;
+
+  /// Warm-start hint: when > 0, the threshold descent starts at
+  /// min(hint, max single-event support) instead of the max single-event
+  /// support. Answer-INVARIANT for any value — a too-low start only runs
+  /// one over-inclusive step, a too-high start just re-enters the halving
+  /// loop; the returned top-K set is the same either way (the descent exits
+  /// only once >= k closed patterns qualify, and the K best among patterns
+  /// above ANY qualifying threshold are the global K best). The serving
+  /// layer seeds this with the cached previous-epoch k-th support
+  /// (serve/result_cache.h): support is monotone non-decreasing under
+  /// append, so the hint usually lands the descent on its final threshold
+  /// immediately. 0 (default) = classic cold descent.
+  uint64_t support_floor_hint = 0;
 };
 
-/// True when the restriction list admits `e` (empty list allows
+/// True when the options' restriction list admits `e` (empty list allows
 /// everything). The list is sorted, so membership is a binary search —
 /// cheap enough for the closure-check candidate loops, and free (one
 /// empty() test) when no restriction is active. This is the ONE definition
-/// of restriction membership; every holder of a restrict_alphabet
-/// (MinerOptions, TopKOptions) routes through it.
-inline bool AlphabetAllows(const std::vector<EventId>& restrict_alphabet,
-                           EventId e) {
-  return restrict_alphabet.empty() ||
-         std::binary_search(restrict_alphabet.begin(),
-                            restrict_alphabet.end(), e);
-}
-
+/// of restriction membership.
 inline bool AlphabetAllows(const MinerOptions& options, EventId e) {
-  return AlphabetAllows(options.restrict_alphabet, e);
+  return options.restrict_alphabet.empty() ||
+         std::binary_search(options.restrict_alphabet.begin(),
+                            options.restrict_alphabet.end(), e);
 }
 
 }  // namespace gsgrow

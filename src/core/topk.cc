@@ -13,13 +13,13 @@
 namespace gsgrow {
 
 std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
-                                          const TopKOptions& options) {
+                                          const MinerOptions& options) {
   InvertedIndex index(db);
   return std::move(MineTopKClosed(index, options).patterns);
 }
 
 MiningResult MineTopKClosed(const InvertedIndex& index,
-                            const TopKOptions& options) {
+                            const MinerOptions& options) {
   GSGROW_CHECK_MSG(options.k >= 1, "k must be >= 1");
   TimeBudget budget(options.time_budget_seconds);
 
@@ -28,11 +28,11 @@ MiningResult MineTopKClosed(const InvertedIndex& index,
   // starting higher would only add empty descent steps.
   uint64_t threshold = 0;
   for (EventId e : index.present_events()) {
-    if (!AlphabetAllows(options.restrict_alphabet, e)) continue;
+    if (!AlphabetAllows(options, e)) continue;
     threshold = std::max(threshold, index.TotalCount(e));
   }
   if (threshold == 0) return {};
-  // Warm start (TopKOptions::support_floor_hint): drop straight to the
+  // Warm start (MinerOptions::support_floor_hint): drop straight to the
   // hinted support. Never raise above the max single-event support — no
   // pattern can exceed it, so a larger hint would only add empty steps.
   if (options.support_floor_hint > 0 &&
@@ -44,13 +44,9 @@ MiningResult MineTopKClosed(const InvertedIndex& index,
   // a bounded TopKSink: the heap caps memory at K records, and once full its
   // weakest support feeds back as a rising floor that prunes subtrees no
   // qualifying pattern can come from.
+  MinerOptions miner_options = options;
   for (;;) {
-    MinerOptions miner_options;
     miner_options.min_support = threshold;
-    miner_options.max_pattern_length = options.max_pattern_length;
-    miner_options.num_threads = options.num_threads;
-    miner_options.semantics = options.semantics;
-    miner_options.restrict_alphabet = options.restrict_alphabet;
     if (!budget.IsUnlimited()) {
       miner_options.time_budget_seconds =
           std::max(0.0, budget.LimitSeconds() - budget.ElapsedSeconds());

@@ -14,8 +14,6 @@
 #ifndef GSGROW_CORE_TOPK_H_
 #define GSGROW_CORE_TOPK_H_
 
-#include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "core/inverted_index.h"
@@ -25,52 +23,22 @@
 
 namespace gsgrow {
 
-/// Options for top-K mining.
-struct TopKOptions {
-  /// Number of patterns to return.
-  size_t k = 10;
-  /// Ignore patterns shorter than this (1 = keep single events). Commonly
-  /// set to 2 so trivially-frequent single events do not crowd the result.
-  size_t min_length = 1;
-  size_t max_pattern_length = std::numeric_limits<size_t>::max();
-  /// Total wall-clock budget across all descent steps.
-  double time_budget_seconds = std::numeric_limits<double>::infinity();
-  /// Worker threads per descent step (see MinerOptions::num_threads):
-  /// per-worker K-bounded heaps share a rising atomic support floor and are
-  /// merged exactly. The returned patterns are identical at any thread
-  /// count, ties at the k-th support included.
-  size_t num_threads = 1;
-
-  /// Table-I measures to annotate onto the returned records at emission
-  /// time (core/semantics_sink.h). Emissions the K-heap would reject skip
-  /// the annotation work (TopKSink::WouldKeep), so the cost scales with the
-  /// kept set, not the explored one. Never changes WHICH patterns win.
-  SemanticsOptions semantics;
-
-  /// When non-empty: only patterns over this event subset compete (sorted
-  /// ascending; MinerOptions::restrict_alphabet projection semantics).
-  std::vector<EventId> restrict_alphabet;
-
-  /// Warm-start hint: when > 0, the threshold descent starts at
-  /// min(hint, max single-event support) instead of the max single-event
-  /// support. Answer-INVARIANT for any value — a too-low start only runs
-  /// one over-inclusive step, a too-high start just re-enters the halving
-  /// loop; the returned top-K set is the same either way (the descent exits
-  /// only once >= k closed patterns qualify, and the K best among patterns
-  /// above ANY qualifying threshold are the global K best). The serving
-  /// layer seeds this with the cached previous-epoch k-th support
-  /// (serve/result_cache.h): support is monotone non-decreasing under
-  /// append, so the hint usually lands the descent on its final threshold
-  /// immediately. 0 (default) = classic cold descent.
-  uint64_t support_floor_hint = 0;
-};
-
-/// The K closed patterns (length >= min_length) with the highest repetitive
-/// supports, sorted by descending support then ascending pattern. May
-/// return fewer than K when the database has fewer closed patterns or the
-/// budget expires.
+/// The options.k closed patterns (length >= options.min_length) with the
+/// highest repetitive supports, sorted by descending support then ascending
+/// pattern. May return fewer than K when the database has fewer closed
+/// patterns or the budget expires.
+///
+/// Each descent step runs on a copy of `options` whose min_support is the
+/// step's threshold and whose time budget is what remains of the whole
+/// descent's; every other field applies as given. num_threads shards each
+/// step (per-worker K-bounded heaps share a rising support floor and merge
+/// exactly, so the answer is identical at any thread count, ties at the
+/// k-th support included). Semantics annotations are computed only for
+/// emissions the K-heap keeps (TopKSink::WouldKeep) and never change WHICH
+/// patterns win. collect_patterns is ignored: the answer is always the
+/// K-heap's records.
 std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
-                                          const TopKOptions& options);
+                                          const MinerOptions& options);
 
 /// Same over a prebuilt index: the serving path (serve/mining_service.h)
 /// answers many top-K queries against one long-lived snapshot without
@@ -79,7 +47,7 @@ std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
 /// stats.truncated says so (the db overload, like the other facades'
 /// convenience forms, keeps its historical patterns-only shape).
 MiningResult MineTopKClosed(const InvertedIndex& index,
-                            const TopKOptions& options);
+                            const MinerOptions& options);
 
 }  // namespace gsgrow
 

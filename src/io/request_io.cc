@@ -95,10 +95,10 @@ Status ParseQueryArgs(std::string_view verb,
       command->limit = static_cast<size_t>(n);
     } else if (key == "k") {
       if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "k=N");
-      request.k = static_cast<size_t>(n);
+      request.options.k = static_cast<size_t>(n);
     } else if (key == "min_len") {
       if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "min_len=N");
-      request.min_length = static_cast<size_t>(n);
+      request.options.min_length = static_cast<size_t>(n);
     }
   }
   return Status::OK();
@@ -218,8 +218,7 @@ void CanonicalizeMineRequest(MineRequest* request) {
   options.num_threads = 1;
   options.use_candidate_list = true;
   options.use_landmark_border_pruning = true;
-  options.use_insert_candidate_filter = true;
-  request->topk_support_floor_hint = 0;
+  options.support_floor_hint = 0;
 
   // One restriction, one spelling: names sorted + deduplicated; a name
   // filter replaces any programmatic id restriction (the execution path
@@ -246,12 +245,12 @@ void CanonicalizeMineRequest(MineRequest* request) {
 
   // Fields of inactive miners are dead weight: default them so `mine
   // min_sup=2` and a programmatic request with a stale k compare equal.
-  const MineRequest defaults;
+  const MinerOptions defaults;
   if (request->miner == MineRequest::Miner::kTopK) {
-    options.min_support = MinerOptions{}.min_support;
+    options.min_support = defaults.min_support;
   } else {
-    request->k = defaults.k;
-    request->min_length = defaults.min_length;
+    options.k = defaults.k;
+    options.min_length = defaults.min_length;
   }
   if (request->miner != MineRequest::Miner::kGapConstrained) {
     request->gap = LandmarkGapConstraint{};
@@ -271,8 +270,8 @@ ResultCacheKey CanonicalRequestKey(const MineRequest& request) {
     case MineRequest::Miner::kGapConstrained: key += "gap"; break;
   }
   if (canonical.miner == MineRequest::Miner::kTopK) {
-    key += " k=" + std::to_string(canonical.k);
-    key += " min_len=" + std::to_string(canonical.min_length);
+    key += " k=" + std::to_string(options.k);
+    key += " min_len=" + std::to_string(options.min_length);
   } else {
     key += " min_sup=" + std::to_string(options.min_support);
   }

@@ -7,7 +7,7 @@
 //
 // Scope note (DESIGN.md §7): these filters CONSUME PatternRecords; they do
 // not evaluate per-pattern measures against the database. Length floors are
-// owned by the mining sinks (TopKOptions::min_length), and Table-I
+// owned by the mining sinks (MinerOptions::min_length), and Table-I
 // semantics values are owned by the emission-time annotation layer
 // (MinerOptions::semantics / core/semantics_sink.h) — post-hoc rescans of
 // the raw sequences to re-derive either would be a second source of truth.

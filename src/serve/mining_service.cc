@@ -502,7 +502,7 @@ MineResponse MiningService::ExecuteCached(const ServiceSnapshot& snapshot,
   // thread count is an execution hint the canonical form strips), with the
   // answer-invariant warm-start floor from a dirty entry when one existed.
   MineRequest warmed = request;
-  warmed.topk_support_floor_hint = lookup.warm_support_floor;
+  warmed.options.support_floor_hint = lookup.warm_support_floor;
   MineResponse response = ExecuteMineStage(snapshot, warmed, trace);
   if (CacheableResponse(response)) {
     // The insert rides in the cache-probe span: both halves are the
@@ -530,7 +530,14 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
     response.status = Status::InvalidArgument("min_support must be >= 1");
     return response;
   }
-  if (request.miner == MineRequest::Miner::kTopK && request.k < 1) {
+  // A zero length cap admits no pattern at all; the engine would still
+  // answer its single-event roots.
+  if (request.options.max_pattern_length < 1) {
+    response.status =
+        Status::InvalidArgument("max_pattern_length must be >= 1");
+    return response;
+  }
+  if (request.miner == MineRequest::Miner::kTopK && request.options.k < 1) {
     response.status = Status::InvalidArgument("k must be >= 1");
     return response;
   }
@@ -564,16 +571,7 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
       break;
     }
     case MineRequest::Miner::kTopK: {
-      TopKOptions topk;
-      topk.k = request.k;
-      topk.min_length = request.min_length;
-      topk.max_pattern_length = options.max_pattern_length;
-      topk.time_budget_seconds = options.time_budget_seconds;
-      topk.num_threads = options.num_threads;
-      topk.semantics = options.semantics;
-      topk.restrict_alphabet = options.restrict_alphabet;
-      topk.support_floor_hint = request.topk_support_floor_hint;
-      MiningResult result = MineTopKClosed(snapshot.index, topk);
+      MiningResult result = MineTopKClosed(snapshot.index, options);
       response.patterns = std::move(result.patterns);
       response.stats = std::move(result.stats);
       break;

@@ -8,7 +8,7 @@
 // The request struct covers all four miner facades (all / closed / top-K /
 // gap-constrained), the Table-I semantics selection, and an event-alphabet
 // filter, so the CLI front-end (serve_session.h), mine_cli, the tests, and
-// bench/serving_queries all drive the identical code path.
+// e2ebench all drive the identical code path.
 //
 // Concurrency: appends, snapshot creation, and stats are serialized by an
 // internal mutex; query EXECUTION happens outside the lock, against the

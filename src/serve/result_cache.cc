@@ -170,10 +170,10 @@ CacheLookup ResultCache::Lookup(const ResultCacheKey& key,
     // starting threshold converges to the identical answer (core/topk.cc),
     // so the hint is a pure wall-clock optimization.
     ++misses_;
-    if (request.miner == MineRequest::Miner::kTopK && request.k > 0 &&
-        entry.response.patterns.size() >= request.k) {
-      out.warm_support_floor =
-          entry.response.patterns[request.k - 1].support;
+    const size_t k = request.options.k;
+    if (request.miner == MineRequest::Miner::kTopK && k > 0 &&
+        entry.response.patterns.size() >= k) {
+      out.warm_support_floor = entry.response.patterns[k - 1].support;
     }
     Metrics().lookup_miss_us->Record(timer.ElapsedMicros());
     return out;

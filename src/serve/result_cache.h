@@ -23,7 +23,7 @@
 //    touched by ANY append and are always dirty.
 //  * A DIRTY entry is a miss, but not a useless one: for top-K requests
 //    the cached k-th support seeds the threshold descent
-//    (TopKOptions::support_floor_hint) — support is monotone non-
+//    (MinerOptions::support_floor_hint) — support is monotone non-
 //    decreasing under append, and the descent converges to the identical
 //    answer from any starting threshold, so the warm start only skips
 //    empty descent steps.
@@ -31,8 +31,9 @@
 // Correctness is gated, not argued: the randomized append/query
 // differential in tests/serve/result_cache_test.cc pins cache-on responses
 // byte-identical (FormatMineResponse) to a cache-off service at every
-// step, and bench/serving_queries.cc enforces the same identity on its
-// repeated-query segment with a non-zero exit on mismatch.
+// step, and e2ebench's cache-off twin replays every serve_read /
+// serve_write script line against a cache-off service and fails the run on
+// any byte difference.
 //
 // Concurrency: the cache has its own annotated Mutex, held only for map /
 // LRU bookkeeping — never while mining. Lock order is service mutex →
@@ -130,7 +131,7 @@ struct CacheLookup {
   /// Valid when hit: the cached response, epoch-stamped to the snapshot.
   MineResponse response;
   /// On a dirty top-K miss: the cached k-th support, to seed
-  /// TopKOptions::support_floor_hint. 0 when no warm start applies.
+  /// MinerOptions::support_floor_hint. 0 when no warm start applies.
   uint64_t warm_support_floor = 0;
 };
 

@@ -94,6 +94,13 @@ int RunServeSession(MiningService& service, std::istream& in,
     RejectedCounter(status)->Increment();
     ++errors;
   };
+  // A batch still open when the session ends never ran: say so, so a
+  // scripted caller does not mistake the missing results for success.
+  const auto fail_open_batch = [&] {
+    if (!batching) return;
+    fail(Status::InvalidArgument("batch not run (" +
+                                 std::to_string(batch.size()) + " queued)"));
+  };
 
   std::string line;
   while (std::getline(in, line)) {
@@ -246,11 +253,13 @@ int RunServeSession(MiningService& service, std::istream& in,
         break;
       }
       case ServeCommand::Verb::kQuit: {
+        fail_open_batch();
         out << "bye\n";
         return errors;
       }
     }
   }
+  fail_open_batch();
   return errors;
 }
 

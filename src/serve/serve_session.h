@@ -22,7 +22,9 @@ namespace gsgrow {
 /// Runs the protocol loop until `quit` or EOF. Malformed lines answer with
 /// one "error ..." line and the session continues — a serving process must
 /// outlive bad input. Returns the number of commands that answered with an
-/// error (0 for a clean session), so scripted callers can gate on it.
+/// error (0 for a clean session), so scripted callers can gate on it. A
+/// `batch` still open at `quit` or end of input is not run; it answers one
+/// "error ... batch not run (N queued)" line and counts as an error.
 int RunServeSession(MiningService& service, std::istream& in,
                     std::ostream& out);
 

@@ -35,8 +35,12 @@ struct MineRequest {
 
   Miner miner = Miner::kClosed;
 
-  /// min_support, budgets, threads, semantics selection, and (for
-  /// programmatic callers) a pre-resolved restrict_alphabet.
+  /// min_support, budgets, threads, semantics selection, the top-K
+  /// parameters (k, min_length; kTopK only), and (for programmatic callers)
+  /// a pre-resolved restrict_alphabet. options.support_floor_hint is the
+  /// result cache's internal top-K warm start (serve/result_cache.h):
+  /// answer-invariant, so CanonicalizeMineRequest clears it and it is not a
+  /// protocol field.
   MinerOptions options;
 
   /// Event-alphabet filter by NAME, resolved against the snapshot's
@@ -45,24 +49,14 @@ struct MineRequest {
   /// nothing (a filter with no known names yields an empty response).
   std::vector<std::string> event_filter;
 
-  /// Top-K parameters (kTopK only).
-  size_t k = 10;
-  size_t min_length = 1;
-
   /// Gap constraint (kGapConstrained only).
   LandmarkGapConstraint gap;
-
-  /// Internal warm-start hint for kTopK (serve/result_cache.h): start the
-  /// threshold descent at this support instead of the max single-event
-  /// count. Answer-invariant — any starting threshold converges to the
-  /// identical top-K set (core/topk.cc) — so it is NOT part of request
-  /// identity and CanonicalizeMineRequest clears it. Not a protocol field.
-  uint64_t topk_support_floor_hint = 0;
 };
 
 /// Outcome of one executed request.
 struct MineResponse {
-  /// InvalidArgument for malformed requests (min_support = 0, k = 0);
+  /// InvalidArgument for malformed requests (min_support = 0,
+  /// max_pattern_length = 0, k = 0);
   /// patterns/stats are empty then.
   Status status;
   std::vector<PatternRecord> patterns;

@@ -175,42 +175,40 @@ TEST(EngineParity, TopKSinkEqualsSortedClosedPrefix) {
   }
 }
 
-// The closure check (lazy restricted prefixes, fused per-sequence-count
-// early exits, cursor-based regrowth) against the definition: CloGSgrow's
-// output must equal the all-frequent set filtered to closed patterns
-// (Definition 2.6) under every LBCheck / insert-filter setting. The insert
-// filter only drops candidates that cannot reach equal support, so it must
-// not change a single decision: identical DFS shape and accounting with and
-// without it.
+// The closure check (lazy restricted prefixes, the insert-candidate filter,
+// fused per-sequence-count early exits, cursor-based regrowth) against the
+// definition: CloGSgrow's output must equal the all-frequent set filtered
+// to closed patterns (Definition 2.6) with and without LBCheck. The filter
+// only drops candidates that cannot reach equal support, so without
+// LBCheck the closed DFS must walk exactly the all-frequent DFS and
+// suppress exactly the non-closed patterns; with LBCheck every visited
+// node is closure-checked.
 TEST(EngineParity, ClosedMiningMatchesFilteredAllFrequent) {
   for (uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
     SequenceDatabase db = QuestDatabase(seed);
     InvertedIndex index(db);
     MinerOptions options;
     options.min_support = 4 + seed % 3;
-    const std::vector<PatternRecord> oracle =
-        FilterClosed(MineAllFrequent(index, options).patterns);
+    const MiningResult all = MineAllFrequent(index, options);
+    const std::vector<PatternRecord> oracle = FilterClosed(all.patterns);
     for (bool lb_pruning : {true, false}) {
       options.use_landmark_border_pruning = lb_pruning;
-      options.use_insert_candidate_filter = true;
-      MiningResult filtered = MineClosedFrequent(index, options);
-      options.use_insert_candidate_filter = false;
-      MiningResult unfiltered = MineClosedFrequent(index, options);
+      MiningResult closed = MineClosedFrequent(index, options);
       const std::string label =
           "seed=" + std::to_string(seed) + " lb=" + std::to_string(lb_pruning);
-      ASSERT_FALSE(filtered.stats.truncated) << label;
-      EXPECT_EQ(filtered.patterns, oracle) << label;
-      EXPECT_EQ(unfiltered.patterns, oracle) << label;
-      EXPECT_EQ(filtered.stats.nodes_visited, unfiltered.stats.nodes_visited)
-          << label;
-      EXPECT_EQ(filtered.stats.lb_pruned_subtrees,
-                unfiltered.stats.lb_pruned_subtrees)
-          << label;
-      EXPECT_EQ(filtered.stats.nonclosed_suppressed,
-                unfiltered.stats.nonclosed_suppressed)
-          << label;
-      EXPECT_EQ(filtered.stats.closure_checks, unfiltered.stats.closure_checks)
-          << label;
+      ASSERT_FALSE(closed.stats.truncated) << label;
+      EXPECT_EQ(closed.patterns, oracle) << label;
+      if (lb_pruning) {
+        EXPECT_EQ(closed.stats.closure_checks, closed.stats.nodes_visited)
+            << label;
+      } else {
+        EXPECT_EQ(closed.stats.nodes_visited, all.stats.nodes_visited)
+            << label;
+        EXPECT_EQ(closed.stats.lb_pruned_subtrees, 0u) << label;
+        EXPECT_EQ(closed.stats.nonclosed_suppressed,
+                  all.patterns.size() - oracle.size())
+            << label;
+      }
     }
   }
 }
@@ -327,7 +325,7 @@ TEST(EngineParity, TopKOccurrenceBoundKeepsClosureBelowTheFloor) {
                 std::vector<PatternRecord>(closed.begin(), closed.begin() + k))
           << label;
     }
-    TopKOptions facade;
+    MinerOptions facade;
     facade.k = 8;
     facade.min_length = 2;
     std::vector<PatternRecord> expected;
@@ -356,10 +354,8 @@ TEST(EngineParity, FacadesAgreeOnQuestData) {
                            r.support}));
     closed_by_pattern[r.pattern] = r.support;
   }
-  TopKOptions topk;
-  topk.k = 5;
-  topk.max_pattern_length = 5;
-  for (const PatternRecord& r : MineTopKClosed(db, topk)) {
+  options.k = 5;
+  for (const PatternRecord& r : MineTopKClosed(db, options)) {
     auto it = closed_by_pattern.find(r.pattern);
     if (it != closed_by_pattern.end()) {
       EXPECT_EQ(it->second, r.support);

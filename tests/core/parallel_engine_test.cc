@@ -114,7 +114,7 @@ TEST(ParallelEngine, GapConstrainedParityAcrossThreadCounts) {
 TEST(ParallelEngine, TopKParityAcrossThreadCounts) {
   for (uint64_t seed : {31u, 32u}) {
     SequenceDatabase db = QuestDatabase(seed);
-    TopKOptions options;
+    MinerOptions options;
     options.k = 7;
     options.min_length = 2;
     options.max_pattern_length = 5;
@@ -164,7 +164,7 @@ TEST(ParallelEngine, AnnotatedParityAcrossThreadCounts) {
 // any worker count.
 TEST(ParallelEngine, AnnotatedTopKParityAcrossThreadCounts) {
   SequenceDatabase db = QuestDatabase(16);
-  TopKOptions options;
+  MinerOptions options;
   options.k = 6;
   options.min_length = 2;
   options.max_pattern_length = 5;
@@ -288,7 +288,7 @@ TEST(ParallelEngine, TopKTieBreakAtSupportFloorIsCanonical) {
   // Eight disjoint single-event "worlds", each with support exactly 3.
   SequenceDatabase db = MakeDatabaseFromStrings(
       {"AAA", "BBB", "CCC", "DDD", "EEE", "FFF", "GGG", "HHH"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 4;
   for (size_t threads : {1u, 2u, 8u}) {
     options.num_threads = threads;

@@ -10,7 +10,7 @@ namespace {
 
 TEST(TopK, ReturnsHighestSupportClosedPatterns) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCACBDDB", "ACDBACADD"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 3;
   std::vector<PatternRecord> top = MineTopKClosed(db, options);
   ASSERT_EQ(top.size(), 3u);
@@ -31,7 +31,7 @@ TEST(TopK, ReturnsHighestSupportClosedPatterns) {
 
 TEST(TopK, MatchesFullMiningPrefix) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCABCABC", "CABCAB"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 5;
   std::vector<PatternRecord> top = MineTopKClosed(db, options);
   MinerOptions full;
@@ -50,7 +50,7 @@ TEST(TopK, MatchesFullMiningPrefix) {
 
 TEST(TopK, MinLengthFiltersSingleEvents) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABABAB", "ABAB"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 2;
   options.min_length = 2;
   std::vector<PatternRecord> top = MineTopKClosed(db, options);
@@ -62,7 +62,7 @@ TEST(TopK, MinLengthFiltersSingleEvents) {
 
 TEST(TopK, KLargerThanPatternCount) {
   SequenceDatabase db = MakeDatabaseFromStrings({"AB"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 100;
   std::vector<PatternRecord> top = MineTopKClosed(db, options);
   // Only closed patterns exist: A, B, AB all with support 1 -> AB closed,
@@ -73,7 +73,7 @@ TEST(TopK, KLargerThanPatternCount) {
 
 TEST(TopK, EmptyDatabase) {
   SequenceDatabase db;
-  TopKOptions options;
+  MinerOptions options;
   options.k = 3;
   EXPECT_TRUE(MineTopKClosed(db, options).empty());
 }
@@ -81,7 +81,7 @@ TEST(TopK, EmptyDatabase) {
 TEST(TopK, JBossStyleTopPatternIsLockUnlockHeavy) {
   SequenceDatabase db =
       MakeDatabaseFromStrings({"LULULULU", "LULU", "LULULU"});
-  TopKOptions options;
+  MinerOptions options;
   options.k = 1;
   options.min_length = 2;
   std::vector<PatternRecord> top = MineTopKClosed(db, options);

@@ -104,7 +104,7 @@ TEST(EndToEnd, TraceMiningPipeline) {
 
 TEST(EndToEnd, FeaturePipelineOnMinedPatterns) {
   SequenceDatabase db = GenerateTcasTraces(60, 3);
-  TopKOptions topk;
+  MinerOptions topk;
   topk.k = 8;
   topk.min_length = 2;
   topk.max_pattern_length = 4;

@@ -1,12 +1,14 @@
 // Parsing and formatting of the serve protocol (io/request_io.h).
 
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 
 #include "core/sequence_database.h"
 #include "io/request_io.h"
+#include "serve/mining_service.h"
 #include "serve/result_cache.h"
 
 namespace gsgrow {
@@ -72,8 +74,8 @@ TEST(RequestIo, ParsesTopK) {
   ServeCommand topk = MustParse("topk k=5 min_len=2 max_len=6");
   EXPECT_EQ(topk.verb, ServeCommand::Verb::kTopK);
   EXPECT_EQ(topk.request.miner, MineRequest::Miner::kTopK);
-  EXPECT_EQ(topk.request.k, 5u);
-  EXPECT_EQ(topk.request.min_length, 2u);
+  EXPECT_EQ(topk.request.options.k, 5u);
+  EXPECT_EQ(topk.request.options.min_length, 2u);
   EXPECT_EQ(topk.request.options.max_pattern_length, 6u);
 
   // min_sup is a mine-only key.
@@ -118,6 +120,25 @@ TEST(RequestIo, FormatsResponses) {
   failed.status = Status::InvalidArgument("k must be >= 1");
   EXPECT_EQ(FormatMineResponse(failed, db.dictionary(), 9),
             "error InvalidArgument: k must be >= 1\n");
+}
+
+TEST(RequestIo, ZeroMaxLenAnswersAnError) {
+  // max_len=0 parses (it is a number) but admits no pattern: executing it
+  // must answer an error line, not the single-event roots.
+  MiningService service;
+  ASSERT_TRUE(service.Append({"A", "B", "A", "B"}).ok());
+  const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
+  for (const char* line :
+       {"mine algo=all min_sup=1 max_len=0", "mine max_len=0",
+        "topk k=2 max_len=0"}) {
+    const ServeCommand command = MustParse(line);
+    EXPECT_EQ(command.request.options.max_pattern_length, 0u) << line;
+    EXPECT_EQ(FormatMineResponse(
+                  MiningService::ExecuteOn(*snapshot, command.request),
+                  snapshot->db->dictionary(), command.limit),
+              "error InvalidArgument: max_pattern_length must be >= 1\n")
+        << line;
+  }
 }
 
 TEST(RequestIo, FormatsStats) {
@@ -181,11 +202,11 @@ TEST(RequestCanonicalization, ExplicitDefaultsEqualElidedOnes) {
   programmatic.options.min_support = 2;
   programmatic.options.num_threads = 16;
   programmatic.options.use_landmark_border_pruning = false;
-  programmatic.k = 99;               // top-K only; closed ignores it
-  programmatic.min_length = 7;       // top-K only
-  programmatic.gap.min_gap = 1;      // gap miner only
+  programmatic.options.k = 99;           // top-K only; closed ignores it
+  programmatic.options.min_length = 7;  // top-K only
+  programmatic.gap.min_gap = 1;         // gap miner only
   programmatic.gap.max_gap = 3;
-  programmatic.topk_support_floor_hint = 42;  // internal, never identity
+  programmatic.options.support_floor_hint = 42;  // internal, never identity
   EXPECT_EQ(base, KeyOf(programmatic));
 
   // Spelling out a default field is the same as eliding it.

@@ -139,7 +139,7 @@ TEST_P(SemanticsSinkProperty, GapConstrainedOnePassEqualsPostHoc) {
 
 TEST_P(SemanticsSinkProperty, TopKOnePassEqualsPostHoc) {
   SequenceDatabase db = MakeDb();
-  TopKOptions options;
+  MinerOptions options;
   options.k = 9;
   options.min_length = 2;
   options.max_pattern_length = 4;

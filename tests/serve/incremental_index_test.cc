@@ -192,7 +192,7 @@ TEST(IncrementalIndex, RandomizedDifferentialWithMining) {
         << "all-frequent mining diverged at burst " << burst;
   }
 
-  TopKOptions topk;
+  MinerOptions topk;
   topk.k = 8;
   topk.min_length = 2;
   EXPECT_EQ(MineTopKClosed(incremental.Snapshot(), topk).patterns,

@@ -70,15 +70,13 @@ TEST(MiningService, TopKMatchesFacade) {
   LoadExample(&service);
   MineRequest request;
   request.miner = MineRequest::Miner::kTopK;
-  request.k = 4;
-  request.min_length = 2;
+  request.options.k = 4;
+  request.options.min_length = 2;
   const MineResponse response = service.Execute(request);
   ASSERT_TRUE(response.status.ok());
 
-  TopKOptions topk;
-  topk.k = 4;
-  topk.min_length = 2;
-  EXPECT_EQ(response.patterns, MineTopKClosed(ExampleDatabase(), topk));
+  EXPECT_EQ(response.patterns,
+            MineTopKClosed(ExampleDatabase(), request.options));
 }
 
 TEST(MiningService, GapConstrainedMatchesFacade) {
@@ -146,8 +144,15 @@ TEST(MiningService, InvalidRequestsReportStatus) {
 
   MineRequest bad_k;
   bad_k.miner = MineRequest::Miner::kTopK;
-  bad_k.k = 0;
+  bad_k.options.k = 0;
   EXPECT_FALSE(service.Execute(bad_k).status.ok());
+
+  // A zero length cap admits no pattern; it must not answer single events.
+  MineRequest zero_len;
+  zero_len.miner = MineRequest::Miner::kAll;
+  zero_len.options.max_pattern_length = 0;
+  EXPECT_EQ(service.Execute(zero_len).status.code(),
+            StatusCode::kInvalidArgument);
 
   // min_gap > max_gap admits no landmark step; mining it would answer with
   // single events only.
@@ -198,8 +203,8 @@ TEST(MiningService, BatchSharesOneSnapshotAndIsThreadCountInvariant) {
   requests[1].miner = MineRequest::Miner::kAll;
   requests[1].options.min_support = 3;
   requests[2].miner = MineRequest::Miner::kTopK;
-  requests[2].k = 3;
-  requests[2].min_length = 2;
+  requests[2].options.k = 3;
+  requests[2].options.min_length = 2;
   requests[3].miner = MineRequest::Miner::kClosed;
   requests[3].options.min_support = 2;
   requests[3].event_filter = {"A", "B"};

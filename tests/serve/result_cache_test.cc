@@ -253,8 +253,8 @@ TEST(ResultCache, TopKWarmStartIsAnswerInvariant) {
 
   MineRequest request;
   request.miner = MineRequest::Miner::kTopK;
-  request.k = 3;
-  request.min_length = 2;
+  request.options.k = 3;
+  request.options.min_length = 2;
   ASSERT_TRUE(warm.Execute(request).status.ok());
   ASSERT_TRUE(cold.Execute(request).status.ok());
 
@@ -401,8 +401,8 @@ TEST(ResultCacheDifferential, RandomizedAppendQueryInterleaving) {
 
     MineRequest topk;
     topk.miner = MineRequest::Miner::kTopK;
-    topk.k = 4;
-    topk.min_length = 2;
+    topk.options.k = 4;
+    topk.options.min_length = 2;
     pool.push_back(topk);
 
     MineRequest annotated;
@@ -476,8 +476,8 @@ TEST(ResultCacheConcurrency, BatchWorkersConvergeOnOneEntry) {
   closed.options.min_support = 2;
   MineRequest topk;
   topk.miner = MineRequest::Miner::kTopK;
-  topk.k = 3;
-  topk.min_length = 2;
+  topk.options.k = 3;
+  topk.options.min_length = 2;
   std::vector<MineRequest> requests;
   for (int i = 0; i < 8; ++i) {
     requests.push_back(closed);

@@ -141,6 +141,31 @@ TEST(ServeSession, BatchRejectsAppends) {
   EXPECT_NE(result.output.find("batch results=1\n"), std::string::npos);
 }
 
+TEST(ServeSession, OpenBatchAtQuitOrEofIsAnError) {
+  // A batch never `run` must not vanish silently: the session reports it
+  // and counts it as an error, whether it ends at quit or at end of input.
+  const SessionResult at_quit = RunScript(
+      "append A A\n"
+      "batch\n"
+      "mine min_sup=2\n"
+      "topk k=1\n"
+      "quit\n");
+  EXPECT_EQ(at_quit.errors, 1);
+  EXPECT_EQ(at_quit.output,
+            "ok seq=0 len=2\n"
+            "batch start\n"
+            "queued 0\n"
+            "queued 1\n"
+            "error InvalidArgument: batch not run (2 queued)\n"
+            "bye\n");
+
+  const SessionResult at_eof = RunScript("batch\n");
+  EXPECT_EQ(at_eof.errors, 1);
+  EXPECT_EQ(at_eof.output,
+            "batch start\n"
+            "error InvalidArgument: batch not run (0 queued)\n");
+}
+
 TEST(ServeSession, EndsAtEofWithoutQuit) {
   const SessionResult result = RunScript("append A B\nstats\n");
   EXPECT_EQ(result.errors, 0);
