@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives of §III-D:
 // inverted-index construction, next() queries (binary-search point queries
-// vs the galloping PositionCursor), root instance sets, cursor-based INSgrow
-// steps, one CloGSgrow closure check (DESIGN.md §5), and whole supComp runs
-// as pattern length grows.
+// vs the galloping PositionCursor, and its backward PrevBefore twin), root
+// instance sets, cursor-based INSgrow steps, one CloGSgrow closure check
+// (DESIGN.md §5), and whole supComp runs as pattern length grows.
 
 #include <benchmark/benchmark.h>
 
@@ -146,6 +146,30 @@ void BM_NextQueryCursor(benchmark::State& state) {
   NextQueryCursor(state, TestIndex());
 }
 BENCHMARK(BM_NextQueryCursor);
+
+// The backward twin: falling-bound PrevBefore queries over the same list,
+// the query shape of the closure check's rightmost landmark columns.
+void BM_PrevQueryCursor(benchmark::State& state) {
+  const InvertedIndex& index = TestIndex();
+  EventId e = TopEvents(index, 1)[0];
+  SeqId seq = index.Postings(e)[0].seq;
+  for (const auto& posting : index.Postings(e)) {
+    if (index.Count(posting.seq, e) > index.Count(seq, e)) seq = posting.seq;
+  }
+  PositionCursor cursor = index.Cursor(seq, e);
+  Position bound = kNoPosition;
+  for (auto _ : state) {
+    Position prev = cursor.PrevBefore(bound);
+    if (prev == kNoPosition) {
+      cursor = index.Cursor(seq, e);
+      prev = cursor.PrevBefore(kNoPosition);
+    }
+    bound = prev;
+    benchmark::DoNotOptimize(prev);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PrevQueryCursor);
 
 void BM_NextQueryCursorDense(benchmark::State& state) {
   NextQueryCursor(state, DenseIndex());

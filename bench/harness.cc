@@ -90,8 +90,14 @@ std::string CellJson(const std::string& bench, const std::string& dataset,
       << ",\"index_bytes\":" << cell.index_bytes
       << ",\"seconds\":" << cell.seconds()
       << ",\"patterns\":" << cell.patterns()
-      << ",\"truncated\":" << (cell.truncated() ? "true" : "false")
-      << ",\"nodes_visited\":" << s.nodes_visited
+      << ",\"truncated\":" << (cell.truncated() ? "true" : "false");
+  // A cut-off row only shows how far the DFS got before the budget fired;
+  // its counters move from run to run and are not comparable.
+  if (cell.truncated()) {
+    out << ",\"cutoff\":\"" << JsonEscape(s.truncated_reason)
+        << ": counters not comparable across runs\"";
+  }
+  out << ",\"nodes_visited\":" << s.nodes_visited
       << ",\"insgrow_calls\":" << s.insgrow_calls
       << ",\"next_queries\":" << s.next_queries
       << ",\"closure_checks\":" << s.closure_checks

@@ -118,42 +118,17 @@ EmitDecision ClosurePruning::Decide(const GrowthNode& node,
 // LBCheck says the subtree can be pruned (only when
 // use_landmark_border_pruning).
 //
-// All growth here is restricted to the sequences where P has instances:
-// by the per-sequence Apriori property, sup_i(P) = 0 implies sup_i(P') = 0
-// for every super-pattern P', so sequences outside P's support set
-// contribute nothing to any extension's support or to its leftmost support
-// set. Restricting the (potentially huge) low-prefix support sets to those
-// sequences makes closure checking cheap for patterns concentrated in few
-// sequences. That argument is a property of the *node*, not of any
-// particular (gap, candidate) pair, which is what makes the restricted
-// sets cacheable: every scan of the node's closure check filters by the
-// same relevant-sequence list (DESIGN.md §5).
-//
-// Per-node tables are built once (BuildNodeTables), restricted prefixes are
-// materialized lazily into a persistent arena, and all growth runs
-// cursor-based INSgrow through two reused buffers with the
-// per-sequence-count early exit fused into every step (GrowCoveringInto).
-// Steady state allocates nothing.
+// Every (gap, candidate) pair is decided by interval matching against the
+// node's leftmost/rightmost landmark columns (InsertIntervalCheck, DESIGN.md
+// §5); only admitted pairs regrow, and only for LBCheck. Gaps run from the
+// last to the first because the rightmost columns are built right to left.
 bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
                                            bool* non_closed) {
-  const InvertedIndex& index = *index_;
   MiningStats& stats = node.stats;
   const std::vector<EventId>& pattern = node.pattern;
-  const SupportSet& support_set = node.prefix_sets.back();
-  const uint64_t support = support_set.size();
-  const size_t m = pattern.size();
 
   BuildNodeTables(node);
-  if (candidates_.empty()) return false;
-
-  for (size_t gap = 0; gap < m; ++gap) {
-    const SupportSet* base = nullptr;
-    if (gap > 0) {
-      base = &RestrictedPrefix(node, gap - 1);
-      // Growth never enlarges a set, so a restricted prefix already below
-      // the target support dooms every candidate at this gap.
-      if (base->size() < support) continue;
-    }
+  for (size_t gap = pattern.size(); gap-- > 0;) {
     for (EventId e : candidates_) {
       // The (gap, candidate) scan is the engine's longest uninterruptible
       // stretch — poll here so a time budget cannot be overshot by a whole
@@ -164,53 +139,17 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       // Inserting an event equal to the one right after the gap yields
       // the same extension pattern as inserting it one gap to the right
       // (ultimately an append, covered by the DFS children) — skip the
-      // duplicate here. Sound because the extension pattern, and hence
-      // its leftmost support set, is identical.
+      // duplicate here.
       if (e == pattern[gap]) continue;
-      // Base: leftmost support set of e_1..e_gap ◦ e (restricted), with the
-      // per-sequence coverage condition enforced as it is built — any
-      // relevant sequence that cannot keep its n_i instances dooms the
-      // candidate before a single regrow step is paid for.
-      SupportSet* current = &grow_front_;
-      bool alive = true;
-      if (gap == 0) {
-        current->clear();
-        for (const auto& [seq, need] : seq_counts_) {
-          const std::span<const Position> positions = index.Positions(seq, e);
-          // BuildNodeTables admits only candidates with count_i(e) >= n_i
-          // in every relevant sequence (the insert-candidate filter), so
-          // the prepend base always covers every n_i.
-          GSGROW_DCHECK(positions.size() >= need);
-          for (Position p : positions) {
-            current->push_back(Instance{seq, p, p});
-          }
-        }
-      } else {
-        stats.insgrow_calls++;
-        stats.closure_regrow_events++;
-        alive = GrowCoveringInto(*base, e, *current, &stats.next_queries);
-      }
-      if (!alive) continue;
-      // Regrow the remaining events of the pattern (double-buffered); each
-      // step aborts at the first sequence run that loses an instance.
-      SupportSet* next = &grow_back_;
-      for (size_t k = gap; k < m; ++k) {
-        stats.insgrow_calls++;
-        stats.closure_regrow_events++;
-        if (!GrowCoveringInto(*current, pattern[k], *next,
-                              &stats.next_queries)) {
-          alive = false;
-          break;
-        }
-        std::swap(current, next);
-      }
-      if (!alive) continue;
-      // Coverage of every n_i means |P'| >= sup(P); sup(P') <= sup(P) by
-      // the Apriori property, so equality holds here.
-      GSGROW_DCHECK(current->size() == support);
+      if (!intervals_.Admits(gap, e, &stats.next_queries)) continue;
       *non_closed = true;
       if (!options_->use_landmark_border_pruning) return false;
-      if (BorderDoesNotShiftRight(*current, support_set)) return true;
+      uint64_t steps = 0;
+      const bool prune =
+          intervals_.LastLandmarksMatch(&stats.next_queries, &steps);
+      stats.insgrow_calls += steps;
+      stats.closure_regrow_events += steps;
+      if (prune) return true;
     }
   }
   return false;
@@ -218,20 +157,8 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
 
 void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   const InvertedIndex& index = *index_;
-  const SupportSet& support_set = node.prefix_sets.back();
-  // (sequence, n_i) pairs and the relevant-sequence list in one pass
-  // (support_set is sorted by sequence).
-  seq_counts_.clear();
-  relevant_.clear();
-  for (const Instance& inst : support_set) {
-    if (!seq_counts_.empty() && seq_counts_.back().first == inst.seq) {
-      seq_counts_.back().second++;
-    } else {
-      seq_counts_.emplace_back(inst.seq, 1u);
-      relevant_.push_back(inst.seq);
-    }
-  }
-  restricted_built_ = 0;
+  intervals_.Reset(index, node.pattern, node.prefix_sets);
+  const std::span<const std::pair<SeqId, uint32_t>> runs = intervals_.runs();
   // Candidate events, shared by every (gap, candidate) scan of this node.
   // Closure is checked against extensions WITHIN the restricted alphabet
   // (when one is set), matching the projection semantics of the root
@@ -243,113 +170,19 @@ void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   // occurrence of the inserted event, so count_i(e) >= n_i must hold in
   // every relevant sequence (DESIGN.md §1). Enumerate the events of the
   // first relevant sequence and verify the condition against the rest.
-  const auto& [first_seq, first_need] = seq_counts_.front();
+  const auto& [first_seq, first_need] = runs.front();
   for (EventId e : index.EventsInSequence(first_seq)) {
     if (!AlphabetAllows(*options_, e)) continue;
     if (index.Count(first_seq, e) < first_need) continue;
     bool ok = true;
-    for (size_t i = 1; i < seq_counts_.size(); ++i) {
-      if (index.Count(seq_counts_[i].first, e) < seq_counts_[i].second) {
+    for (size_t i = 1; i < runs.size(); ++i) {
+      if (index.Count(runs[i].first, e) < runs[i].second) {
         ok = false;
         break;
       }
     }
     if (ok) candidates_.push_back(e);
   }
-}
-
-const SupportSet& ClosurePruning::RestrictedPrefix(const GrowthNode& node,
-                                                   size_t j) {
-  if (restricted_.size() <= j) restricted_.resize(j + 1);
-  while (restricted_built_ <= j) {
-    const size_t b = restricted_built_;
-    const SupportSet& full = node.prefix_sets[b];
-    SupportSet& out = restricted_[b];
-    out.clear();
-    // Exact sizing: count the surviving instances with a merge against the
-    // relevant-sequence list before copying (both sides are seq-sorted).
-    // In steady state the arena buffer already has the capacity and the
-    // reserve is a no-op.
-    size_t kept = 0;
-    {
-      auto r = relevant_.begin();
-      for (const Instance& inst : full) {
-        while (r != relevant_.end() && *r < inst.seq) ++r;
-        if (r == relevant_.end()) break;
-        if (*r == inst.seq) ++kept;
-      }
-    }
-    if (out.capacity() < kept) out.reserve(kept);
-    auto r = relevant_.begin();
-    for (const Instance& inst : full) {
-      while (r != relevant_.end() && *r < inst.seq) ++r;
-      if (r == relevant_.end()) break;
-      if (*r == inst.seq) out.push_back(inst);
-    }
-    restricted_built_ = b + 1;
-  }
-  return restricted_[j];
-}
-
-bool ClosurePruning::GrowCoveringInto(const SupportSet& in, EventId e,
-                                      SupportSet& out,
-                                      uint64_t* next_queries) {
-  const InvertedIndex& index = *index_;
-  out.clear();
-  if (out.capacity() < in.size()) out.reserve(in.size());
-  uint64_t queries = 0;
-  const size_t n = in.size();
-  size_t k = 0;
-  // `in` only holds relevant sequences (it descends from a restricted
-  // prefix set), so its runs align with seq_counts_; a mismatch means a
-  // relevant sequence got zero instances.
-  auto need = seq_counts_.begin();
-  bool covered = true;
-  while (k < n) {
-    const SeqId seq = in[k].seq;
-    if (need == seq_counts_.end() || need->first != seq) {
-      covered = false;
-      break;
-    }
-    uint32_t grown = 0;
-    PositionCursor cursor = index.Cursor(seq, e);
-    if (!cursor.empty()) {
-      Position floor = 0;
-      for (; k < n && in[k].seq == seq; ++k) {
-        const Instance& inst = in[k];
-        const Position from = std::max(floor, inst.last + 1);
-        const Position lj = cursor.NextAtOrAfter(from);
-        ++queries;
-        if (lj == kNoPosition) break;
-        floor = lj + 1;
-        out.push_back(Instance{seq, inst.first, lj});
-        ++grown;
-      }
-    }
-    if (grown < need->second) {
-      covered = false;
-      break;
-    }
-    while (k < n && in[k].seq == seq) ++k;  // skip the run's ungrown tail
-    ++need;
-  }
-  if (covered && need != seq_counts_.end()) covered = false;
-  if (next_queries != nullptr) *next_queries += queries;
-  return covered;
-}
-
-// Theorem 5 condition (ii): with both leftmost support sets sorted in
-// right-shift order, l'^(k)_{m+1} <= l^(k)_m for every k. Condition (i)
-// (equal support) is checked by the caller; equal per-sequence supports
-// make the k-th instances live in the same sequence.
-bool ClosurePruning::BorderDoesNotShiftRight(const SupportSet& extended,
-                                             const SupportSet& original) {
-  GSGROW_DCHECK(extended.size() == original.size());
-  for (size_t k = 0; k < extended.size(); ++k) {
-    GSGROW_DCHECK(extended[k].seq == original[k].seq);
-    if (extended[k].last > original[k].last) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -309,21 +309,13 @@ class NoPruning {
 /// Append extensions (Definition 3.4 case 1) are exactly the DFS children,
 /// so the engine reports whether an equal-support append exists
 /// (kNeedsChildren makes it compute children even at the depth cap).
-/// Insert/prepend extensions at gap j reuse the leftmost support set of the
-/// prefix e_1..e_j kept on the engine's stack, grow it with the candidate
-/// event, then regrow e_{j+1}..e_m with Apriori early exit. Candidates are
-/// pre-filtered by the sound per-sequence-count condition (DESIGN.md §1).
-///
-/// The check is allocation-free in steady state (DESIGN.md §5): the
-/// per-node tables — per-sequence counts, relevant-sequence list, candidate
-/// events — are built once per node and shared across every (gap,
-/// candidate) pair; the sequence-restricted prefix sets are built lazily
-/// (only for gaps actually reached, never for the last prefix) into an
-/// arena whose buffers persist across nodes; and the regrow chain runs
-/// cursor-based INSgrow through two scratch buffers with the
-/// per-sequence-count early exit fused into every step — a doomed candidate
-/// aborts at its first under-covered sequence run instead of regrowing the
-/// rest of the pattern.
+/// Insert/prepend extensions are decided without growing them: candidates
+/// are pre-filtered by the sound per-sequence-count condition (DESIGN.md
+/// §1), and each surviving (gap, candidate) pair by interval matching
+/// against the node's leftmost and rightmost landmark columns
+/// (InsertIntervalCheck, DESIGN.md §5). Only pairs that keep the support
+/// regrow, and only their n_i leftmost rows, for LBCheck. The per-node
+/// scratch persists across nodes, so steady-state checks allocate nothing.
 class ClosurePruning {
  public:
   static constexpr bool kNeedsChildren = true;
@@ -335,45 +327,17 @@ class ClosurePruning {
 
  private:
   bool CheckInsertExtensions(const GrowthNode& node, bool* non_closed);
-  static bool BorderDoesNotShiftRight(const SupportSet& extended,
-                                      const SupportSet& original);
 
-  // Fills seq_counts_, relevant_, and candidates_ for the current node and
-  // invalidates the restricted-prefix cache.
+  // Starts intervals_ on the current node and fills candidates_.
   void BuildNodeTables(const GrowthNode& node);
-  // prefix_sets[j] filtered to the relevant sequences, built lazily and
-  // cached for the current node in the restricted_ arena.
-  const SupportSet& RestrictedPrefix(const GrowthNode& node, size_t j);
-  // Cursor-based INSgrow of `in` with `e` into `out`, fused with the
-  // per-sequence-count early exit: returns false — aborting the scan with
-  // `out` left partial — as soon as some relevant sequence cannot keep its
-  // n_i instances (seq_counts_). An equal-support extension must preserve
-  // every per-sequence support and per-sequence counts only shrink under
-  // further growth, so a doomed candidate dies after one sequence run
-  // instead of finishing up to m full regrow scans. When it returns true,
-  // `out` is the complete grown set and covers every n_i.
-  bool GrowCoveringInto(const SupportSet& in, EventId e, SupportSet& out,
-                        uint64_t* next_queries);
 
   const InvertedIndex* index_;
   const MinerOptions* options_;
-  // --- Per-node memo tables (rebuilt by BuildNodeTables, then shared
-  // across all gaps and candidates of the node's closure check). Buffers
-  // persist across nodes, so steady-state checks allocate nothing. ---
-  // (sequence, n_i) pairs: per-sequence supports of the current pattern.
-  std::vector<std::pair<SeqId, uint32_t>> seq_counts_;
-  // Sequences with n_i > 0, ascending.
-  std::vector<SeqId> relevant_;
+  // Landmark columns of the current node (rebuilt lazily per node).
+  InsertIntervalCheck intervals_;
   // Insert/prepend candidate events surviving the per-sequence-count
   // filter.
   std::vector<EventId> candidates_;
-  // restricted_[j] caches prefix_sets[j] filtered to relevant_, valid for
-  // j < restricted_built_.
-  std::vector<SupportSet> restricted_;
-  size_t restricted_built_ = 0;
-  // Double buffers for the base-growth + regrow chain.
-  SupportSet grow_front_;
-  SupportSet grow_back_;
 };
 
 // ---------------------------------------------------------------------------

@@ -107,6 +107,141 @@ std::span<const EventId> AppendOccurrenceBound::Filter(
   return kept_;
 }
 
+void InsertIntervalCheck::Reset(const InvertedIndex& index,
+                                std::span<const EventId> pattern,
+                                std::span<const SupportSet> prefix_sets) {
+  GSGROW_DCHECK(!pattern.empty() && prefix_sets.size() >= pattern.size());
+  index_ = &index;
+  pattern_ = pattern;
+  prefix_sets_ = prefix_sets;
+  const size_t m = pattern.size();
+  const SupportSet& support_set = prefix_sets[m - 1];
+  GSGROW_DCHECK(IsRightShiftSorted(support_set));
+  support_ = support_set.size();
+  runs_.clear();
+  row_begin_.clear();
+  for (size_t row = 0; row < support_; ++row) {
+    if (!runs_.empty() && runs_.back().first == support_set[row].seq) {
+      runs_.back().second++;
+      continue;
+    }
+    runs_.emplace_back(support_set[row].seq, 1u);
+    row_begin_.push_back(static_cast<uint32_t>(row));
+  }
+  built_from_.assign(runs_.size(), static_cast<uint32_t>(m));
+  // Grow-only: contents are written before they are read (built_from_), so
+  // steady state neither allocates nor clears.
+  if (left_row_.size() < m * runs_.size()) left_row_.resize(m * runs_.size());
+  if (right_.size() < m * support_) right_.resize(m * support_);
+  if (inserted_.size() < support_) inserted_.resize(support_);
+}
+
+void InsertIntervalCheck::EnsureColumns(size_t r, size_t column,
+                                        uint64_t* next_queries) {
+  const size_t m = pattern_.size();
+  const auto [seq, n] = runs_[r];
+  for (size_t c = built_from_[r]; c-- > column;) {
+    const std::span<const Position> positions =
+        index_->Positions(seq, pattern_[c]);
+    Position* right = RightRows(c, r);
+    if (c + 1 == m) {
+      // The k-th rightmost instance ends at the k-th of the last n_i
+      // occurrences of e_m; L's last column is the support set itself.
+      GSGROW_DCHECK(positions.size() >= n);
+      std::copy(positions.end() - n, positions.end(), right);
+      left_row_[c * runs_.size() + r] = row_begin_[r];
+    } else {
+      // Mirrored INSgrow: row k takes the last occurrence of e_{c+1} before
+      // both its own landmark in column c + 1 and row k + 1's pick.
+      const Position* above = RightRows(c + 1, r);
+      PositionCursor cursor(positions);
+      Position ceiling = kNoPosition;
+      for (uint32_t k = n; k-- > 0;) {
+        ceiling = cursor.PrevBefore(std::min(ceiling, above[k]));
+        ++*next_queries;
+        GSGROW_DCHECK(ceiling != kNoPosition);
+        right[k] = ceiling;
+      }
+    }
+    if (c > 0) {
+      const SupportSet& prefix = prefix_sets_[c - 1];
+      const auto first = std::lower_bound(
+          prefix.begin(), prefix.end(), seq,
+          [](const Instance& inst, SeqId s) { return inst.seq < s; });
+      // sup_i of a prefix is at least n_i.
+      GSGROW_DCHECK(static_cast<size_t>(prefix.end() - first) >= n &&
+                    (first + n - 1)->seq == seq);
+      left_row_[(c - 1) * runs_.size() + r] =
+          static_cast<uint32_t>(first - prefix.begin());
+    }
+  }
+  if (built_from_[r] > column) built_from_[r] = static_cast<uint32_t>(column);
+}
+
+bool InsertIntervalCheck::Admits(size_t gap, EventId e,
+                                 uint64_t* next_queries) {
+  GSGROW_DCHECK(gap < pattern_.size());
+  gap_ = gap;
+  uint64_t queries = 0;
+  bool admitted = true;
+  for (size_t r = 0; r < runs_.size() && admitted; ++r) {
+    const auto [seq, n] = runs_[r];
+    EnsureColumns(r, gap, &queries);
+    const Instance* left = gap > 0 ? LeftRows(gap - 1, r) : nullptr;
+    const Position* right = RightRows(gap, r);
+    Position* inserted = inserted_.data() + row_begin_[r];
+    PositionCursor cursor = index_->Cursor(seq, e);
+    Position floor = 0;
+    for (uint32_t k = 0; k < n; ++k) {
+      if (left != nullptr) floor = std::max(floor, left[k].last + 1);
+      const Position p = cursor.NextAtOrAfter(floor);
+      ++queries;
+      // kNoPosition is above every bound.
+      if (p >= right[k]) {
+        admitted = false;
+        break;
+      }
+      inserted[k] = p;
+      floor = p + 1;
+    }
+  }
+  *next_queries += queries;
+  return admitted;
+}
+
+bool InsertIntervalCheck::LastLandmarksMatch(uint64_t* next_queries,
+                                             uint64_t* regrow_steps) {
+  const size_t m = pattern_.size();
+  uint64_t queries = 0;
+  bool match = true;
+  for (size_t r = 0; r < runs_.size() && match; ++r) {
+    const auto [seq, n] = runs_[r];
+    Position* column = inserted_.data() + row_begin_[r];
+    // Regrown columns never lie left of L's (extremality of the leftmost
+    // instances), so equality at the last column is condition (ii).
+    bool converged = false;
+    for (size_t c = gap_; c < m && !converged; ++c) {
+      ++*regrow_steps;
+      const Instance* left = LeftRows(c, r);
+      PositionCursor cursor = index_->Cursor(seq, pattern_[c]);
+      Position floor = 0;
+      converged = true;
+      for (uint32_t k = 0; k < n; ++k) {
+        const Position p = cursor.NextAtOrAfter(std::max(floor, column[k] + 1));
+        ++queries;
+        // An admitted pair keeps all n_i rows.
+        GSGROW_DCHECK(p != kNoPosition);
+        column[k] = p;
+        floor = p + 1;
+        converged = converged && p == left[k].last;
+      }
+    }
+    match = converged;
+  }
+  *next_queries += queries;
+  return match;
+}
+
 SupportSet GrowSupportSetReference(const InvertedIndex& index,
                                    const SupportSet& support_set, EventId e) {
   GSGROW_DCHECK(IsRightShiftSorted(support_set));

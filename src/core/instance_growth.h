@@ -8,14 +8,18 @@
 // provably maximum (Lemma 4), so |result| == sup(P ◦ e).
 //
 // The hot-path entry point is GrowSupportSetInto: it writes into a
-// caller-owned buffer (the DFS and the closure check double-buffer a small
-// arena, so steady-state growth performs zero allocations) and answers each
-// per-sequence run of next() queries through one PositionCursor (the event
-// slot is resolved once per run and advanced by galloping search instead of
-// a fresh binary search per instance; DESIGN.md §5). The allocating
-// GrowSupportSet is a thin wrapper. GrowSupportSetReference preserves the
-// pre-cursor implementation — a full NextAtOrAfter binary search per query
-// into a freshly allocated set — as the differential-test oracle.
+// caller-owned buffer (the DFS recycles pooled buffers, so steady-state
+// growth performs zero allocations) and answers each per-sequence run of
+// next() queries through one PositionCursor (the event slot is resolved
+// once per run and advanced by galloping search instead of a fresh binary
+// search per instance; DESIGN.md §5). The allocating GrowSupportSet is a
+// thin wrapper. GrowSupportSetReference preserves the pre-cursor
+// implementation — a full NextAtOrAfter binary search per query into a
+// freshly allocated set — as the differential-test oracle.
+//
+// Two bounds let the DFS skip growth: AppendOccurrenceBound for append
+// candidates, and InsertIntervalCheck, which decides CloGSgrow's
+// insert/prepend extensions from landmark columns without growing them.
 
 #ifndef GSGROW_CORE_INSTANCE_GROWTH_H_
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
@@ -87,6 +91,84 @@ class AppendOccurrenceBound {
   std::vector<uint64_t> bound_;
   std::vector<EventId> touched_;
   std::vector<EventId> kept_;
+};
+
+/// Insert/prepend closure check by interval matching (DESIGN.md §5): decides
+/// whether P' = e_1..e_g ◦ e ◦ e_{g+1}..e_m keeps sup(P) — and, if it does,
+/// whether LBCheck (Theorem 5) prunes — without growing P' from its prefix.
+///
+/// For each sequence i with n_i instances of P, let L[k][j] be landmark j of
+/// the k-th leftmost instance and R[k][j] that of the k-th rightmost one
+/// (k < n_i, both families in right-shift order). Then sup_i(P') = n_i iff
+/// some e_0 < .. < e_{n_i - 1} among e's positions satisfy
+/// L[k][g-1] < e_k < R[k][g] (no left bound at g = 0), and one greedy pass
+/// over e's positions finds them when they exist.
+///
+/// L is read straight out of the prefix sets: a sequence run of INSgrow
+/// stops at its first failure, so the k-th instance of P extends the k-th
+/// instance of every prefix set (DESIGN.md §2). R is built right to left
+/// with PositionCursor::PrevBefore. Both are built lazily per (sequence,
+/// column): a pair dying in its first sequence pays only for that
+/// sequence's columns. Buffers persist across nodes.
+class InsertIntervalCheck {
+ public:
+  /// Starts a node. `prefix_sets[j]` must be the leftmost support set of
+  /// e_1..e_{j+1}, for j < |pattern|; the index and both spans must stay
+  /// valid while the node is checked.
+  void Reset(const InvertedIndex& index, std::span<const EventId> pattern,
+             std::span<const SupportSet> prefix_sets);
+
+  /// (sequence, n_i) runs of the node's support set, ascending by sequence.
+  std::span<const std::pair<SeqId, uint32_t>> runs() const { return runs_; }
+
+  /// True iff inserting `e` at `gap` (0 = prepend, gap < |pattern|) keeps
+  /// every n_i, i.e. sup(P') == sup(P). Any event may be asked about. Each
+  /// position probe adds one to `*next_queries`, and so does each probe of
+  /// a rightmost column built on the way.
+  bool Admits(size_t gap, EventId e, uint64_t* next_queries);
+
+  /// LBCheck for the pair the last Admits call admitted: true iff the
+  /// leftmost support set of P' ends at the same last landmarks as P's
+  /// (Theorem 5 (ii); they are never to the left). Regrows only the n_i
+  /// leftmost rows from the greedy e column, one pattern column at a time,
+  /// and stops a sequence as soon as a regrown column equals L's: from
+  /// there the greedy inputs are identical. Adds one to `*regrow_steps` per
+  /// (sequence, column) regrown.
+  bool LastLandmarksMatch(uint64_t* next_queries, uint64_t* regrow_steps);
+
+ private:
+  // Builds R column `column` and resolves L column `column - 1` for run
+  // `r`, together with every column above them not yet built.
+  void EnsureColumns(size_t r, size_t column, uint64_t* next_queries);
+
+  // Run r's rows of L column `column`: their `last` fields (resolved by
+  // EnsureColumns).
+  const Instance* LeftRows(size_t column, size_t r) const {
+    return prefix_sets_[column].data() + left_row_[column * runs_.size() + r];
+  }
+  // Run r's rows of R column `column`.
+  Position* RightRows(size_t column, size_t r) {
+    return right_.data() + column * support_ + row_begin_[r];
+  }
+
+  const InvertedIndex* index_ = nullptr;
+  std::span<const EventId> pattern_;
+  std::span<const SupportSet> prefix_sets_;
+  size_t support_ = 0;
+  std::vector<std::pair<SeqId, uint32_t>> runs_;
+  // First row of run r in the node's support set.
+  std::vector<uint32_t> row_begin_;
+  // Lowest column built for run r (|pattern| = none yet).
+  std::vector<uint32_t> built_from_;
+  // left_row_[column * |runs| + r]: first row of run r's sequence in
+  // prefix_sets[column].
+  std::vector<uint32_t> left_row_;
+  // right_[column * support + row]: R, column-major.
+  std::vector<Position> right_;
+  // The greedy e column of the last admitted pair (regrown in place by
+  // LastLandmarksMatch), and its gap.
+  std::vector<Position> inserted_;
+  size_t gap_ = 0;
 };
 
 /// The pre-cursor INSgrow: one full binary search (event slot + position)

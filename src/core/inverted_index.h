@@ -89,16 +89,47 @@ class PositionCursor {
     return idx_ < count_ ? positions_[idx_] : kNoPosition;
   }
 
+  /// Largest unconsumed position p < `bound`, or kNoPosition: the backward
+  /// twin of NextAtOrAfter, used to build rightmost landmark columns
+  /// (DESIGN.md §5). Queries MUST be issued with non-increasing `bound`
+  /// (checked in debug builds): the cursor drops every position >= `bound`
+  /// from its unconsumed range, galloping backward from the end. Callers
+  /// drive a cursor in one direction only.
+  Position PrevBefore(Position bound) {
+#ifndef NDEBUG
+    GSGROW_CHECK_MSG(bound <= last_bound_,
+                     "PositionCursor bounds must be non-increasing");
+    last_bound_ = bound;
+#endif
+    if (count_ <= idx_) return kNoPosition;
+    if (positions_[count_ - 1] < bound) return positions_[count_ - 1];
+    // Gallop backward: positions_[hi] >= bound; double the step until it
+    // lands below `bound`, then binary-search the last [lo, hi) bracket.
+    size_t hi = count_ - 1;
+    size_t step = 1;
+    while (hi >= idx_ + step && positions_[hi - step] >= bound) {
+      hi -= step;
+      step <<= 1;
+    }
+    const size_t lo = hi >= idx_ + step ? hi - step : idx_;
+    const Position* it =
+        std::lower_bound(positions_ + lo, positions_ + hi, bound);
+    count_ = static_cast<uint32_t>(it - positions_);
+    return count_ > idx_ ? positions_[count_ - 1] : kNoPosition;
+  }
+
   /// True iff the underlying position list is empty (event absent in the
   /// sequence) — lets callers skip a whole run without issuing queries.
+  /// Meaningful before the first query.
   bool empty() const { return count_ == 0; }
 
  private:
   const Position* positions_ = nullptr;
-  uint32_t count_ = 0;
-  uint32_t idx_ = 0;  // next unconsumed list index
+  uint32_t count_ = 0;  // one past the last unconsumed list index
+  uint32_t idx_ = 0;    // first unconsumed list index
 #ifndef NDEBUG
   Position last_from_ = 0;
+  Position last_bound_ = kNoPosition;
 #endif
 };
 

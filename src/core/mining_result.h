@@ -140,23 +140,26 @@ struct MiningStats {
   /// DFS nodes visited (frequent patterns explored, including non-closed
   /// ones in CloGSgrow).
   uint64_t nodes_visited = 0;
-  /// Total INSgrow invocations (mining growth + closure checking). Append
-  /// candidates rejected by the occurrence bound (DESIGN.md §5) are never
-  /// grown and do not count.
+  /// Growth steps: one per append growth of a DFS candidate (INSgrow)
+  /// plus one per closure_regrow_events step. Append candidates rejected by
+  /// the occurrence bound (DESIGN.md §5) are never grown and do not count.
   uint64_t insgrow_calls = 0;
-  /// Total next() queries issued against the inverted index through the
-  /// cursor-based growth path (GrowSupportSetInto). The reference growth
-  /// path does not count, so ablation runs show the fast path's query
-  /// volume explicitly; neither do append candidates rejected by the
-  /// occurrence bound, which issue no query.
+  /// Position-list probes issued through PositionCursor on the mining path:
+  /// the next() queries of append growth (GrowSupportSetInto), and in
+  /// CloGSgrow's closure check the rightmost-landmark-column probes
+  /// (PrevBefore), the interval probes deciding each insert/prepend pair
+  /// and the LBCheck regrow queries (DESIGN.md §5). Leftmost columns are
+  /// read from the prefix sets and issue none. The reference growth path
+  /// does not count, nor do append candidates rejected by the occurrence
+  /// bound, which issue no query.
   uint64_t next_queries = 0;
   /// CloGSgrow: closure checks performed (one per ClosurePruning::Decide
   /// that scans insert/prepend extensions).
   uint64_t closure_checks = 0;
-  /// CloGSgrow: INSgrow regrow steps performed inside closure checks (base
-  /// growth of a gap candidate plus each regrown pattern event). The gap
-  /// between this and the candidate count is what the memoized early exits
-  /// save.
+  /// CloGSgrow: LBCheck column-regrow steps, one per (sequence, pattern
+  /// column) regrown for an insert/prepend pair that keeps the support.
+  /// Deciding whether a pair keeps the support grows nothing and does not
+  /// count.
   uint64_t closure_regrow_events = 0;
   /// Deepest pattern length reached.
   size_t max_depth = 0;

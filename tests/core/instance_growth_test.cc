@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -319,6 +320,87 @@ TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
   }
   // The filter dropped candidates, so the checks above had teeth.
   EXPECT_GT(dropped, 0u);
+}
+
+// Drives InsertIntervalCheck over every frequent pattern (min_sup 2, up to
+// length 4) of random databases with small alphabets, so patterns repeat
+// events and inserted events often equal a neighbour. Every (gap, event)
+// verdict is checked against growing P' from scratch: admitted iff
+// sup(P') == sup(P), and for admitted pairs, the LBCheck verdict iff the
+// last landmarks of P''s leftmost support set equal P's. Gaps are visited in
+// a shuffled order, so the lazy columns are built in every order.
+TEST(InsertIntervalCheck, MatchesRegrowthOnRandomDatabases) {
+  Rng rng(31337);
+  InsertIntervalCheck check;  // one scratch across all rounds
+  uint64_t admitted = 0, rejected = 0, matched = 0, shifted = 0;
+  uint64_t neighbour_admitted = 0;
+  for (int round = 0; round < 40; ++round) {
+    const size_t alphabet = 2 + static_cast<size_t>(rng.UniformInt(3));
+    SequenceDatabase db = testing::RandomDatabase(&rng, 4, 1, 20, alphabet);
+    InvertedIndex idx(db);
+    std::vector<std::vector<EventId>> stack;
+    for (EventId e = 0; e < db.AlphabetSize(); ++e) stack.push_back({e});
+    while (!stack.empty()) {
+      const std::vector<EventId> pattern = std::move(stack.back());
+      stack.pop_back();
+      std::vector<SupportSet> prefix_sets;
+      for (size_t j = 1; j <= pattern.size(); ++j) {
+        prefix_sets.push_back(ComputeSupportSet(
+            idx, Pattern(std::vector<EventId>(pattern.begin(),
+                                              pattern.begin() + j))));
+      }
+      const SupportSet& set = prefix_sets.back();
+      if (set.size() < 2) continue;
+      if (pattern.size() < 4) {
+        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+          std::vector<EventId> child = pattern;
+          child.push_back(e);
+          stack.push_back(std::move(child));
+        }
+      }
+      check.Reset(idx, pattern, prefix_sets);
+      std::vector<size_t> gaps(pattern.size());
+      for (size_t g = 0; g < gaps.size(); ++g) gaps[g] = g;
+      for (size_t g = gaps.size(); g > 1; --g) {
+        std::swap(gaps[g - 1], gaps[rng.UniformInt(g)]);
+      }
+      for (size_t gap : gaps) {
+        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+          const SupportSet grown =
+              ComputeSupportSet(idx, Pattern(pattern).InsertAt(gap, e));
+          std::string where = "round=" + std::to_string(round) + " pattern=";
+          for (EventId p : pattern) where += std::to_string(p) + ",";
+          where += " gap=" + std::to_string(gap) + " e=" + std::to_string(e);
+          uint64_t queries = 0, steps = 0;
+          const bool admits = check.Admits(gap, e, &queries);
+          ASSERT_EQ(admits, grown.size() == set.size()) << where;
+          if (!admits) {
+            ++rejected;
+            continue;
+          }
+          ++admitted;
+          const bool neighbour =
+              e == pattern[gap] || (gap > 0 && e == pattern[gap - 1]);
+          if (neighbour) ++neighbour_admitted;
+          bool same_last = true;
+          for (size_t k = 0; k < set.size(); ++k) {
+            ASSERT_EQ(grown[k].seq, set[k].seq) << where;
+            same_last = same_last && grown[k].last == set[k].last;
+          }
+          const bool match = check.LastLandmarksMatch(&queries, &steps);
+          ASSERT_EQ(match, same_last) << where;
+          EXPECT_GT(steps, 0u) << where;
+          (match ? matched : shifted)++;
+        }
+      }
+    }
+  }
+  // Every verdict occurred, so the checks above had teeth.
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(matched, 0u);
+  EXPECT_GT(shifted, 0u);
+  EXPECT_GT(neighbour_admitted, 0u);
 }
 
 TEST(ComputeSupportSet, EmptyPattern) {

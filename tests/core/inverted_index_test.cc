@@ -150,6 +150,37 @@ TEST_F(InvertedIndexTest, DefaultCursorIsEmpty) {
   EXPECT_EQ(cursor.NextAtOrAfter(0), kNoPosition);
 }
 
+TEST_F(InvertedIndexTest, PrevBeforeWalksBackward) {
+  // S1 = ABCACBDDB: B at 1, 5, 8.
+  PositionCursor cursor = index_.Cursor(0, B_);
+  EXPECT_EQ(cursor.PrevBefore(kNoPosition), 8u);
+  EXPECT_EQ(cursor.PrevBefore(9), 8u);  // same answer: not yet consumed
+  EXPECT_EQ(cursor.PrevBefore(8), 5u);
+  EXPECT_EQ(cursor.PrevBefore(5), 1u);
+  EXPECT_EQ(cursor.PrevBefore(1), kNoPosition);
+  // Exhausted cursors stay exhausted.
+  EXPECT_EQ(cursor.PrevBefore(0), kNoPosition);
+}
+
+TEST_F(InvertedIndexTest, PrevBeforeOverAbsentEventIsEmpty) {
+  PositionCursor cursor = index_.Cursor(0, 999);
+  EXPECT_EQ(cursor.PrevBefore(kNoPosition), kNoPosition);
+  PositionCursor empty;
+  EXPECT_EQ(empty.PrevBefore(5), kNoPosition);
+}
+
+TEST_F(InvertedIndexTest, PrevBeforeAtOrBelowFirstPositionIsNone) {
+  // B first occurs at 1: a bound of 1 (or 0) leaves nothing before it.
+  PositionCursor at = index_.Cursor(0, B_);
+  EXPECT_EQ(at.PrevBefore(1), kNoPosition);
+  PositionCursor below = index_.Cursor(0, B_);
+  EXPECT_EQ(below.PrevBefore(0), kNoPosition);
+  // A bound just above the first position still finds it, in one jump
+  // over the whole list.
+  PositionCursor above = index_.Cursor(0, B_);
+  EXPECT_EQ(above.PrevBefore(2), 1u);
+}
+
 // Positions of `e` in `s`, by a linear scan of the raw sequence.
 std::vector<Position> ScanPositions(const Sequence& s, EventId e) {
   std::vector<Position> out;
@@ -183,6 +214,38 @@ TEST(InvertedIndexProperty, CursorMatchesNextAtOrAfterOnRandomStreams) {
           // (force galloping over several positions at once).
           from += 1 + static_cast<Position>(rng.UniformInt(
                          round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
+        }
+      }
+    }
+  }
+}
+
+// The backward gallop must agree with std::lower_bound over the scanned
+// list for every non-increasing bound stream, on lists long enough for the
+// doubling phase to cover hundreds of positions.
+TEST(InvertedIndexProperty, PrevBeforeMatchesLowerBoundOnLongLists) {
+  Rng rng(4242);
+  for (int round = 0; round < 40; ++round) {
+    const size_t max_len = round % 4 == 3 ? 3000 : 300;
+    SequenceDatabase db =
+        testing::RandomDatabase(&rng, 2, max_len / 2, max_len, 3);
+    InvertedIndex idx(db);
+    for (SeqId i = 0; i < db.size(); ++i) {
+      for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+        const std::vector<Position> list = ScanPositions(db[i], e);
+        PositionCursor cursor = idx.Cursor(i, e);
+        Position bound = db[i].length() + 1;
+        while (true) {
+          const auto it = std::lower_bound(list.begin(), list.end(), bound);
+          EXPECT_EQ(cursor.PrevBefore(bound),
+                    it == list.begin() ? kNoPosition : *(it - 1))
+              << "round=" << round << " seq=" << i << " e=" << e
+              << " bound=" << bound;
+          if (bound == 0) break;
+          // Repeated bounds, single steps and long jumps.
+          const Position step = static_cast<Position>(rng.UniformInt(
+              round % 2 == 0 ? 3 : db[i].length() / 2 + 1));
+          bound = step >= bound ? 0 : bound - step;
         }
       }
     }
@@ -256,6 +319,18 @@ TEST(InvertedIndexDeath, CursorRejectsDecreasingBounds) {
         cursor.NextAtOrAfter(2);  // decreasing: contract violation
       },
       "non-decreasing");
+}
+
+TEST(InvertedIndexDeath, CursorRejectsIncreasingBackwardBounds) {
+  SequenceDatabase db = MakeDatabaseFromStrings({"ABABABAB"});
+  InvertedIndex idx(db);
+  EXPECT_DEATH(
+      {
+        PositionCursor cursor = idx.Cursor(0, 0);
+        cursor.PrevBefore(2);
+        cursor.PrevBefore(5);  // increasing: contract violation
+      },
+      "non-increasing");
 }
 #endif
 
