@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core primitives of §III-D:
 // inverted-index construction, next() queries (binary-search point queries
 // vs the galloping PositionCursor, and its backward PrevBefore twin), root
-// instance sets, cursor-based INSgrow steps, one CloGSgrow closure check
-// (DESIGN.md §5), and whole supComp runs as pattern length grows.
+// instance sets, cursor-based INSgrow steps, the DFS's append growth of a
+// whole node, one CloGSgrow closure check (DESIGN.md §5), and whole supComp
+// runs as pattern length grows.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "core/instance_growth.h"
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
+#include "datagen/models.h"
 #include "datagen/quest_generator.h"
 
 namespace gsgrow {
@@ -241,6 +243,111 @@ void BM_INSgrowDense(benchmark::State& state) {
   INSgrow(state, DenseIndex());
 }
 BENCHMARK(BM_INSgrowDense);
+
+// One DFS node's append step: its support set, its candidate events and
+// the threshold min(min_support, sup(P)) the engine filters them against.
+struct AppendNode {
+  const InvertedIndex* index = nullptr;
+  SupportSet set;
+  std::vector<EventId> candidates;
+  uint64_t threshold = 0;
+};
+
+// A root of the mine_wide benchmark corpus (Quest D5C20N10S20, seed 1,
+// min_sup 14): the most frequent event, with every frequent root as a
+// candidate — the widest candidate list the DFS sees.
+const AppendNode& QuestRootNode() {
+  static const AppendNode* node = [] {
+    QuestParams params;  // D5C20N10S20
+    params.seed = 1;
+    const auto* index =
+        new InvertedIndex(*new SequenceDatabase(GenerateQuest(params)));
+    constexpr uint64_t kMinSupport = 14;
+    auto* n = new AppendNode;
+    n->index = index;
+    n->set = RootInstances(*index, TopEvents(*index, 1)[0]);
+    for (EventId e : index->present_events()) {
+      if (index->TotalCount(e) >= kMinSupport) n->candidates.push_back(e);
+    }
+    n->threshold = std::min<uint64_t>(kMinSupport, n->set.size());
+    return n;
+  }();
+  return *node;
+}
+
+// A node of the mine_deep benchmark corpus (JBoss-like traces, min_sup 60)
+// with the short inherited candidate list of a deep node: from the most
+// frequent event, descend to the most frequent append child, each step
+// keeping the candidates still frequent, until at most four remain.
+const AppendNode& JBossNode() {
+  static const AppendNode* node = [] {
+    const auto* index =
+        new InvertedIndex(*new SequenceDatabase(GenerateJBossTraces(28, 11)));
+    constexpr uint64_t kMinSupport = 60;
+    auto* n = new AppendNode;
+    n->index = index;
+    n->set = RootInstances(*index, TopEvents(*index, 1)[0]);
+    n->candidates = index->present_events();
+    while (n->candidates.size() > 4) {
+      std::vector<EventId> frequent;
+      SupportSet best;
+      for (EventId e : n->candidates) {
+        SupportSet child = GrowSupportSet(*index, n->set, e);
+        if (child.size() < kMinSupport) continue;
+        frequent.push_back(e);
+        if (child.size() > best.size()) best = std::move(child);
+      }
+      if (frequent.empty()) break;
+      n->set = std::move(best);
+      n->candidates = std::move(frequent);
+    }
+    n->threshold = std::min<uint64_t>(kMinSupport, n->set.size());
+    return n;
+  }();
+  return *node;
+}
+
+// Arg 0: the engine's append step (AppendOccurrenceBound: one bound pass,
+// then growth of the kept candidates from the slots it found). Arg 1: the
+// same pass, but each kept candidate grown on its own with
+// GrowSupportSetInto, which searches its slot in every sequence of the node.
+void AppendGrowth(benchmark::State& state, const AppendNode& node) {
+  const InvertedIndex& index = *node.index;
+  AppendOccurrenceBound growth;
+  std::vector<SupportSet> children;
+  uint64_t queries = 0;
+  size_t kept = 0;
+  for (auto _ : state) {
+    const std::span<const EventId> to_grow =
+        growth.Filter(index, node.set, node.candidates, node.threshold);
+    kept = to_grow.size();
+    children.resize(kept);
+    if (state.range(0) == 0) {
+      growth.Grow(children, &queries);
+    } else {
+      for (size_t j = 0; j < kept; ++j) {
+        GrowSupportSetInto(index, node.set, to_grow[j], children[j], &queries);
+      }
+    }
+    benchmark::DoNotOptimize(children.data());
+  }
+  state.counters["candidates"] = static_cast<double>(node.candidates.size());
+  state.counters["grown"] = static_cast<double>(kept);
+  state.counters["instances"] = static_cast<double>(node.set.size());
+  // Items = candidates decided per node.
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(node.candidates.size()));
+}
+
+void BM_AppendGrowthQuestRoot(benchmark::State& state) {
+  AppendGrowth(state, QuestRootNode());
+}
+BENCHMARK(BM_AppendGrowthQuestRoot)->ArgName("per_candidate")->Arg(0)->Arg(1);
+
+void BM_AppendGrowthJBossNode(benchmark::State& state) {
+  AppendGrowth(state, JBossNode());
+}
+BENCHMARK(BM_AppendGrowthJBossNode)->ArgName("per_candidate")->Arg(0)->Arg(1);
 
 // One full CloGSgrow closure check (CCheck + LBCheck scan) on a
 // representative node of the dense corpus.

@@ -22,6 +22,7 @@
 // mining summary: snapshot/mine/annotate microseconds plus the DFS shape
 // counters, the same line shape the serve protocol's `trace last` prints.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -40,6 +41,24 @@
 #include "util/table.h"
 
 using namespace gsgrow;
+
+namespace {
+
+// Reads integer flag --`name` into *out (`fallback` when absent). Prints why
+// and returns false when the flag is present but not an integer >= `min`,
+// so a typo or a negative count cannot silently become a default or wrap.
+bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
+                 int64_t min, int64_t* out) {
+  *out = fallback;
+  if (!flags.Has(name)) return true;
+  const std::string raw = flags.GetString(name, "");
+  if (ParseInt64(raw, out) && *out >= min) return true;
+  std::fprintf(stderr, "error: --%s must be an integer >= %lld, got '%s'\n",
+               name, static_cast<long long>(min), raw.c_str());
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
@@ -87,17 +106,22 @@ int main(int argc, char** argv) {
 
   MineRequest request;
   MinerOptions& options = request.options;
-  options.min_support = static_cast<uint64_t>(flags.GetInt("min_sup", 10));
-  const int64_t max_len = flags.GetInt("max_len", 0);
+  // --max_len=0 means unlimited; --threads=0 means one worker per hardware
+  // thread (output is identical either way).
+  int64_t min_sup = 0;
+  int64_t max_len = 0;
+  int64_t threads = 0;
+  int64_t top = 0;
+  if (!ReadIntFlag(flags, "min_sup", 10, 1, &min_sup) ||
+      !ReadIntFlag(flags, "max_len", 0, 0, &max_len) ||
+      !ReadIntFlag(flags, "threads", 1, 0, &threads) ||
+      !ReadIntFlag(flags, "top", 20, 0, &top)) {
+    return 2;
+  }
+  options.min_support = static_cast<uint64_t>(min_sup);
   if (max_len > 0) options.max_pattern_length = static_cast<size_t>(max_len);
   const double budget = flags.GetDouble("budget", 0.0);
   if (budget > 0) options.time_budget_seconds = budget;
-  // 0 = one worker per hardware thread; output is identical either way.
-  const int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0\n");
-    return 2;
-  }
   options.num_threads = static_cast<size_t>(threads);
 
   const std::string semantics_spec = flags.GetString("semantics", "");
@@ -179,11 +203,11 @@ int main(int argc, char** argv) {
 
   // --- Report. ---
   const bool annotated = options.semantics.AnyEnabled();
-  const int top = static_cast<int>(flags.GetInt("top", 20));
+  const size_t shown = std::min(patterns.size(), static_cast<size_t>(top));
   std::vector<std::string> header = {"pattern", "len", "sup"};
   if (annotated) header.push_back("semantics");
   TextTable table(header);
-  for (int k = 0; k < top && k < static_cast<int>(patterns.size()); ++k) {
+  for (size_t k = 0; k < shown; ++k) {
     std::vector<std::string> row = {
         patterns[k].pattern.ToString(db.dictionary()),
         std::to_string(patterns[k].pattern.size()),
@@ -192,8 +216,8 @@ int main(int argc, char** argv) {
     table.AddRow(row);
   }
   std::printf("\n%s", table.ToString().c_str());
-  if (static_cast<int>(patterns.size()) > top) {
-    std::printf("... and %zu more\n", patterns.size() - top);
+  if (patterns.size() > shown) {
+    std::printf("... and %zu more\n", patterns.size() - shown);
   }
 
   const std::string output = flags.GetString("output", "");

@@ -46,14 +46,6 @@ GrownChild UnconstrainedExtension::Root(EventId e) const {
   return RootChild(*index_, e);
 }
 
-void UnconstrainedExtension::ExtendInto(const GrowthNode& node, EventId e,
-                                        GrownChild& out) {
-  GrowSupportSetInto(*index_, node.prefix_sets.back(), e, out.set,
-                     &node.stats.next_queries);
-  node.stats.insgrow_calls++;
-  out.support = out.set.size();
-}
-
 // ---------------------------------------------------------------------------
 // BoundedGapExtension
 // ---------------------------------------------------------------------------
@@ -67,20 +59,13 @@ GrownChild BoundedGapExtension::Root(EventId e) const {
   return RootChild(*index_, e);
 }
 
-void BoundedGapExtension::ExtendInto(const GrowthNode& node, EventId e,
-                                     GrownChild& out) {
-  // Unconstrained INSgrow state: |set| = sup(P ◦ e) >= sup_gc(P ◦ e), since
-  // dropping the constraint only adds instances. A child that is infrequent
-  // even unconstrained needs no flow computation — report the (under-
-  // min_support) upper bound and let the engine prune it.
-  GrowSupportSetInto(*index_, node.prefix_sets.back(), e, out.set,
-                     &node.stats.next_queries);
-  node.stats.insgrow_calls++;
-  const uint64_t upper_bound = out.set.size();
-  if (upper_bound < min_support_) {
-    out.support = upper_bound;
-    return;
-  }
+uint64_t BoundedGapExtension::Support(const GrowthNode& node, EventId e,
+                                      const SupportSet& grown) {
+  // |grown| = sup(P ◦ e) >= sup_gc(P ◦ e), since dropping the constraint
+  // only adds instances. A child that is infrequent even unconstrained
+  // needs no flow computation — report the (under-min_support) upper bound
+  // and let the engine prune it.
+  if (grown.size() < min_support_) return grown.size();
   // Exact support via the layered max-flow oracle (greedy bounded-gap
   // growth is not maximum under constraints, so only the flow value can be
   // reported for frequent patterns). The candidate pattern round-trips
@@ -88,8 +73,9 @@ void BoundedGapExtension::ExtendInto(const GrowthNode& node, EventId e,
   events_scratch_.assign(node.pattern.begin(), node.pattern.end());
   events_scratch_.push_back(e);
   Pattern candidate(std::move(events_scratch_));
-  out.support = ReferenceSupport(*db_, candidate, *gap_);
+  const uint64_t support = ReferenceSupport(*db_, candidate, *gap_);
   events_scratch_ = std::move(candidate).TakeEvents();
+  return support;
 }
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@
 // GrowthEngine owns that skeleton exactly once, parameterized by three
 // policies supplied at compile time:
 //
-//  * ExtensionPolicy — how a pattern's support-set state grows by one event
-//    and what its support is. UnconstrainedExtension wraps INSgrow
-//    (leftmost-is-maximum, Lemma 4); BoundedGapExtension uses the bounded-
-//    gap next() queries of gap_constrained.h for its state and the exact
-//    layered max-flow oracle for supports. The policy also declares whether
-//    candidate-list inheritance is sound for its support measure
-//    (kSupportsCandidateList; full Apriori fails under gap constraints).
+//  * ExtensionPolicy — which events root a pattern and what a child's
+//    support is. The engine itself grows every append child's state, the
+//    unconstrained leftmost support set, for both policies
+//    (AppendOccurrenceBound, INSgrow); the policy only turns a grown set
+//    into a support. UnconstrainedExtension returns its size
+//    (leftmost-is-maximum, Lemma 4); BoundedGapExtension returns the size
+//    below min_support and otherwise the exact layered max-flow value. The
+//    policy also declares whether candidate-list inheritance is sound for
+//    its support measure (kSupportsCandidateList; full Apriori fails under
+//    gap constraints).
 //
 //  * PruningPolicy — per-node emission/pruning decision. NoPruning emits
 //    every frequent node (GSgrow). ClosurePruning implements CCheck
@@ -213,16 +216,10 @@ class UnconstrainedExtension {
   /// Leftmost support set of the size-1 pattern <e>.
   GrownChild Root(EventId e) const;
 
-  /// Leftmost support set of pattern ◦ e written into `out`'s recycled
-  /// buffer (cursor-based INSgrow; allocation-free once the engine's set
-  /// pool is warm).
-  void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out);
-
-  /// Allocating thin wrapper over ExtendInto.
-  GrownChild Extend(const GrowthNode& node, EventId e) {
-    GrownChild child;
-    ExtendInto(node, e, child);
-    return child;
+  /// sup(pattern ◦ e), given its leftmost support set `grown` (Lemma 4).
+  uint64_t Support(const GrowthNode& /*node*/, EventId /*e*/,
+                   const SupportSet& grown) const {
+    return grown.size();
   }
 
   const InvertedIndex& index() const { return *index_; }
@@ -236,7 +233,7 @@ class UnconstrainedExtension {
 /// a lower bound under constraints, Lemma 4 does not apply), so the mined
 /// output is exact. The support-set state kept on the engine stack is the
 /// UNCONSTRAINED leftmost support set: dropping the gap constraint only adds
-/// instances, so its size upper-bounds sup_gc and lets Extend skip the
+/// instances, so its size upper-bounds sup_gc and lets Support skip the
 /// expensive flow computation for children that are hopeless even without
 /// the constraint. For such pruned children the returned support is that
 /// upper bound (< min_support), not the exact value — fine for NoPruning,
@@ -261,13 +258,9 @@ class BoundedGapExtension {
   /// exact under any constraint.
   GrownChild Root(EventId e) const;
 
-  void ExtendInto(const GrowthNode& node, EventId e, GrownChild& out);
-
-  GrownChild Extend(const GrowthNode& node, EventId e) {
-    GrownChild child;
-    ExtendInto(node, e, child);
-    return child;
-  }
+  /// sup_gc(pattern ◦ e), given its unconstrained leftmost support set
+  /// `grown`: |grown| when that is below min_support, else the flow value.
+  uint64_t Support(const GrowthNode& node, EventId e, const SupportSet& grown);
 
   const InvertedIndex& index() const { return *index_; }
 
@@ -565,20 +558,26 @@ class GrowthEngine {
                                pattern_.size() < options_.max_pattern_length;
     if (want_children) {
       const uint64_t floor = EffectiveMinSupport();
-      // Occurrence bound (DESIGN.md §5): a candidate whose bound is below
-      // min(floor, support) can be neither kept nor an equal-support append
-      // (the floor may exceed a top-K node's support), so it is not grown.
-      const std::span<const EventId> to_grow =
-          append_bound_.Filter(extension_.index(), prefix_sets_.back(),
-                               candidates, std::min(floor, support));
-      GrownChild child;
-      for (EventId e : to_grow) {
-        child.set = AcquireSet();
-        extension_.ExtendInto(node, e, child);
+      // Append growth (DESIGN.md §5): one pass over the node's sequences
+      // bounds every candidate; one whose bound is below min(floor, support)
+      // can be neither kept nor an equal-support append (the floor may
+      // exceed a top-K node's support), so it is not grown. The rest grow
+      // from the slots the pass found.
+      const std::span<const EventId> kept =
+          append_growth_.Filter(extension_.index(), prefix_sets_.back(),
+                                candidates, std::min(floor, support));
+      grown_.clear();
+      for (size_t j = 0; j < kept.size(); ++j) grown_.push_back(AcquireSet());
+      append_growth_.Grow(grown_, &stats.next_queries);
+      stats.insgrow_calls += kept.size();
+      for (size_t j = 0; j < kept.size(); ++j) {
+        GrownChild child;
+        child.support = extension_.Support(node, kept[j], grown_[j]);
+        child.set = std::move(grown_[j]);
         if (child.support == support) equal_support_append = true;
         if (child.support >= floor) {
-          scratch.child_candidates.push_back(e);
-          scratch.children.emplace_back(e, std::move(child));
+          scratch.child_candidates.push_back(kept[j]);
+          scratch.children.emplace_back(kept[j], std::move(child));
         } else {
           ReleaseSet(std::move(child.set));
         }
@@ -686,7 +685,10 @@ class GrowthEngine {
   // Scratch pools (see DepthScratch / AcquireSet).
   std::deque<DepthScratch> depth_scratch_;
   std::vector<SupportSet> set_pool_;
-  AppendOccurrenceBound append_bound_;
+  AppendOccurrenceBound append_growth_;
+  // The children append_growth_ grows at the current node, filled and
+  // drained before any recursion.
+  std::vector<SupportSet> grown_;
   bool stopped_ = false;
 };
 

@@ -25,6 +25,39 @@ SupportSet GrowSupportSet(const InvertedIndex& index,
   return out;
 }
 
+namespace {
+
+// INSgrow (Algorithm 2) over one sequence's run of instances, appending the
+// grown instances to `out`; returns the number of next() queries. Within a
+// run the query bounds are non-decreasing (rising floor, rising last
+// landmarks), which is exactly the cursor's contract.
+uint64_t GrowRun(std::span<const Instance> run, PositionCursor cursor,
+                 SupportSet& out) {
+  uint64_t queries = 0;
+  // last_position of Algorithm 2 folded into a ">= floor" bound.
+  Position floor = 0;
+  for (const Instance& inst : run) {
+    const Position lj = cursor.NextAtOrAfter(std::max(floor, inst.last + 1));
+    ++queries;
+    // Algorithm 2 line 5: no occurrence left for this instance; later
+    // instances of the run have even larger lower bounds.
+    if (lj == kNoPosition) break;
+    floor = lj + 1;
+    out.push_back(Instance{inst.seq, inst.first, lj});
+  }
+  return queries;
+}
+
+// Length of the run of `set` starting at `row`: the rows sharing its
+// sequence.
+size_t RunLength(const SupportSet& set, size_t row) {
+  size_t end = row + 1;
+  while (end < set.size() && set[end].seq == set[row].seq) ++end;
+  return end - row;
+}
+
+}  // namespace
+
 void GrowSupportSetInto(const InvertedIndex& index,
                         const SupportSet& support_set, EventId e,
                         SupportSet& out, uint64_t* next_queries) {
@@ -33,36 +66,15 @@ void GrowSupportSetInto(const InvertedIndex& index,
   out.clear();
   // No reserve: `out` usually ends far smaller than its input, and a pooled
   // buffer sized to its parent keeps that capacity for the rest of the run.
-  const size_t n = support_set.size();
   uint64_t queries = 0;
-  size_t k = 0;
-  while (k < n) {
-    const SeqId seq = support_set[k].seq;
-    // One slot resolution for the whole run of this sequence's instances;
-    // within the run the query bounds are non-decreasing (rising floor,
-    // rising last landmarks), which is exactly the cursor's contract.
-    PositionCursor cursor = index.Cursor(seq, e);
-    if (cursor.empty()) {
-      while (k < n && support_set[k].seq == seq) ++k;
-      continue;
+  for (size_t row = 0; row < support_set.size();) {
+    const size_t n = RunLength(support_set, row);
+    // One slot resolution for the whole run of this sequence's instances.
+    const PositionCursor cursor = index.Cursor(support_set[row].seq, e);
+    if (!cursor.empty()) {
+      queries += GrowRun(std::span(support_set).subspan(row, n), cursor, out);
     }
-    // last_position of Algorithm 2 folded into a ">= floor" bound.
-    Position floor = 0;
-    for (; k < n && support_set[k].seq == seq; ++k) {
-      const Instance& inst = support_set[k];
-      const Position from = std::max(floor, inst.last + 1);
-      const Position lj = cursor.NextAtOrAfter(from);
-      ++queries;
-      if (lj == kNoPosition) {
-        // Algorithm 2 line 5: no occurrence left for this instance; later
-        // instances of this sequence have even larger lower bounds, so stop
-        // scanning the sequence (skip to its end).
-        while (k < n && support_set[k].seq == seq) ++k;
-        break;
-      }
-      floor = lj + 1;
-      out.push_back(Instance{seq, inst.first, lj});
-    }
+    row += n;
   }
   if (next_queries != nullptr) *next_queries += queries;
 }
@@ -71,40 +83,86 @@ std::span<const EventId> AppendOccurrenceBound::Filter(
     const InvertedIndex& index, const SupportSet& support_set,
     std::span<const EventId> candidates, uint64_t threshold) {
   GSGROW_DCHECK(IsRightShiftSorted(support_set));
+  index_ = &index;
+  support_set_ = &support_set;
   runs_.clear();
-  uint64_t distinct_events = 0;
-  for (const Instance& inst : support_set) {
-    if (!runs_.empty() && runs_.back().first == inst.seq) {
-      runs_.back().second++;
-      continue;
+  run_hits_.clear();
+  hits_.clear();
+  bound_.assign(candidates.size(), 0);
+  if (candidate_of_.size() < index.alphabet_size()) {
+    candidate_of_.resize(index.alphabet_size(), kNone);
+  }
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    // Events beyond the alphabet occur nowhere; the walk never meets them.
+    if (candidates[j] < candidate_of_.size()) {
+      candidate_of_[candidates[j]] = static_cast<uint32_t>(j);
     }
-    runs_.emplace_back(inst.seq, 1u);
+  }
+  for (size_t row = 0; row < support_set.size();) {
+    const SeqId seq = support_set[row].seq;
+    const uint32_t n = static_cast<uint32_t>(RunLength(support_set, row));
+    row += n;
+    runs_.emplace_back(seq, n);
+    run_hits_.push_back(static_cast<uint32_t>(hits_.size()));
     // A sequence hosting an instance is non-empty, so its block exists.
-    distinct_events += index.seq_block(inst.seq)->num_events();
-  }
-  // |candidates| < distinct_events / |runs|, without the division.
-  if (candidates.size() * runs_.size() < distinct_events) return candidates;
-
-  for (EventId e : touched_) bound_[e] = 0;
-  touched_.clear();
-  if (bound_.size() < index.alphabet_size()) {
-    bound_.resize(index.alphabet_size(), 0);
-  }
-  for (const auto& [seq, n] : runs_) {
     const InvertedIndex::SeqBlock& block = *index.seq_block(seq);
-    for (size_t k = 0; k < block.events.size(); ++k) {
-      const EventId e = block.events[k];
-      GSGROW_DCHECK(e < bound_.size());
+    const auto hit = [&](size_t j, size_t k) {
       const uint32_t count = block.offsets[k + 1] - block.offsets[k];
-      if (bound_[e] == 0) touched_.push_back(e);
-      bound_[e] += std::min(n, count);
+      bound_[j] += std::min(n, count);
+      hits_.push_back(Hit{static_cast<uint32_t>(j), static_cast<uint32_t>(k)});
+    };
+    // Intersect the candidate list with the block's sorted events from the
+    // shorter side.
+    if (candidates.size() < block.num_events()) {
+      for (size_t j = 0; j < candidates.size(); ++j) {
+        const auto it = std::lower_bound(block.events.begin(),
+                                         block.events.end(), candidates[j]);
+        if (it != block.events.end() && *it == candidates[j]) {
+          hit(j, it - block.events.begin());
+        }
+      }
+    } else {
+      for (size_t k = 0; k < block.events.size(); ++k) {
+        const uint32_t j = candidate_of_[block.events[k]];
+        if (j != kNone) hit(j, k);
+      }
     }
+  }
+  run_hits_.push_back(static_cast<uint32_t>(hits_.size()));
+  for (EventId e : candidates) {
+    if (e < candidate_of_.size()) candidate_of_[e] = kNone;
   }
   kept_.clear();
-  for (EventId e : candidates) {
-    if (bound_[e] >= threshold) kept_.push_back(e);
+  kept_index_.assign(candidates.size(), kNone);
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    if (bound_[j] < threshold) continue;
+    kept_index_[j] = static_cast<uint32_t>(kept_.size());
+    kept_.push_back(candidates[j]);
   }
   return kept_;
+}
+
+void AppendOccurrenceBound::Grow(std::span<SupportSet> children,
+                                 uint64_t* next_queries) {
+  GSGROW_DCHECK(children.size() == kept_.size());
+  for (SupportSet& child : children) child.clear();
+  uint64_t queries = 0;
+  std::span<const Instance> rows(*support_set_);
+  for (size_t r = 0; r < runs_.size(); ++r) {
+    const auto [seq, n] = runs_[r];
+    const InvertedIndex::SeqBlock& block = *index_->seq_block(seq);
+    // Run by run, so every child receives its instances in right-shift
+    // order.
+    for (uint32_t h = run_hits_[r]; h < run_hits_[r + 1]; ++h) {
+      const uint32_t j = kept_index_[hits_[h].candidate];
+      if (j == kNone) continue;
+      queries += GrowRun(rows.first(n),
+                         PositionCursor(block.Slot(hits_[h].slot)),
+                         children[j]);
+    }
+    rows = rows.subspan(n);
+  }
+  *next_queries += queries;
 }
 
 void InsertIntervalCheck::Reset(const InvertedIndex& index,

@@ -7,19 +7,20 @@
 // (next(S, e, max(last_position, l_{j-1}))). Greedy-leftmost extension is
 // provably maximum (Lemma 4), so |result| == sup(P ◦ e).
 //
-// The hot-path entry point is GrowSupportSetInto: it writes into a
-// caller-owned buffer (the DFS recycles pooled buffers, so steady-state
-// growth performs zero allocations) and answers each per-sequence run of
-// next() queries through one PositionCursor (the event slot is resolved
-// once per run and advanced by galloping search instead of a fresh binary
-// search per instance; DESIGN.md §5). The allocating GrowSupportSet is a
-// thin wrapper. GrowSupportSetReference preserves the pre-cursor
-// implementation — a full NextAtOrAfter binary search per query into a
-// freshly allocated set — as the differential-test oracle.
+// GrowSupportSetInto grows one event into a caller-owned buffer and answers
+// each per-sequence run of next() queries through one PositionCursor (the
+// event slot is resolved once per run and advanced by galloping search
+// instead of a fresh binary search per instance; DESIGN.md §5).
+// The allocating GrowSupportSet is a thin wrapper. GrowSupportSetReference
+// preserves the pre-cursor implementation — a full NextAtOrAfter binary
+// search per query into a freshly allocated set — as the differential-test
+// oracle.
 //
-// Two bounds let the DFS skip growth: AppendOccurrenceBound for append
-// candidates, and InsertIntervalCheck, which decides CloGSgrow's
-// insert/prepend extensions from landmark columns without growing them.
+// The DFS grows its append children through AppendOccurrenceBound, which
+// bounds every candidate in one pass over the node's sequences and grows
+// only the candidates that can still matter, from the slots that pass
+// found. InsertIntervalCheck decides CloGSgrow's insert/prepend extensions
+// from landmark columns without growing them.
 
 #ifndef GSGROW_CORE_INSTANCE_GROWTH_H_
 #define GSGROW_CORE_INSTANCE_GROWTH_H_
@@ -54,42 +55,65 @@ void GrowSupportSetInto(const InvertedIndex& index,
                         const SupportSet& support_set, EventId e,
                         SupportSet& out, uint64_t* next_queries = nullptr);
 
-/// Occurrence bound on append extensions (DESIGN.md §5). For a support set
-/// with n_i instances in sequence i,
+/// Append growth under an occurrence bound (DESIGN.md §5): the DFS's one
+/// append step. For a support set with n_i instances in sequence i,
 ///
 ///   |GrowSupportSetInto(support_set, e)| <= Σ_i min(n_i, count_i(e)),
 ///
 /// because each grown instance extends a distinct input instance and, with
-/// strictly rising last landmarks, takes a distinct occurrence of e. One
-/// sequence-driven pass over the support set's runs computes the bound for
-/// every event at once, so the DFS can drop hopeless append candidates
-/// before growing any of them. Buffers persist across calls: a dense
-/// per-event accumulator, reset through the list of events it touched.
+/// strictly rising last landmarks, takes a distinct occurrence of e.
+///
+/// Filter intersects the candidate list once with each (sequence, n_i) run's
+/// sorted event block — binary-searching each candidate in the block when
+/// the list is the shorter of the two, otherwise walking the block against a
+/// dense per-event candidate table — adds min(n_i, count_i(e)) to every
+/// hit's bound, and remembers the hit's slot. Grow then grows the kept
+/// candidates run by run straight from those slots, so no (candidate,
+/// sequence) pair is searched twice and sequences lacking a candidate cost
+/// it nothing. Buffers persist across calls.
 class AppendOccurrenceBound {
  public:
-  /// The candidates, in their order, whose bound reaches `threshold` — or
-  /// all of `candidates` when the pass would scan more than it can save:
-  /// it reads every distinct event of the support set's sequences, while
-  /// growing costs one slot lookup per (candidate, sequence) pair, so it is
-  /// skipped when |candidates| is below the mean distinct-event count of
-  /// those sequences. The result stays valid until the next call.
+  /// Bounds every candidate over `support_set` and returns the candidates,
+  /// in their order, whose bound reaches `threshold`. The result, bounds()
+  /// and the remembered slots stay valid until the next call; `index` and
+  /// `support_set` must stay valid until the Grow call that follows.
   std::span<const EventId> Filter(const InvertedIndex& index,
                                   const SupportSet& support_set,
                                   std::span<const EventId> candidates,
                                   uint64_t threshold);
 
-  /// The bound of `e` from the last Filter call that ran the pass (0 for
-  /// events absent from the support set's sequences).
-  uint64_t operator[](EventId e) const {
-    return e < bound_.size() ? bound_[e] : 0;
-  }
+  /// bounds()[j] is the bound of candidates[j] of the last Filter call.
+  std::span<const uint64_t> bounds() const { return bound_; }
+
+  /// INSgrow for every candidate the last Filter call kept: clears
+  /// children[j] (keeping its capacity) and fills it with the leftmost
+  /// support set of P ◦ kept[j]. `children` must hold one buffer per kept
+  /// candidate. Adds one to `*next_queries` per next() query issued.
+  void Grow(std::span<SupportSet> children, uint64_t* next_queries);
 
  private:
-  // (sequence, n_i) runs of the last support set.
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  // A candidate present in a run's sequence: its index in the candidate
+  // list and its slot in the sequence's block.
+  struct Hit {
+    uint32_t candidate;
+    uint32_t slot;
+  };
+
+  const InvertedIndex* index_ = nullptr;
+  const SupportSet* support_set_ = nullptr;
+  // (sequence, n_i) runs of the last support set; run r's hits are
+  // hits_[run_hits_[r] .. run_hits_[r + 1]).
   std::vector<std::pair<SeqId, uint32_t>> runs_;
-  // bound_[e] for e in touched_; zero everywhere else.
+  std::vector<uint32_t> run_hits_;
+  std::vector<Hit> hits_;
+  // candidate_of_[e]: index of e in the candidate list during a pass, kNone
+  // everywhere else.
+  std::vector<uint32_t> candidate_of_;
   std::vector<uint64_t> bound_;
-  std::vector<EventId> touched_;
+  // kept_index_[j]: index of candidates[j] in kept_, or kNone.
+  std::vector<uint32_t> kept_index_;
   std::vector<EventId> kept_;
 };
 

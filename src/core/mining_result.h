@@ -145,10 +145,11 @@ struct MiningStats {
   /// the occurrence bound (DESIGN.md §5) are never grown and do not count.
   uint64_t insgrow_calls = 0;
   /// Position-list probes issued through PositionCursor on the mining path:
-  /// the next() queries of append growth (GrowSupportSetInto), and in
-  /// CloGSgrow's closure check the rightmost-landmark-column probes
-  /// (PrevBefore), the interval probes deciding each insert/prepend pair
-  /// and the LBCheck regrow queries (DESIGN.md §5). Leftmost columns are
+  /// the next() queries of append growth (AppendOccurrenceBound::Grow, one
+  /// cursor per remembered (candidate, sequence) slot; finding the slots
+  /// issues none), and in CloGSgrow's closure check the rightmost-landmark-
+  /// column probes (PrevBefore), the interval probes deciding each
+  /// insert/prepend pair and the LBCheck regrow queries (DESIGN.md §5). Leftmost columns are
   /// read from the prefix sets and issue none. The reference growth path
   /// does not count, nor do append candidates rejected by the occurrence
   /// bound, which issue no query.

@@ -223,52 +223,26 @@ TEST(AppendOccurrenceBound, SumsPerSequenceMinimumOfRunAndCount) {
   SupportSet base = RootInstances(idx, a);
   const std::vector<EventId> all = {a, b, c};
   AppendOccurrenceBound bound;
+  const auto bounds = [&] {
+    return std::vector<uint64_t>(bound.bounds().begin(), bound.bounds().end());
+  };
   std::span<const EventId> kept = bound.Filter(idx, base, all, 3);
   EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
             std::vector<EventId>{a});
-  EXPECT_EQ(bound[a], 3u);
-  EXPECT_EQ(bound[b], 2u);
-  EXPECT_EQ(bound[c], 0u);
+  EXPECT_EQ(bounds(), (std::vector<uint64_t>{3, 2, 0}));
   EXPECT_EQ(GrowSupportSet(idx, base, b).size(), 2u);
   // A later pass replaces every earlier bound.
   kept = bound.Filter(idx, RootInstances(idx, c), all, 1);
   EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
             std::vector<EventId>{c});
-  EXPECT_EQ(bound[a], 0u);
-  EXPECT_EQ(bound[b], 0u);
-  EXPECT_EQ(bound[c], 2u);
-}
-
-TEST(AppendOccurrenceBound, FilterSkipsThePassWhenItCannotPayOff) {
-  // One sequence with six distinct events: a single candidate is cheaper to
-  // grow than the pass, so Filter hands the candidates back untouched; the
-  // full alphabet is worth the pass, which keeps only B (bound 3; every
-  // other event occurs once).
-  SequenceDatabase db = MakeDatabaseFromStrings({"ABCDEFBB"});
-  InvertedIndex idx(db);
-  EventId a = db.dictionary().Lookup("A");
-  EventId b = db.dictionary().Lookup("B");
-  SupportSet base = RootInstances(idx, b);
-  ASSERT_EQ(base.size(), 3u);
-  AppendOccurrenceBound bound;
-  const std::vector<EventId> one = {a};
-  std::span<const EventId> kept = bound.Filter(idx, base, one, 2);
-  EXPECT_EQ(kept.data(), one.data());
-  EXPECT_EQ(kept.size(), 1u);
-  std::vector<EventId> all;
-  for (EventId e = 0; e < db.AlphabetSize(); ++e) all.push_back(e);
-  kept = bound.Filter(idx, base, all, 2);
-  EXPECT_EQ(std::vector<EventId>(kept.begin(), kept.end()),
-            std::vector<EventId>{b});
+  EXPECT_EQ(bounds(), (std::vector<uint64_t>{0, 0, 2}));
 }
 
 // Property: on random databases, for every node set reachable by growth
 // (patterns up to length 3) and every event, the bound is exactly
 // Σ_i min(n_i, count_i(e)) and never below the grown support; and at every
 // threshold Filter keeps, in order, a subset of the candidates containing
-// each event whose grown support reaches the threshold. With the whole
-// alphabet as candidates the pass always runs (no sequence has more
-// distinct events than the alphabet).
+// each event whose grown support reaches the threshold.
 TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
   Rng rng(8675309);
   AppendOccurrenceBound bound;  // one scratch across all rounds
@@ -287,7 +261,7 @@ TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
         if (set.empty()) continue;
         std::vector<uint64_t> grown(all.size());
         for (EventId e : all) grown[e] = GrowSupportSet(idx, set, e).size();
-        ASSERT_NE(bound.Filter(idx, set, all, 1).data(), all.data());
+        bound.Filter(idx, set, all, 1);
         for (EventId e : all) {
           uint64_t expected = 0;
           for (size_t k = 0; k < set.size();) {
@@ -296,8 +270,11 @@ TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
             expected += std::min<uint64_t>(end - k, idx.Count(set[k].seq, e));
             k = end;
           }
-          EXPECT_EQ(bound[e], expected) << "round=" << round << " e=" << e;
-          EXPECT_GE(bound[e], grown[e]) << "round=" << round << " e=" << e;
+          // all[e] == e, so bounds() is indexed by event.
+          EXPECT_EQ(bound.bounds()[e], expected)
+              << "round=" << round << " e=" << e;
+          EXPECT_GE(bound.bounds()[e], grown[e])
+              << "round=" << round << " e=" << e;
         }
         for (uint64_t threshold = 1; threshold <= set.size(); ++threshold) {
           std::span<const EventId> kept =
@@ -320,6 +297,89 @@ TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
   }
   // The filter dropped candidates, so the checks above had teeth.
   EXPECT_GT(dropped, 0u);
+}
+
+// Differential: on random databases, for every node set reachable by growth
+// (patterns up to length 3), a random candidate list — a shuffled subset of
+// the alphabet, at times with an event the index has never seen — and a
+// random threshold: every kept candidate's child from Grow equals
+// GrowSupportSetInto, with the same next() query count, and every dropped
+// candidate's bound is below the threshold. The lists are both shorter and
+// longer than the sequences' event blocks, so both intersections run.
+TEST(AppendOccurrenceBound, GrowMatchesInsgrowOnBothIntersections) {
+  Rng rng(20091229);
+  AppendOccurrenceBound growth;  // one scratch across all rounds
+  uint64_t searched_runs = 0;
+  uint64_t walked_runs = 0;
+  uint64_t kept_total = 0;
+  uint64_t dropped_total = 0;
+  for (int round = 0; round < 30; ++round) {
+    const size_t alphabet = 3 + static_cast<size_t>(rng.UniformInt(8));
+    SequenceDatabase db = testing::RandomDatabase(&rng, 6, 1, 30, alphabet);
+    InvertedIndex idx(db);
+    std::vector<SupportSet> frontier;
+    for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+      frontier.push_back(RootInstances(idx, e));
+    }
+    for (int depth = 1; depth <= 3; ++depth) {
+      std::vector<SupportSet> next;
+      for (const SupportSet& set : frontier) {
+        if (set.empty()) continue;
+        std::vector<EventId> candidates;
+        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+          if (rng.UniformInt(2) == 0) candidates.push_back(e);
+        }
+        if (rng.UniformInt(4) == 0) candidates.push_back(db.AlphabetSize());
+        rng.Shuffle(&candidates);
+        const uint64_t threshold = 1 + rng.UniformInt(set.size());
+        for (size_t k = 0; k < set.size(); ++k) {
+          if (k > 0 && set[k].seq == set[k - 1].seq) continue;
+          if (candidates.size() < idx.EventsInSequence(set[k].seq).size()) {
+            ++searched_runs;
+          } else {
+            ++walked_runs;
+          }
+        }
+
+        const std::span<const EventId> kept =
+            growth.Filter(idx, set, candidates, threshold);
+        // Stale contents must be cleared.
+        std::vector<SupportSet> children(kept.size(), set);
+        uint64_t queries = 0;
+        growth.Grow(children, &queries);
+        uint64_t expected_queries = 0;
+        size_t j = 0;
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          if (j < kept.size() && kept[j] == candidates[c]) {
+            EXPECT_GE(growth.bounds()[c], threshold);
+            SupportSet expected;
+            GrowSupportSetInto(idx, set, candidates[c], expected,
+                               &expected_queries);
+            EXPECT_EQ(children[j], expected)
+                << "round=" << round << " e=" << candidates[c];
+            ++j;
+          } else {
+            EXPECT_LT(growth.bounds()[c], threshold)
+                << "round=" << round << " e=" << candidates[c];
+            ++dropped_total;
+          }
+        }
+        EXPECT_EQ(j, kept.size()) << "kept is not a subsequence";
+        EXPECT_EQ(queries, expected_queries) << "round=" << round;
+        kept_total += kept.size();
+        if (depth < 3) {
+          for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+            next.push_back(GrowSupportSet(idx, set, e));
+          }
+        }
+      }
+      frontier = std::move(next);
+    }
+  }
+  EXPECT_GT(searched_runs, 0u);
+  EXPECT_GT(walked_runs, 0u);
+  EXPECT_GT(kept_total, 0u);
+  EXPECT_GT(dropped_total, 0u);
 }
 
 // Drives InsertIntervalCheck over every frequent pattern (min_sup 2, up to
