@@ -3,7 +3,10 @@
 // vs the galloping PositionCursor, and its backward PrevBefore twin), root
 // instance sets, cursor-based INSgrow steps, the DFS's append growth of a
 // whole node, one CloGSgrow closure check (DESIGN.md §5), and whole supComp
-// runs as pattern length grows.
+// runs as pattern length grows. The Setup rows split the serving stack's
+// bulk load (text parse, MiningService::Ingest, first Snapshot) on the
+// Quest D5C20N10S20 corpus, next to the batch index build of the same
+// database.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +16,8 @@
 #include "core/miner_options.h"
 #include "datagen/models.h"
 #include "datagen/quest_generator.h"
+#include "io/text_format.h"
+#include "serve/mining_service.h"
 
 namespace gsgrow {
 namespace {
@@ -405,6 +410,80 @@ void BM_FullSupportSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSupportSet);
+
+// Bulk-load corpus: Quest D5C20N10S20 (the QuestParams defaults), as text.
+const std::string& SetupCorpusText() {
+  static std::string* text = [] {
+    QuestParams params;
+    params.seed = 1;
+    return new std::string(WriteTextDatabase(GenerateQuest(params)));
+  }();
+  return *text;
+}
+
+const SequenceDatabase& SetupDb() {
+  static SequenceDatabase* db =
+      new SequenceDatabase(ParseTextDatabase(SetupCorpusText()).value());
+  return *db;
+}
+
+void SetSetupItems(benchmark::State& state) {
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(SetupDb().Stats().total_length));
+}
+
+void BM_SetupParse(benchmark::State& state) {
+  const std::string& text = SetupCorpusText();
+  for (auto _ : state) {
+    Result<SequenceDatabase> db = ParseTextDatabase(text);
+    benchmark::DoNotOptimize(db.ok());
+  }
+  SetSetupItems(state);
+}
+BENCHMARK(BM_SetupParse)->Unit(benchmark::kMillisecond);
+
+void BM_SetupIngest(benchmark::State& state) {
+  const SequenceDatabase& db = SetupDb();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto service = std::make_unique<MiningService>();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(service->Ingest(db).ok());
+    state.PauseTiming();
+    service.reset();
+    state.ResumeTiming();
+  }
+  SetSetupItems(state);
+}
+BENCHMARK(BM_SetupIngest)->Unit(benchmark::kMillisecond);
+
+void BM_SetupFirstSnapshot(benchmark::State& state) {
+  const SequenceDatabase& db = SetupDb();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto service = std::make_unique<MiningService>();
+    const bool ingested = service->Ingest(db).ok();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(service->Snapshot());
+    state.PauseTiming();
+    benchmark::DoNotOptimize(ingested);
+    service.reset();
+    state.ResumeTiming();
+  }
+  SetSetupItems(state);
+}
+BENCHMARK(BM_SetupFirstSnapshot)->Unit(benchmark::kMillisecond);
+
+// Reference row: the batch index build over the same database.
+void BM_SetupBatchIndex(benchmark::State& state) {
+  const SequenceDatabase& db = SetupDb();
+  for (auto _ : state) {
+    InvertedIndex index(db);
+    benchmark::DoNotOptimize(index.alphabet_size());
+  }
+  SetSetupItems(state);
+}
+BENCHMARK(BM_SetupBatchIndex)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gsgrow

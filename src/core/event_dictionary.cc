@@ -3,7 +3,7 @@
 namespace gsgrow {
 
 EventId EventDictionary::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   EventId id = static_cast<EventId>(names_.size());
   names_.emplace_back(name);
@@ -12,7 +12,7 @@ EventId EventDictionary::Intern(std::string_view name) {
 }
 
 EventId EventDictionary::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kNoEvent : it->second;
 }
 

@@ -3,6 +3,7 @@
 #ifndef GSGROW_CORE_EVENT_DICTIONARY_H_
 #define GSGROW_CORE_EVENT_DICTIONARY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,8 +38,17 @@ class EventDictionary {
   size_t size() const { return names_.size(); }
 
  private:
+  // Transparent hash + std::equal_to<> let Intern/Lookup probe with the
+  // caller's string_view; a std::string is built only for a new name.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId> ids_;
+  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace gsgrow

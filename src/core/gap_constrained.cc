@@ -64,6 +64,20 @@ uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
   return ReferenceSupport(db, pattern, gap);
 }
 
+uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
+                                    const SupportSet& support_set,
+                                    const Pattern& pattern,
+                                    const LandmarkGapConstraint& gap) {
+  // The set is ascending by sequence: one oracle run per distinct sequence.
+  uint64_t total = 0;
+  for (size_t k = 0; k < support_set.size(); ++k) {
+    const SeqId seq = support_set[k].seq;
+    if (k > 0 && support_set[k - 1].seq == seq) continue;
+    total += ReferenceSequenceSupport(db[seq], pattern, gap);
+  }
+  return total;
+}
+
 MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
                                            const MinerOptions& options,
                                            const LandmarkGapConstraint& gap) {

@@ -58,6 +58,14 @@ uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
                                     const Pattern& pattern,
                                     const LandmarkGapConstraint& gap);
 
+/// The same, with the oracle run only on the sequences of `support_set`,
+/// the unconstrained leftmost support set of `pattern`: a sequence with no
+/// unconstrained instance has no constrained one either.
+uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
+                                    const SupportSet& support_set,
+                                    const Pattern& pattern,
+                                    const LandmarkGapConstraint& gap);
+
 /// Mines all patterns whose EXACT gap-constrained repetitive support is at
 /// least options.min_support. Intended for moderate corpora (the per-node
 /// flow computation is polynomial but much heavier than INSgrow); budgets

@@ -68,12 +68,14 @@ uint64_t BoundedGapExtension::Support(const GrowthNode& node, EventId e,
   if (grown.size() < min_support_) return grown.size();
   // Exact support via the layered max-flow oracle (greedy bounded-gap
   // growth is not maximum under constraints, so only the flow value can be
-  // reported for frequent patterns). The candidate pattern round-trips
-  // through the scratch vector so no copy is allocated per call.
+  // reported for frequent patterns), run only on the sequences of `grown`.
+  // The candidate pattern round-trips through the scratch vector so no copy
+  // is allocated per call.
   events_scratch_.assign(node.pattern.begin(), node.pattern.end());
   events_scratch_.push_back(e);
   Pattern candidate(std::move(events_scratch_));
-  const uint64_t support = ReferenceSupport(*db_, candidate, *gap_);
+  const uint64_t support =
+      ExactGapConstrainedSupport(*db_, grown, candidate, *gap_);
   events_scratch_ = std::move(candidate).TakeEvents();
   return support;
 }
@@ -155,11 +157,24 @@ void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   // each of the n_i non-overlapping instances consumes a distinct
   // occurrence of the inserted event, so count_i(e) >= n_i must hold in
   // every relevant sequence (DESIGN.md §1). Enumerate the events of the
-  // first relevant sequence and verify the condition against the rest.
+  // first relevant sequence, reading its counts from the block's slots, and
+  // verify the condition against the rest. The pattern's own events pass
+  // without the count loop: the n_i instances hold n_i distinct
+  // occurrences of every pattern event.
+  own_events_.assign(node.pattern.begin(), node.pattern.end());
+  std::sort(own_events_.begin(), own_events_.end());
+  auto own = own_events_.begin();
   const auto& [first_seq, first_need] = runs.front();
-  for (EventId e : index.EventsInSequence(first_seq)) {
+  const InvertedIndex::SeqBlock& first = *index.seq_block(first_seq);
+  for (size_t k = 0; k < first.num_events(); ++k) {
+    const EventId e = first.events[k];
     if (!AlphabetAllows(*options_, e)) continue;
-    if (index.Count(first_seq, e) < first_need) continue;
+    while (own != own_events_.end() && *own < e) ++own;
+    if (own != own_events_.end() && *own == e) {
+      candidates_.push_back(e);
+      continue;
+    }
+    if (first.offsets[k + 1] - first.offsets[k] < first_need) continue;
     bool ok = true;
     for (size_t i = 1; i < runs.size(); ++i) {
       if (index.Count(runs[i].first, e) < runs[i].second) {

@@ -331,6 +331,8 @@ class ClosurePruning {
   // Insert/prepend candidate events surviving the per-sequence-count
   // filter.
   std::vector<EventId> candidates_;
+  // The current pattern's events, sorted: admitted without the count loop.
+  std::vector<EventId> own_events_;
 };
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,41 @@
 
 namespace gsgrow {
 
+namespace {
+
+// Arena-resident copy of `value`; the pointer shares ownership of `arena`.
+template <typename T>
+std::shared_ptr<const T> Publish(const T& value,
+                                 const std::shared_ptr<Arena>& arena) {
+  return std::shared_ptr<const T>(
+      arena, arena->CopyArray(std::span<const T>(&value, 1)).data());
+}
+
+// Sorts `events`, whose values are distinct. A short list (a typical
+// sequence holds a few dozen distinct events) is placed by rank counting,
+// which is branch-free and vectorizes; a comparison sort on the same input
+// spends most of its time on mispredicted branches. Rank counting is
+// quadratic, so longer lists (gazelle-like sessions hold up to 138
+// distinct pages) take std::sort.
+void SortDistinct(std::vector<EventId>* events, std::vector<EventId>* scratch) {
+  constexpr size_t kMaxRankSort = 64;
+  const size_t n = events->size();
+  if (n > kMaxRankSort) {
+    std::sort(events->begin(), events->end());
+    return;
+  }
+  scratch->resize(n);
+  const EventId* in = events->data();
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t rank = 0;
+    for (size_t j = 0; j < n; ++j) rank += in[j] < in[i] ? 1 : 0;
+    (*scratch)[rank] = in[i];
+  }
+  events->swap(*scratch);
+}
+
+}  // namespace
+
 InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   alphabet_size_ = db.AlphabetSize();
   seq_blocks_.resize(db.size());
@@ -18,46 +53,18 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
 
   std::vector<std::vector<Posting>> postings_acc(alphabet_size_);
   std::vector<uint64_t> totals(alphabet_size_, 0);
-  // Per-sequence CSR scratch, reused across sequences.
-  std::vector<std::pair<EventId, Position>> occ;
-  std::vector<EventId> events;
-  std::vector<uint32_t> offsets;
-  std::vector<Position> positions;
-
+  SeqBlockBuilder builder;
   for (SeqId i = 0; i < db.size(); ++i) {
     const Sequence& s = db[i];
     if (s.empty()) continue;
-    // Sequences are typically short relative to the alphabet, so collect the
-    // events actually present instead of scanning the whole alphabet.
-    occ.clear();
-    events.clear();
-    offsets.clear();
-    positions.clear();
-    occ.reserve(s.length());
-    for (Position p = 0; p < s.length(); ++p) {
-      occ.emplace_back(s[p], p);
-    }
-    std::stable_sort(occ.begin(), occ.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    positions.reserve(occ.size());
-    for (size_t k = 0; k < occ.size(); ++k) {
-      if (k == 0 || occ[k].first != occ[k - 1].first) {
-        events.push_back(occ[k].first);
-        offsets.push_back(static_cast<uint32_t>(positions.size()));
-      }
-      positions.push_back(occ[k].second);
-    }
-    offsets.push_back(static_cast<uint32_t>(positions.size()));
-
-    for (size_t k = 0; k < events.size(); ++k) {
-      const EventId e = events[k];
-      const uint32_t count = offsets[k + 1] - offsets[k];
+    seq_blocks_[i] = builder.Build(nullptr, s.events(), arena);
+    const SeqBlock& block = *seq_blocks_[i];
+    for (size_t k = 0; k < block.num_events(); ++k) {
+      const EventId e = block.events[k];
+      const uint32_t count = block.offsets[k + 1] - block.offsets[k];
       postings_acc[e].push_back(Posting{i, count});
       totals[e] += count;
     }
-    seq_blocks_[i] = BuildSeqBlock(events, offsets, positions, arena);
   }
 
   postings_.resize(alphabet_size_);
@@ -68,30 +75,68 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   }
 }
 
-std::shared_ptr<const InvertedIndex::SeqBlock> InvertedIndex::BuildSeqBlock(
-    std::span<const EventId> events, std::span<const uint32_t> offsets,
-    std::span<const Position> positions,
-    const std::shared_ptr<Arena>& arena) {
-  GSGROW_DCHECK(offsets.size() == events.size() + 1);
-  GSGROW_DCHECK(!events.empty());
-  auto block = std::make_shared<SeqBlock>();
+std::shared_ptr<const InvertedIndex::SeqBlock>
+InvertedIndex::SeqBlockBuilder::Build(const SeqBlock* base,
+                                      std::span<const EventId> tail,
+                                      const std::shared_ptr<Arena>& arena) {
+  // Count: base lists first, then the tail.
+  events_.clear();
+  Position length = 0;
+  if (base != nullptr) {
+    if (base->events.back() >= slot_.size()) {
+      slot_.resize(static_cast<size_t>(base->events.back()) + 1, 0);
+    }
+    for (size_t k = 0; k < base->num_events(); ++k) {
+      slot_[base->events[k]] = base->offsets[k + 1] - base->offsets[k];
+      events_.push_back(base->events[k]);
+    }
+    length = base->offsets.back();
+  }
+  const Position tail_start = length;
+  for (const EventId e : tail) {
+    if (e >= slot_.size()) slot_.resize(static_cast<size_t>(e) + 1, 0);
+    if (slot_[e]++ == 0) events_.push_back(e);
+  }
+  length += static_cast<Position>(tail.size());
+  GSGROW_DCHECK(!events_.empty());
+  SortDistinct(&events_, &sorted_);
+
+  // Lay out the lists; each event's count becomes its list's write cursor.
   Arena& a = *arena;
-  block->events = a.CopyArray(events);
-  block->offsets = a.CopyArray(offsets);
-  block->positions = a.CopyArray(positions);
-  block->owner = arena;
-  return block;
+  const std::span<EventId> events = a.AllocateArray<EventId>(events_.size());
+  const std::span<uint32_t> offsets =
+      a.AllocateArray<uint32_t>(events_.size() + 1);
+  const std::span<Position> positions = a.AllocateArray<Position>(length);
+  uint32_t at = 0;
+  for (size_t k = 0; k < events_.size(); ++k) {
+    const EventId e = events_[k];
+    events[k] = e;
+    offsets[k] = at;
+    at += std::exchange(slot_[e], at);
+  }
+  offsets[events_.size()] = at;
+
+  // Fill: the base's positions precede the tail's, so lists stay ascending.
+  if (base != nullptr) {
+    for (size_t k = 0; k < base->num_events(); ++k) {
+      const std::span<const Position> list = base->Slot(k);
+      uint32_t& cursor = slot_[base->events[k]];
+      std::copy(list.begin(), list.end(), positions.begin() + cursor);
+      cursor += static_cast<uint32_t>(list.size());
+    }
+  }
+  Position p = tail_start;
+  for (const EventId e : tail) positions[slot_[e]++] = p++;
+  for (const EventId e : events_) slot_[e] = 0;
+
+  return Publish(SeqBlock{events, offsets, positions}, arena);
 }
 
 std::shared_ptr<const InvertedIndex::EventPostings>
 InvertedIndex::BuildEventPostings(std::span<const Posting> postings,
                                   uint64_t total,
                                   const std::shared_ptr<Arena>& arena) {
-  auto ep = std::make_shared<EventPostings>();
-  ep->postings = arena->CopyArray(postings);
-  ep->total = total;
-  ep->owner = arena;
-  return ep;
+  return Publish(EventPostings{arena->CopyArray(postings), total}, arena);
 }
 
 int InvertedIndex::FindEventSlot(const SeqBlock& block, EventId e) {

@@ -14,9 +14,11 @@
 // Layout: per sequence, a CSR block — the sorted distinct events, offsets
 // delimiting the per-event lists, and all position lists concatenated into
 // one Position array. This is the paper's plain position-list index; every
-// list is a contiguous std::span. All block arrays live in a shared Arena
-// (util/arena.h) owned by the block through a shared_ptr, so a whole build
-// is one allocation batch and dies with its last block (DESIGN.md §9).
+// list is a contiguous std::span. Blocks are built by counting
+// (SeqBlockBuilder), and each block, its arrays included, lives in a shared
+// Arena (util/arena.h): the block's shared_ptr shares ownership of the
+// arena, so a whole build is one allocation batch and dies with its last
+// block (DESIGN.md §9).
 //
 // Additionally a per-event postings list of (sequence, count) pairs supports
 // root instance-set construction and the insert-candidate filter of
@@ -146,9 +148,10 @@ class InvertedIndex {
   };
 
   /// Per-sequence CSR block: sorted distinct events, offsets delimiting the
-  /// per-event position lists, and the lists themselves concatenated. All
-  /// spans point into `owner`. Immutable once published; snapshots of an
-  /// incremental index share blocks across epochs.
+  /// per-event position lists, and the lists themselves concatenated. The
+  /// block and its arrays live in one Arena; the shared_ptr that publishes
+  /// the block shares ownership of that arena. Immutable once published;
+  /// snapshots of an incremental index share blocks across epochs.
   struct SeqBlock {
     /// Sorted distinct events of this sequence.
     std::span<const EventId> events;
@@ -157,8 +160,6 @@ class InvertedIndex {
     std::span<const uint32_t> offsets;
     /// All position lists concatenated, each ascending.
     std::span<const Position> positions;
-    /// Keeps every span above alive.
-    std::shared_ptr<const Arena> owner;
 
     size_t num_events() const { return events.size(); }
 
@@ -175,11 +176,37 @@ class InvertedIndex {
   };
 
   /// Per-event postings: (sequence, count) pairs ascending by sequence plus
-  /// the database-wide occurrence total. Spans point into `owner`.
+  /// the database-wide occurrence total. Arena-resident like SeqBlock.
   struct EventPostings {
     std::span<const Posting> postings;
     uint64_t total = 0;
-    std::shared_ptr<const Arena> owner;
+  };
+
+  /// Builds per-sequence CSR blocks by counting, with no sort of positions:
+  /// one pass counts each event's occurrences in a dense per-event table,
+  /// the distinct events are sorted (by rank counting when there are few),
+  /// and a second pass scatters every position into its list, which comes
+  /// out ascending. The batch constructor and the incremental index's
+  /// Snapshot() freeze both build through it (DESIGN.md §9). Reusable
+  /// across blocks; it allocates only while its tables grow.
+  class SeqBlockBuilder {
+   public:
+    /// The block of a sequence whose first events are frozen in `base`
+    /// (null when none) and whose remaining events are `tail`, in position
+    /// order. Each list holds `base`'s positions, then the tail's. The
+    /// block must not be empty. It is allocated in `arena`, and the
+    /// returned pointer shares ownership of the arena.
+    std::shared_ptr<const SeqBlock> Build(const SeqBlock* base,
+                                          std::span<const EventId> tail,
+                                          const std::shared_ptr<Arena>& arena);
+
+   private:
+    // By event: the occurrence count, then the write cursor of the event's
+    // list. All zero between builds.
+    std::vector<uint32_t> slot_;
+    // Distinct events of the block being built, and sort scratch.
+    std::vector<EventId> events_;
+    std::vector<EventId> sorted_;
   };
 
   /// An empty index (no sequences, empty alphabet) — the value a snapshot
@@ -204,17 +231,8 @@ class InvertedIndex {
         present_events_(std::move(present_events)),
         alphabet_size_(alphabet_size) {}
 
-  /// Freezes one sequence's CSR arrays into an arena-backed block. Shared
-  /// by the batch constructor and the incremental index's Snapshot()
-  /// freeze. `offsets` has events.size() + 1
-  /// entries indexing `positions`; each per-event list must be strictly
-  /// ascending.
-  static std::shared_ptr<const SeqBlock> BuildSeqBlock(
-      std::span<const EventId> events, std::span<const uint32_t> offsets,
-      std::span<const Position> positions,
-      const std::shared_ptr<Arena>& arena);
-
-  /// Freezes one event's postings into an arena-backed EventPostings.
+  /// Freezes one event's postings into an arena-backed EventPostings; the
+  /// returned pointer shares ownership of the arena.
   static std::shared_ptr<const EventPostings> BuildEventPostings(
       std::span<const Posting> postings, uint64_t total,
       const std::shared_ptr<Arena>& arena);

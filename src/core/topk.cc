@@ -45,6 +45,9 @@ MiningResult MineTopKClosed(const InvertedIndex& index,
   // weakest support feeds back as a rising floor that prunes subtrees no
   // qualifying pattern can come from.
   MinerOptions miner_options = options;
+  // Work counters of the descent steps before the current one; the result
+  // reports their sum with the last step's.
+  MiningStats earlier;
   for (;;) {
     miner_options.min_support = threshold;
     if (!budget.IsUnlimited()) {
@@ -91,9 +94,13 @@ MiningResult MineTopKClosed(const InvertedIndex& index,
         result.stats.truncated = true;
         result.stats.truncated_reason = "time_budget";
       }
+      AccumulateStats(earlier, &result.stats);
+      result.stats.elapsed_seconds += earlier.elapsed_seconds;
       result.stats.patterns_found = result.patterns.size();
       return result;
     }
+    AccumulateStats(result.stats, &earlier);
+    earlier.elapsed_seconds += result.stats.elapsed_seconds;
     threshold = std::max<uint64_t>(1, threshold / 2);
   }
 }

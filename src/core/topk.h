@@ -45,7 +45,8 @@ std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
 /// re-indexing per query. Returns the full MiningResult — when the budget
 /// expires mid-descent the returned set may be a partial answer, and
 /// stats.truncated says so (the db overload, like the other facades'
-/// convenience forms, keeps its historical patterns-only shape).
+/// convenience forms, keeps its historical patterns-only shape). The work
+/// counters and elapsed time in stats are summed over every descent step.
 MiningResult MineTopKClosed(const InvertedIndex& index,
                             const MinerOptions& options);
 

@@ -2,28 +2,49 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "util/string_util.h"
 
 namespace gsgrow {
 
 Result<SequenceDatabase> ParseTextDatabase(const std::string& content) {
+  // Positions are 32-bit; a longer sequence would alias positions and
+  // corrupt every support computation downstream.
+  return ParseTextDatabase(content, static_cast<size_t>(kNoPosition));
+}
+
+Result<SequenceDatabase> ParseTextDatabase(std::string_view content,
+                                           size_t max_length) {
+  const auto is_delimiter = [](char c) { return c == ' ' || c == '\t'; };
   SequenceDatabaseBuilder builder;
-  std::istringstream in(content);
-  std::string line;
+  // Lines and tokens are views into `content`; each token is interned
+  // straight into the id scratch, which is copied out at its exact size.
+  std::vector<EventId> ids;
   size_t line_number = 0;
-  while (std::getline(in, line)) {
+  size_t line_start = 0;
+  while (line_start < content.size()) {
+    size_t line_end = content.find('\n', line_start);
+    if (line_end == std::string_view::npos) line_end = content.size();
+    const std::string_view line =
+        Trim(content.substr(line_start, line_end - line_start));
+    line_start = line_end + 1;
     ++line_number;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    std::vector<std::string> names = Split(trimmed, " \t");
-    // Positions are 32-bit; a longer sequence would alias positions and
-    // corrupt every support computation downstream.
-    if (names.size() >= static_cast<size_t>(kNoPosition)) {
-      return Status::OutOfRange("line " + std::to_string(line_number) +
-                                ": sequence exceeds the supported length");
+    if (line.empty() || line.front() == '#') continue;
+    ids.clear();
+    size_t i = 0;
+    while (i < line.size()) {
+      const size_t token_start = i;
+      while (i < line.size() && !is_delimiter(line[i])) ++i;
+      if (ids.size() + 1 >= max_length) {
+        return Status::OutOfRange("line " + std::to_string(line_number) +
+                                  ": sequence exceeds the supported length");
+      }
+      ids.push_back(
+          builder.InternEvent(line.substr(token_start, i - token_start)));
+      while (i < line.size() && is_delimiter(line[i])) ++i;
     }
-    builder.AddSequence(names);
+    builder.AddSequenceIds(std::vector<EventId>(ids.begin(), ids.end()));
   }
   return builder.Build();
 }

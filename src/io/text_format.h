@@ -5,15 +5,27 @@
 #ifndef GSGROW_IO_TEXT_FORMAT_H_
 #define GSGROW_IO_TEXT_FORMAT_H_
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "core/sequence_database.h"
 #include "util/status.h"
 
 namespace gsgrow {
 
-/// Parses a database from text content.
+/// Parses a database from text content. Lines end at '\n'; each line is
+/// trimmed of surrounding whitespace (so "\r\n" endings parse), and its
+/// events are the runs of characters other than ' ' and '\t'. A line of
+/// 2^32 - 1 or more events (beyond the 32-bit position space) fails with
+/// OutOfRange naming the line.
 Result<SequenceDatabase> ParseTextDatabase(const std::string& content);
+
+/// The same with an explicit length limit: a line of `max_length` or more
+/// events fails with OutOfRange naming the line. A small limit lets tests
+/// reach the error without a line of 2^32 events.
+Result<SequenceDatabase> ParseTextDatabase(std::string_view content,
+                                           size_t max_length);
 
 /// Serializes a database (event names resolved via its dictionary).
 std::string WriteTextDatabase(const SequenceDatabase& db);

@@ -27,40 +27,29 @@ void IncrementalInvertedIndex::AppendToSequence(
   // invariant: unknown ids / position overflow / reserved event ids are all
   // rejected with a Status at the MiningService layer first.
   GSGROW_CHECK_MSG(seq < seqs_.size(), "append to unknown sequence");
+  SeqAccum& sa = seqs_[seq];
   // invariant: pre-validated by MiningService::CheckPositionSpace.
-  GSGROW_CHECK_MSG(seqs_[seq].length + events.size() <=
+  GSGROW_CHECK_MSG(sa.length + events.size() <=
                        static_cast<size_t>(kNoPosition),
                    "sequence position space exhausted");
-  if (!events.empty()) changed_ = true;
+  if (events.empty()) return;
+  changed_ = true;
+  // --- Sequence side: the events join the tail; Snapshot() builds the
+  // CSR lists from it. ---
+  if (sa.tail.empty()) dirty_seqs_.push_back(seq);
+  sa.tail.insert(sa.tail.end(), events.begin(), events.end());
+  sa.length += static_cast<Position>(events.size());
+  total_events_ += events.size();
   for (const EventId e : events) {
     // invariant: pre-validated by MiningService::CheckEventIds.
     GSGROW_CHECK_MSG(e != kNoEvent, "reserved event id");
-    const Position p = seqs_[seq].length;
-    Record(seq, e, p);
-    seqs_[seq].length = p + 1;
-    ++total_events_;
+    RecordPosting(seq, e);
   }
 }
 
-void IncrementalInvertedIndex::Record(SeqId seq, EventId e, Position p) {
+void IncrementalInvertedIndex::RecordPosting(SeqId seq, EventId e) {
   writer_lock_.AssertHeld();
-  // --- Sequence side: event slot search + position push_back. ---
-  SeqAccum& sa = seqs_[seq];
-  const auto slot_it = std::lower_bound(sa.events.begin(), sa.events.end(), e);
-  const size_t slot = static_cast<size_t>(slot_it - sa.events.begin());
-  if (slot_it == sa.events.end() || *slot_it != e) {
-    sa.events.insert(slot_it, e);
-    sa.positions.emplace(sa.positions.begin() + slot);
-  }
-  // Appends arrive in increasing position order, so each per-event list
-  // stays sorted without any sort at freeze time.
-  sa.positions[slot].push_back(p);
-  if (!sa.dirty) {
-    sa.dirty = true;
-    dirty_seqs_.push_back(seq);
-  }
-
-  // --- Event side: postings patch (counts ascend by sequence). ---
+  // Postings patch (counts ascend by sequence).
   if (e >= events_.size()) {
     events_.resize(static_cast<size_t>(e) + 1);
     present_dirty_ = true;  // a new event id extends the present list
@@ -69,6 +58,8 @@ void IncrementalInvertedIndex::Record(SeqId seq, EventId e, Position p) {
   if (ea.total == 0) present_dirty_ = true;  // first occurrence ever
   if (ea.postings.empty() || ea.postings.back().seq < seq) {
     ea.postings.push_back(InvertedIndex::Posting{seq, 1});
+  } else if (ea.postings.back().seq == seq) {
+    ++ea.postings.back().count;
   } else {
     // An append to an OLD sequence can introduce the event mid-list; the
     // insert is O(list length) and is charged to the (rare) first
@@ -139,35 +130,22 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
                                                    seqs_.size());
   }
   last_snapshot_seq_count_ = seqs_.size();
-  // Freeze the delta: one CSR rebuild per dirty sequence, one postings copy
-  // per dirty event. Clean accumulators keep their published block — shared
-  // with every earlier snapshot that references it. Everything frozen by
-  // THIS snapshot packs into one arena, created only if there is a delta; it
-  // dies when the last block referencing it does (which may be epochs later,
-  // if some of its blocks stay clean).
+  // Freeze the delta: one CSR build per dirty sequence (its frozen block
+  // plus its tail, O(length)), one postings copy per dirty event. Clean
+  // accumulators keep their published block — shared with every earlier
+  // snapshot that references it. Everything frozen by THIS snapshot packs
+  // into one arena, created only if there is a delta; it dies when the last
+  // block referencing it does (which may be epochs later, if some of its
+  // blocks stay clean).
   std::shared_ptr<Arena> arena;
   if (!dirty_seqs_.empty() || !dirty_events_.empty()) {
     arena = std::make_shared<Arena>();
   }
-  std::vector<uint32_t> offsets;     // CSR scratch, reused per sequence
-  std::vector<Position> positions;
   for (const SeqId seq : dirty_seqs_) {
     SeqAccum& sa = seqs_[seq];
-    if (sa.length == 0) {
-      sa.frozen = nullptr;  // matches the batch build: no block allocated
-    } else {
-      offsets.clear();
-      positions.clear();
-      positions.reserve(sa.length);
-      for (const std::vector<Position>& list : sa.positions) {
-        offsets.push_back(static_cast<uint32_t>(positions.size()));
-        positions.insert(positions.end(), list.begin(), list.end());
-      }
-      offsets.push_back(static_cast<uint32_t>(positions.size()));
-      sa.frozen =
-          InvertedIndex::BuildSeqBlock(sa.events, offsets, positions, arena);
-    }
-    sa.dirty = false;
+    sa.frozen = block_builder_.Build(sa.frozen.get(), sa.tail, arena);
+    // Release the tail: a frozen sequence keeps no writer-side copy.
+    sa.tail = std::vector<EventId>();
   }
   dirty_seqs_.clear();
 

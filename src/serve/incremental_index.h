@@ -5,16 +5,15 @@
 // index that in-flight mining runs are reading. IncrementalInvertedIndex
 // splits the two roles:
 //
-//  * WRITER SIDE — per-sequence accumulators keep each (sequence, event)
-//    position list as its own growable vector, so recording one appended
-//    event costs an event-slot binary search plus a push_back (amortized
-//    O(log distinct-events-in-sequence)); per-event postings keep their
+//  * WRITER SIDE — per-sequence accumulators keep the tail of events
+//    appended since the last freeze, so recording an appended event is one
+//    push onto that tail (O(1) amortized); per-event postings keep their
 //    (sequence, count) pairs sorted by sequence and are patched in place.
-//    Nothing is sorted globally, ever — appends arrive in position order,
-//    so every list stays sorted by construction.
 //
 //  * READER SIDE — Snapshot() freezes the accumulators that changed since
-//    the previous snapshot into immutable CSR blocks / postings vectors and
+//    the previous snapshot into immutable CSR blocks / postings vectors —
+//    a dirty sequence's block is rebuilt from its frozen block plus its
+//    tail (InvertedIndex::SeqBlockBuilder, O(sequence length)) — and
 //    assembles an InvertedIndex view that SHARES the frozen blocks of
 //    untouched sequences with earlier snapshots. The snapshot is a plain
 //    InvertedIndex: every miner facade, annotator, and bench runs against
@@ -29,7 +28,7 @@
 // O(num_sequences + alphabet) shared_ptr copies for the view itself, and
 // appends never block readers of previously taken snapshots.
 //
-// Threading contract: single writer, externally synchronized — Record/
+// Threading contract: single writer, externally synchronized —
 // AddSequence/AppendToSequence/Snapshot must be serialized by the caller
 // (MiningService holds the mutex). Snapshots are immutable and readable
 // from any thread; handing one to another thread is the caller's
@@ -146,12 +145,10 @@ class IncrementalInvertedIndex {
  private:
   struct SeqAccum {
     Position length = 0;
-    // Sorted distinct events; positions[k] are the (ascending) positions
-    // of events[k]. Separate per-event vectors make an append O(1) after
-    // the slot search — the CSR concatenation is deferred to freeze time.
-    std::vector<EventId> events;
-    std::vector<std::vector<Position>> positions;
-    bool dirty = false;
+    // Events appended since the last freeze, in position order: they sit
+    // at positions length - tail.size() .. length - 1. A non-empty tail is
+    // what makes the sequence dirty.
+    std::vector<EventId> tail;
     std::shared_ptr<const InvertedIndex::SeqBlock> frozen;
   };
 
@@ -163,9 +160,9 @@ class IncrementalInvertedIndex {
     std::shared_ptr<const InvertedIndex::EventPostings> frozen;
   };
 
-  // Records one occurrence of `e` at position `p` of sequence `seq`,
-  // marking both accumulators dirty.
-  void Record(SeqId seq, EventId e, Position p);
+  // Counts one appended occurrence of `e` in sequence `seq` in the event's
+  // postings, marking the event dirty.
+  void RecordPosting(SeqId seq, EventId e);
 
   // Single-writer, externally-synchronized contract (file comment), made
   // machine-checkable: every method that touches the fields below opens
@@ -183,6 +180,8 @@ class IncrementalInvertedIndex {
   // only ever add occurrences, so the list changes only when a NEW event id
   // first appears; rebuilt lazily at snapshot time.
   std::vector<EventId> present_cache_ GSGROW_GUARDED_BY(writer_lock_);
+  // Freeze scratch, reused across snapshots.
+  InvertedIndex::SeqBlockBuilder block_builder_ GSGROW_GUARDED_BY(writer_lock_);
   bool present_dirty_ GSGROW_GUARDED_BY(writer_lock_) = false;
   uint64_t total_events_ GSGROW_GUARDED_BY(writer_lock_) = 0;
   uint64_t epoch_ GSGROW_GUARDED_BY(writer_lock_) = 0;

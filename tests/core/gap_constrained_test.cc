@@ -88,6 +88,34 @@ TEST(GreedyGapConstrainedSupport, LowerBoundsExactSupport) {
   }
 }
 
+// Running the oracle only on the sequences of the unconstrained leftmost
+// support set loses nothing: the restricted sum equals the full one.
+TEST(ExactGapConstrainedSupport, SupportSetRestrictionMatchesReference) {
+  Rng rng(31341);
+  for (int round = 0; round < 60; ++round) {
+    SequenceDatabase db = testing::RandomDatabase(&rng, 6, 3, 12, 4);
+    InvertedIndex index(db);
+    for (int trial = 0; trial < 6; ++trial) {
+      const size_t length = 1 + rng.UniformInt(4);
+      std::vector<EventId> events;
+      for (size_t j = 0; j < length; ++j) {
+        events.push_back(
+            static_cast<EventId>(rng.UniformInt(db.AlphabetSize())));
+      }
+      const Pattern pattern(events);
+      const SupportSet set = ComputeSupportSet(index, pattern);
+      for (const LandmarkGapConstraint gap :
+           {LandmarkGapConstraint{0, 0}, LandmarkGapConstraint{0, 2},
+            LandmarkGapConstraint{1, 3}, LandmarkGapConstraint{}}) {
+        EXPECT_EQ(ExactGapConstrainedSupport(db, set, pattern, gap),
+                  ReferenceSupport(db, pattern, gap))
+            << "round=" << round << " trial=" << trial
+            << " min_gap=" << gap.min_gap << " max_gap=" << gap.max_gap;
+      }
+    }
+  }
+}
+
 TEST(GrowSupportSetWithGaps, FailedInstanceDoesNotStopSequenceScan) {
   // A0 has no B within gap 0; A2 does. The unconstrained INSgrow "break"
   // rule would be wrong here; the constrained growth must keep scanning.

@@ -306,6 +306,38 @@ TEST(InvertedIndexProperty, QuerySurfaceMatchesLowerBound) {
   }
 }
 
+// Blocks list their distinct events ascending on both sides of the block
+// builder's sort switch (rank counting up to 64 distinct events,
+// std::sort above), with every position list equal to the scanned one.
+TEST(InvertedIndexProperty, WideSequencesListEventsAscending) {
+  Rng rng(907);
+  for (const size_t distinct : {1, 2, 63, 64, 65, 300}) {
+    std::vector<EventId> events;
+    for (size_t k = 0; k < distinct; ++k) {
+      for (size_t r = 0; r <= k % 3; ++r) {
+        events.push_back(static_cast<EventId>(k * 7 + 3));
+      }
+    }
+    rng.Shuffle(&events);
+    std::vector<Sequence> sequences;
+    sequences.emplace_back(events);
+    const SequenceDatabase db(std::move(sequences));
+    const InvertedIndex idx(db);
+    std::vector<EventId> want = events;
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    const std::span<const EventId> got = idx.EventsInSequence(0);
+    ASSERT_EQ(std::vector<EventId>(got.begin(), got.end()), want)
+        << distinct << " distinct events";
+    for (const EventId e : want) {
+      const std::vector<Position> scanned = ScanPositions(db[0], e);
+      const std::span<const Position> list = idx.Positions(0, e);
+      ASSERT_EQ(std::vector<Position>(list.begin(), list.end()), scanned)
+          << distinct << " distinct events, event " << e;
+    }
+  }
+}
+
 #ifndef NDEBUG
 // Satellite regression for the cursor contract hole: a DECREASING bound
 // must trip the debug assertion instead of silently skipping positions.

@@ -1,8 +1,12 @@
 #include "core/topk.h"
 
+#include <algorithm>
+
 #include "gtest/gtest.h"
 
 #include "core/clogsgrow.h"
+#include "core/inverted_index.h"
+#include "core/parallel_engine.h"
 #include "test_util.h"
 
 namespace gsgrow {
@@ -46,6 +50,57 @@ TEST(TopK, MatchesFullMiningPrefix) {
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].support, closed.patterns[i].support) << i;
   }
+}
+
+// The stats of a multi-step descent sum the work of every step. A step that
+// fills fewer than K heap slots never raises the floor, so it does exactly
+// the work of closed mining at its threshold; the last step is replayed
+// alone through the support-floor hint.
+TEST(TopK, StatsSumEveryDescentStep) {
+  SequenceDatabase db = MakeDatabaseFromStrings(
+      {"ABCACBDDB", "ACDBACADD", "ABDCABDA", "CADBBADC"});
+  InvertedIndex index(db);
+  MinerOptions options;
+  options.k = 6;
+  options.min_length = 2;
+  const MiningResult descent = MineTopKClosed(index, options);
+
+  uint64_t threshold = 0;
+  for (EventId e : index.present_events()) {
+    threshold = std::max(threshold, index.TotalCount(e));
+  }
+  MiningStats earlier;
+  size_t steps = 1;
+  for (;; ++steps) {
+    MinerOptions step = options;
+    step.min_support = threshold;
+    const MiningResult closed = MineClosedFrequent(index, step);
+    const size_t qualifying = static_cast<size_t>(std::count_if(
+        closed.patterns.begin(), closed.patterns.end(),
+        [](const PatternRecord& r) { return r.pattern.size() >= 2; }));
+    if (qualifying >= options.k || threshold == 1) break;
+    AccumulateStats(closed.stats, &earlier);
+    threshold = std::max<uint64_t>(1, threshold / 2);
+  }
+  ASSERT_GE(steps, 2u);
+  MinerOptions last = options;
+  last.support_floor_hint = threshold;
+  const MiningStats final_step = MineTopKClosed(index, last).stats;
+
+  const MiningStats& got = descent.stats;
+  EXPECT_EQ(got.nodes_visited,
+            earlier.nodes_visited + final_step.nodes_visited);
+  EXPECT_EQ(got.insgrow_calls,
+            earlier.insgrow_calls + final_step.insgrow_calls);
+  EXPECT_EQ(got.next_queries, earlier.next_queries + final_step.next_queries);
+  EXPECT_EQ(got.closure_checks,
+            earlier.closure_checks + final_step.closure_checks);
+  EXPECT_EQ(got.closure_regrow_events,
+            earlier.closure_regrow_events + final_step.closure_regrow_events);
+  EXPECT_EQ(got.lb_pruned_subtrees,
+            earlier.lb_pruned_subtrees + final_step.lb_pruned_subtrees);
+  EXPECT_EQ(got.patterns_found, descent.patterns.size());
+  EXPECT_GT(got.nodes_visited, final_step.nodes_visited);
 }
 
 TEST(TopK, MinLengthFiltersSingleEvents) {

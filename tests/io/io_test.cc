@@ -1,5 +1,7 @@
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -30,6 +32,71 @@ TEST(TextFormat, HandlesTabsAndRepeatedSpaces) {
   Result<SequenceDatabase> db = ParseTextDatabase("a\tb   c\n");
   ASSERT_TRUE(db.ok());
   EXPECT_EQ((*db)[0].length(), 3u);
+}
+
+using NameList = std::vector<std::string>;
+
+// Event names of sequence `i`, resolved through the parsed dictionary.
+NameList Names(const SequenceDatabase& db, SeqId i) {
+  NameList names;
+  for (EventId e : db[i]) names.push_back(db.dictionary().Name(e));
+  return names;
+}
+
+TEST(TextFormat, TokensSplitOnTabsAndRunsOfSpaces) {
+  Result<SequenceDatabase> db =
+      ParseTextDatabase("  a \t\tbb   c\t\n\t b\t  a  \n");
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ(db->size(), 2u);
+  EXPECT_EQ(Names(*db, 0), (NameList{"a", "bb", "c"}));
+  EXPECT_EQ(Names(*db, 1), (NameList{"b", "a"}));
+  EXPECT_EQ(db->dictionary().size(), 4u);  // a, bb, c, b
+}
+
+TEST(TextFormat, CrLfLineEndsAreTrimmed) {
+  Result<SequenceDatabase> db =
+      ParseTextDatabase("a b\r\n# note\r\n\r\nc a\r\n");
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ(db->size(), 2u);
+  EXPECT_EQ(Names(*db, 0), (NameList{"a", "b"}));
+  EXPECT_EQ(Names(*db, 1), (NameList{"c", "a"}));
+  EXPECT_EQ(db->dictionary().Lookup("b\r"), kNoEvent);
+}
+
+TEST(TextFormat, CommentAndBlankLinesKeepIdsInFirstSeenOrder) {
+  Result<SequenceDatabase> db =
+      ParseTextDatabase("# x y\n\n  # indented\n\t\ny x\n\nx z\n");
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ(db->size(), 2u);
+  // Comment tokens are never interned.
+  EXPECT_EQ(db->dictionary().Lookup("y"), 0u);
+  EXPECT_EQ(db->dictionary().Lookup("x"), 1u);
+  EXPECT_EQ(db->dictionary().Lookup("z"), 2u);
+  EXPECT_EQ(db->dictionary().Lookup("#"), kNoEvent);
+}
+
+TEST(TextFormat, LastLineWithoutNewline) {
+  Result<SequenceDatabase> db = ParseTextDatabase("a b\nc d e");
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ(db->size(), 2u);
+  EXPECT_EQ(Names(*db, 1), (NameList{"c", "d", "e"}));
+  Result<SequenceDatabase> one = ParseTextDatabase("a");
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one->size(), 1u);
+  Result<SequenceDatabase> none = ParseTextDatabase("");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->size(), 0u);
+}
+
+TEST(TextFormat, OverlongSequenceNamesItsLine) {
+  // Line 4 holds 3 events: at a limit of 3 it is the first to fail.
+  const std::string text = "a b\n# c d e f\n\nc d e\na\n";
+  Result<SequenceDatabase> db = ParseTextDatabase(text, 3);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(db.status().message().find("line 4:"), std::string::npos)
+      << db.status().ToString();
+  EXPECT_TRUE(ParseTextDatabase(text, 4).ok());
 }
 
 TEST(TextFormat, RoundTrip) {

@@ -16,6 +16,7 @@
 #include "core/sequence_database.h"
 #include "core/topk.h"
 #include "serve/incremental_index.h"
+#include "serve/mining_service.h"
 #include "util/rng.h"
 
 namespace gsgrow {
@@ -251,6 +252,69 @@ TEST(IncrementalIndex, PlainEncodingMatchesBatch) {
     InvertedIndex batch(SequenceDatabase(std::move(sequences)));
     ExpectSameIndex(batch, snapshot);
   }
+}
+
+// Freeze paths of a sequence that is already frozen: the new block is the
+// old block's lists followed by the tail's positions.
+TEST(IncrementalIndex, ExtendFrozenWithHeldAndNewEvents) {
+  IncrementalInvertedIndex incremental;
+  incremental.AddSequence(std::vector<EventId>{2, 0, 2});
+  incremental.AddSequence(std::vector<EventId>{1});
+  incremental.Snapshot();
+  // Event 2 is held, event 1 is new to the sequence (and lands between the
+  // held events in id order), event 5 is new to the alphabet.
+  incremental.AppendToSequence(0, std::vector<EventId>{2, 1, 5, 0});
+  ExpectSameIndex(BatchIndex({{2, 0, 2, 2, 1, 5, 0}, {1}}),
+                  incremental.Snapshot());
+  incremental.AppendToSequence(1, std::vector<EventId>{1, 1});
+  ExpectSameIndex(BatchIndex({{2, 0, 2, 2, 1, 5, 0}, {1, 1, 1}}),
+                  incremental.Snapshot());
+}
+
+TEST(IncrementalIndex, SeveralExtendsBetweenSnapshots) {
+  IncrementalInvertedIndex incremental;
+  incremental.AddSequence(std::vector<EventId>{0, 1});
+  incremental.Snapshot();
+  incremental.AppendToSequence(0, std::vector<EventId>{1});
+  incremental.AppendToSequence(0, std::vector<EventId>{3, 0});
+  incremental.AddSequence(std::vector<EventId>{3});
+  incremental.AppendToSequence(1, std::vector<EventId>{0});
+  incremental.AppendToSequence(0, std::vector<EventId>{1, 3});
+  EXPECT_EQ(incremental.dirty_sequences(), 2u);
+  ExpectSameIndex(BatchIndex({{0, 1, 1, 3, 0, 1, 3}, {3, 0}}),
+                  incremental.Snapshot());
+  // A never-frozen sequence extended several times before its first freeze.
+  incremental.AddSequence(std::vector<EventId>{4});
+  incremental.AppendToSequence(2, std::vector<EventId>{4, 0});
+  incremental.AppendToSequence(2, std::vector<EventId>{4});
+  ExpectSameIndex(BatchIndex({{0, 1, 1, 3, 0, 1, 3}, {3, 0}, {4, 4, 0, 4}}),
+                  incremental.Snapshot());
+}
+
+TEST(IncrementalIndex, EmptyExtendChangesNothing) {
+  IncrementalInvertedIndex incremental;
+  incremental.AddSequence(std::vector<EventId>{1, 0, 1});
+  InvertedIndex before = incremental.Snapshot();
+  const uint64_t epoch = incremental.epoch();
+  incremental.AppendToSequence(0, std::vector<EventId>{});
+  EXPECT_EQ(incremental.dirty_sequences(), 0u);
+  EXPECT_FALSE(incremental.pending_epoch_advance());
+  InvertedIndex after = incremental.Snapshot();
+  EXPECT_EQ(incremental.epoch(), epoch);
+  EXPECT_EQ(before.seq_block(0).get(), after.seq_block(0).get());
+  ExpectSameIndex(BatchIndex({{1, 0, 1}}), after);
+}
+
+TEST(IncrementalIndex, BulkIngestWithEmptySequencesMatchesBatch) {
+  const std::vector<std::vector<EventId>> rows = {
+      {}, {0, 2, 0}, {}, {}, {2, 1}, {}};
+  std::vector<Sequence> sequences;
+  for (const auto& events : rows) sequences.emplace_back(events);
+  MiningService service;
+  ASSERT_TRUE(service.Ingest(SequenceDatabase(std::move(sequences))).ok());
+  const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
+  ExpectSameIndex(BatchIndex(rows), snapshot->index);
+  EXPECT_EQ(snapshot->index.seq_block(0), nullptr);
 }
 
 }  // namespace
