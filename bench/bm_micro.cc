@@ -2,11 +2,11 @@
 // inverted-index construction, next() queries (binary-search point queries
 // vs the galloping PositionCursor, and its backward PrevBefore twin), root
 // instance sets, cursor-based INSgrow steps, the DFS's append growth of a
-// whole node, one CloGSgrow closure check (DESIGN.md §5), and whole supComp
-// runs as pattern length grows. The Setup rows split the serving stack's
-// bulk load (text parse, MiningService::Ingest, first Snapshot) on the
-// Quest D5C20N10S20 corpus, next to the batch index build of the same
-// database.
+// whole node, event-slot lookups in one block, one CloGSgrow closure check
+// (DESIGN.md §5), and whole supComp runs as pattern length grows. The Setup
+// rows split the serving stack's bulk load (text parse,
+// MiningService::Ingest, first Snapshot) on the Quest D5C20N10S20 corpus,
+// next to the batch index build of the same database.
 
 #include <benchmark/benchmark.h>
 
@@ -280,6 +280,37 @@ const AppendNode& QuestRootNode() {
   return *node;
 }
 
+// A root of the serving corpus (Quest D5C20N2S8, generator seed 42, 5,000
+// sequences): its most frequent event, with the frequent roots at the query
+// pool's rank-8 floor (min_sup = the count of the ninth most frequent
+// event) as candidates: a short list against blocks of about 18 distinct
+// events, where QuestRootNode is a long list. AppendOccurrenceBound's
+// per-run rule walks these blocks; before it weighed the search's log
+// factor, it binary-searched each candidate in them.
+const AppendNode& ServeRootNode() {
+  static const AppendNode* node = [] {
+    QuestParams params;
+    params.num_sequences = 5000;
+    params.avg_sequence_length = 20;
+    params.num_events = 2000;
+    params.avg_pattern_length = 8;
+    params.seed = 42;
+    const auto* index =
+        new InvertedIndex(*new SequenceDatabase(GenerateQuest(params)));
+    const std::vector<EventId> top = TopEvents(*index, 9);
+    const uint64_t min_support = index->TotalCount(top.back());
+    auto* n = new AppendNode;
+    n->index = index;
+    n->set = RootInstances(*index, top[0]);
+    for (EventId e : index->present_events()) {
+      if (index->TotalCount(e) >= min_support) n->candidates.push_back(e);
+    }
+    n->threshold = std::min<uint64_t>(min_support, n->set.size());
+    return n;
+  }();
+  return *node;
+}
+
 // A node of the mine_deep benchmark corpus (JBoss-like traces, min_sup 60)
 // with the short inherited candidate list of a deep node: from the most
 // frequent event, descend to the most frequent append child, each step
@@ -349,10 +380,58 @@ void BM_AppendGrowthQuestRoot(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendGrowthQuestRoot)->ArgName("per_candidate")->Arg(0)->Arg(1);
 
+void BM_AppendGrowthServeRoot(benchmark::State& state) {
+  AppendGrowth(state, ServeRootNode());
+}
+BENCHMARK(BM_AppendGrowthServeRoot)->ArgName("per_candidate")->Arg(0)->Arg(1);
+
 void BM_AppendGrowthJBossNode(benchmark::State& state) {
   AppendGrowth(state, JBossNode());
 }
 BENCHMARK(BM_AppendGrowthJBossNode)->ArgName("per_candidate")->Arg(0)->Arg(1);
+
+// Event-slot lookups in one block of range(0) distinct events (18: a
+// serving-corpus sequence; 64: a long trace), half of them present and
+// half absent, in random order. Arg lower_bound=0 is SeqBlock::SeekSlot,
+// lower_bound=1 the std::lower_bound search it replaced.
+void BM_EventSlot(benchmark::State& state) {
+  const size_t num_events = static_cast<size_t>(state.range(0));
+  uint64_t x = 0x2545f4914f6cdd1dull;  // xorshift64 — deterministic stream
+  const auto draw = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  // Even ids are present, odd ids absent.
+  std::vector<EventId> events;
+  for (size_t k = 0; k < num_events; ++k) {
+    events.push_back(static_cast<EventId>(2 * k));
+  }
+  const std::vector<uint32_t> offsets(num_events + 1, 0);
+  const InvertedIndex::SeqBlock block{events, offsets, {}};
+  std::vector<EventId> queries(4096);
+  for (EventId& q : queries) {
+    q = static_cast<EventId>(draw() % (2 * num_events));
+  }
+  uint64_t found = 0;
+  for (auto _ : state) {
+    for (const EventId q : queries) {
+      if (state.range(1) == 0) {
+        found += events[block.SeekSlot(q)] == q;
+      } else {
+        const auto it = std::lower_bound(events.begin(), events.end(), q);
+        found += it != events.end() && *it == q;
+      }
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(queries.size()));
+}
+BENCHMARK(BM_EventSlot)
+    ->ArgNames({"events", "lower_bound"})
+    ->ArgsProduct({{18, 64}, {0, 1}});
 
 // One full CloGSgrow closure check (CCheck + LBCheck scan) on a
 // representative node of the dense corpus.

@@ -1,6 +1,7 @@
 #include "core/instance_growth.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
 
@@ -79,6 +80,11 @@ void GrowSupportSetInto(const InvertedIndex& index,
   if (next_queries != nullptr) *next_queries += queries;
 }
 
+bool AppendOccurrenceBound::ProbesRun(size_t candidates,
+                                      size_t block_events) {
+  return candidates * std::bit_width(block_events) < block_events;
+}
+
 std::span<const EventId> AppendOccurrenceBound::Filter(
     const InvertedIndex& index, const SupportSet& support_set,
     std::span<const EventId> candidates, uint64_t threshold) {
@@ -87,55 +93,67 @@ std::span<const EventId> AppendOccurrenceBound::Filter(
   support_set_ = &support_set;
   runs_.clear();
   run_hits_.clear();
-  hits_.clear();
-  bound_.assign(candidates.size(), 0);
+  // bound_[0] is the sink; candidate j's bound is bound_[j + 1].
+  bound_.assign(candidates.size() + 1, 0);
   if (candidate_of_.size() < index.alphabet_size()) {
-    candidate_of_.resize(index.alphabet_size(), kNone);
+    candidate_of_.resize(index.alphabet_size(), 0);
   }
   for (size_t j = 0; j < candidates.size(); ++j) {
     // Events beyond the alphabet occur nowhere; the walk never meets them.
     if (candidates[j] < candidate_of_.size()) {
-      candidate_of_[candidates[j]] = static_cast<uint32_t>(j);
+      candidate_of_[candidates[j]] = static_cast<uint32_t>(j + 1);
     }
   }
+  // Both intersections below write a hit slot on every step and advance
+  // the write cursor `w` only past real hits; a miss adds to the sink.
+  uint32_t w = 0;
   for (size_t row = 0; row < support_set.size();) {
     const SeqId seq = support_set[row].seq;
     const uint32_t n = static_cast<uint32_t>(RunLength(support_set, row));
     row += n;
     runs_.emplace_back(seq, n);
-    run_hits_.push_back(static_cast<uint32_t>(hits_.size()));
+    run_hits_.push_back(w);
     // A sequence hosting an instance is non-empty, so its block exists.
     const InvertedIndex::SeqBlock& block = *index.seq_block(seq);
-    const auto hit = [&](size_t j, size_t k) {
-      const uint32_t count = block.offsets[k + 1] - block.offsets[k];
-      bound_[j] += std::min(n, count);
-      hits_.push_back(Hit{static_cast<uint32_t>(j), static_cast<uint32_t>(k)});
-    };
-    // Intersect the candidate list with the block's sorted events from the
-    // shorter side.
-    if (candidates.size() < block.num_events()) {
+    const size_t events = block.num_events();
+    // A run writes at most one slot per block event (probing writes one per
+    // candidate, and probes only with fewer candidates than events).
+    // Capacity doubles as push_back's would; only the slots a run may write
+    // are initialized.
+    if (hits_.size() < w + events) {
+      hits_.reserve(std::bit_ceil(w + events));
+      hits_.resize(w + events);
+    }
+    Hit* hits = hits_.data();
+    uint64_t* bound = bound_.data();
+    const uint32_t* offsets = block.offsets.data();
+    if (ProbesRun(candidates.size(), events)) {
       for (size_t j = 0; j < candidates.size(); ++j) {
-        const auto it = std::lower_bound(block.events.begin(),
-                                         block.events.end(), candidates[j]);
-        if (it != block.events.end() && *it == candidates[j]) {
-          hit(j, it - block.events.begin());
-        }
+        const size_t k = block.SeekSlot(candidates[j]);
+        const bool found = block.events[k] == candidates[j];
+        const uint32_t count = offsets[k + 1] - offsets[k];
+        bound[found ? j + 1 : 0] += std::min(n, count);
+        hits[w] = Hit{static_cast<uint32_t>(j), static_cast<uint32_t>(k)};
+        w += found;
       }
     } else {
-      for (size_t k = 0; k < block.events.size(); ++k) {
+      for (size_t k = 0; k < events; ++k) {
         const uint32_t j = candidate_of_[block.events[k]];
-        if (j != kNone) hit(j, k);
+        const uint32_t count = offsets[k + 1] - offsets[k];
+        bound[j] += std::min(n, count);
+        hits[w] = Hit{j - 1, static_cast<uint32_t>(k)};
+        w += j != 0;
       }
     }
   }
-  run_hits_.push_back(static_cast<uint32_t>(hits_.size()));
+  run_hits_.push_back(w);
   for (EventId e : candidates) {
-    if (e < candidate_of_.size()) candidate_of_[e] = kNone;
+    if (e < candidate_of_.size()) candidate_of_[e] = 0;
   }
   kept_.clear();
   kept_index_.assign(candidates.size(), kNone);
   for (size_t j = 0; j < candidates.size(); ++j) {
-    if (bound_[j] < threshold) continue;
+    if (bound_[j + 1] < threshold) continue;
     kept_index_[j] = static_cast<uint32_t>(kept_.size());
     kept_.push_back(candidates[j]);
   }

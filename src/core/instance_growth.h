@@ -64,10 +64,14 @@ void GrowSupportSetInto(const InvertedIndex& index,
 /// strictly rising last landmarks, takes a distinct occurrence of e.
 ///
 /// Filter intersects the candidate list once with each (sequence, n_i) run's
-/// sorted event block — binary-searching each candidate in the block when
-/// the list is the shorter of the two, otherwise walking the block against a
-/// dense per-event candidate table — adds min(n_i, count_i(e)) to every
-/// hit's bound, and remembers the hit's slot. Grow then grows the kept
+/// sorted event block, adds min(n_i, count_i(e)) to every hit's bound, and
+/// remembers the hit's slot. ProbesRun picks the intersection per run: probe
+/// each candidate with the block's branch-free slot search
+/// (SeqBlock::SeekSlot) when |C| * bit_width(B) < B for B block events,
+/// otherwise walk the block against a dense per-event candidate table. Both
+/// are branch-free: a miss adds its min(n_i, count) to a sink slot of the
+/// bound array instead of skipping, and every step writes a hit slot whose
+/// write cursor advances only on a real hit. Grow then grows the kept
 /// candidates run by run straight from those slots, so no (candidate,
 /// sequence) pair is searched twice and sequences lacking a candidate cost
 /// it nothing. Buffers persist across calls.
@@ -83,7 +87,15 @@ class AppendOccurrenceBound {
                                   uint64_t threshold);
 
   /// bounds()[j] is the bound of candidates[j] of the last Filter call.
-  std::span<const uint64_t> bounds() const { return bound_; }
+  std::span<const uint64_t> bounds() const {
+    return std::span(bound_).subspan(1);
+  }
+
+  /// Filter's rule for one run: true iff it probes each of `candidates`
+  /// in a block of `block_events` events rather than walking the block —
+  /// when the probes' comparisons, candidates * bit_width(block_events),
+  /// are fewer than the walk's steps.
+  static bool ProbesRun(size_t candidates, size_t block_events);
 
   /// INSgrow for every candidate the last Filter call kept: clears
   /// children[j] (keeping its capacity) and fills it with the leftmost
@@ -107,11 +119,14 @@ class AppendOccurrenceBound {
   // hits_[run_hits_[r] .. run_hits_[r + 1]).
   std::vector<std::pair<SeqId, uint32_t>> runs_;
   std::vector<uint32_t> run_hits_;
+  // Scratch as long as the most hits one pass found plus one block: every
+  // step of a run writes a slot, including the one past its last hit.
   std::vector<Hit> hits_;
-  // candidate_of_[e]: index of e in the candidate list during a pass, kNone
-  // everywhere else.
+  // candidate_of_[e]: one plus the index of e in the candidate list during a
+  // pass, 0 (the sink) everywhere else.
   std::vector<uint32_t> candidate_of_;
-  std::vector<uint64_t> bound_;
+  // bound_[j + 1] is the bound of candidate j; bound_[0] sinks the misses.
+  std::vector<uint64_t> bound_ = {0};
   // kept_index_[j]: index of candidates[j] in kept_, or kNone.
   std::vector<uint32_t> kept_index_;
   std::vector<EventId> kept_;

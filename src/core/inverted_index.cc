@@ -139,20 +139,17 @@ InvertedIndex::BuildEventPostings(std::span<const Posting> postings,
   return Publish(EventPostings{arena->CopyArray(postings), total}, arena);
 }
 
-int InvertedIndex::FindEventSlot(const SeqBlock& block, EventId e) {
-  auto it = std::lower_bound(block.events.begin(), block.events.end(), e);
-  if (it == block.events.end() || *it != e) return -1;
-  return static_cast<int>(it - block.events.begin());
-}
-
 std::span<const Position> InvertedIndex::Positions(SeqId i,
                                                   EventId e) const {
   GSGROW_DCHECK(i < seq_blocks_.size());
   const SeqBlock* block = seq_blocks_[i].get();
   if (block == nullptr) return {};
-  int slot = FindEventSlot(*block, e);
-  if (slot < 0) return {};
-  return block->Slot(static_cast<size_t>(slot));
+  // Branch-free past the null check: an absent event selects an empty
+  // list at its neighbour's offset.
+  const size_t k = block->SeekSlot(e);
+  const uint32_t begin = block->offsets[k];
+  const uint32_t end = block->events[k] == e ? block->offsets[k + 1] : begin;
+  return block->positions.subspan(begin, end - begin);
 }
 
 Position InvertedIndex::NextAtOrAfter(SeqId i, EventId e,

@@ -163,6 +163,22 @@ class InvertedIndex {
 
     size_t num_events() const { return events.size(); }
 
+    /// The last slot whose event is <= `e`, or slot 0 when every event is
+    /// above `e`; so `e` occurs iff events[SeekSlot(e)] == e. A
+    /// branch-free halving search: its probe sequence depends only on
+    /// num_events(), never on the data (DESIGN.md §9). The block must not
+    /// be empty.
+    size_t SeekSlot(EventId e) const {
+      GSGROW_DCHECK(!events.empty());
+      const EventId* first = events.data();
+      size_t base = 0;
+      for (size_t n = events.size(); n > 1; n -= n / 2) {
+        const size_t half = n / 2;
+        base += first[base + half] <= e ? half : 0;
+      }
+      return base;
+    }
+
     /// The position list of slot `k`.
     std::span<const Position> Slot(size_t k) const {
       return positions.subspan(offsets[k], offsets[k + 1] - offsets[k]);
@@ -296,9 +312,6 @@ class InvertedIndex {
   }
 
  private:
-  // Index of `e` within block.events, or -1.
-  static int FindEventSlot(const SeqBlock& block, EventId e);
-
   // Indexed by sequence / event. Null entries stand for an empty sequence /
   // an absent event (snapshots avoid allocating blocks for them; the batch
   // constructor allocates every block it fills).

@@ -304,15 +304,72 @@ TEST(AppendOccurrenceBound, BoundsEveryGrowthOnRandomDatabases) {
 // the alphabet, at times with an event the index has never seen — and a
 // random threshold: every kept candidate's child from Grow equals
 // GrowSupportSetInto, with the same next() query count, and every dropped
-// candidate's bound is below the threshold. The lists are both shorter and
-// longer than the sequences' event blocks, so both intersections run.
+// candidate's bound is below the threshold and equals Σ_i min(n_i,
+// count_i(e)). Narrow rounds (alphabets up to 10) grow every node; wide
+// rounds (alphabets of 40-150 events over sequences of up to 300 events)
+// grow a few random children per node and draw short candidate lists as
+// well as long ones, so blocks of over 64 events reach both intersections.
 TEST(AppendOccurrenceBound, GrowMatchesInsgrowOnBothIntersections) {
   Rng rng(20091229);
   AppendOccurrenceBound growth;  // one scratch across all rounds
   uint64_t searched_runs = 0;
   uint64_t walked_runs = 0;
+  uint64_t long_searched_runs = 0;
+  uint64_t long_walked_runs = 0;
   uint64_t kept_total = 0;
   uint64_t dropped_total = 0;
+  const auto check = [&](const InvertedIndex& idx, const SupportSet& set,
+                         std::vector<EventId> candidates, int round) {
+    rng.Shuffle(&candidates);
+    const uint64_t threshold = 1 + rng.UniformInt(set.size());
+    for (size_t k = 0; k < set.size(); ++k) {
+      if (k > 0 && set[k].seq == set[k - 1].seq) continue;
+      const size_t events = idx.EventsInSequence(set[k].seq).size();
+      const bool probes =
+          AppendOccurrenceBound::ProbesRun(candidates.size(), events);
+      ++(probes ? searched_runs : walked_runs);
+      if (events > 64) ++(probes ? long_searched_runs : long_walked_runs);
+    }
+
+    const std::span<const EventId> kept =
+        growth.Filter(idx, set, candidates, threshold);
+    ASSERT_EQ(growth.bounds().size(), candidates.size());
+    // Stale contents must be cleared.
+    std::vector<SupportSet> children(kept.size(), set);
+    uint64_t queries = 0;
+    growth.Grow(children, &queries);
+    uint64_t expected_queries = 0;
+    size_t j = 0;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      uint64_t expected_bound = 0;
+      for (size_t k = 0; k < set.size();) {
+        size_t end = k;
+        while (end < set.size() && set[end].seq == set[k].seq) ++end;
+        expected_bound +=
+            std::min<uint64_t>(end - k, idx.Count(set[k].seq, candidates[c]));
+        k = end;
+      }
+      EXPECT_EQ(growth.bounds()[c], expected_bound)
+          << "round=" << round << " e=" << candidates[c];
+      if (j < kept.size() && kept[j] == candidates[c]) {
+        EXPECT_GE(growth.bounds()[c], threshold);
+        SupportSet expected;
+        GrowSupportSetInto(idx, set, candidates[c], expected,
+                           &expected_queries);
+        EXPECT_EQ(children[j], expected)
+            << "round=" << round << " e=" << candidates[c];
+        ++j;
+      } else {
+        EXPECT_LT(growth.bounds()[c], threshold)
+            << "round=" << round << " e=" << candidates[c];
+        ++dropped_total;
+      }
+    }
+    EXPECT_EQ(j, kept.size()) << "kept is not a subsequence";
+    EXPECT_EQ(queries, expected_queries) << "round=" << round;
+    kept_total += kept.size();
+  };
+
   for (int round = 0; round < 30; ++round) {
     const size_t alphabet = 3 + static_cast<size_t>(rng.UniformInt(8));
     SequenceDatabase db = testing::RandomDatabase(&rng, 6, 1, 30, alphabet);
@@ -330,43 +387,7 @@ TEST(AppendOccurrenceBound, GrowMatchesInsgrowOnBothIntersections) {
           if (rng.UniformInt(2) == 0) candidates.push_back(e);
         }
         if (rng.UniformInt(4) == 0) candidates.push_back(db.AlphabetSize());
-        rng.Shuffle(&candidates);
-        const uint64_t threshold = 1 + rng.UniformInt(set.size());
-        for (size_t k = 0; k < set.size(); ++k) {
-          if (k > 0 && set[k].seq == set[k - 1].seq) continue;
-          if (candidates.size() < idx.EventsInSequence(set[k].seq).size()) {
-            ++searched_runs;
-          } else {
-            ++walked_runs;
-          }
-        }
-
-        const std::span<const EventId> kept =
-            growth.Filter(idx, set, candidates, threshold);
-        // Stale contents must be cleared.
-        std::vector<SupportSet> children(kept.size(), set);
-        uint64_t queries = 0;
-        growth.Grow(children, &queries);
-        uint64_t expected_queries = 0;
-        size_t j = 0;
-        for (size_t c = 0; c < candidates.size(); ++c) {
-          if (j < kept.size() && kept[j] == candidates[c]) {
-            EXPECT_GE(growth.bounds()[c], threshold);
-            SupportSet expected;
-            GrowSupportSetInto(idx, set, candidates[c], expected,
-                               &expected_queries);
-            EXPECT_EQ(children[j], expected)
-                << "round=" << round << " e=" << candidates[c];
-            ++j;
-          } else {
-            EXPECT_LT(growth.bounds()[c], threshold)
-                << "round=" << round << " e=" << candidates[c];
-            ++dropped_total;
-          }
-        }
-        EXPECT_EQ(j, kept.size()) << "kept is not a subsequence";
-        EXPECT_EQ(queries, expected_queries) << "round=" << round;
-        kept_total += kept.size();
+        check(idx, set, std::move(candidates), round);
         if (depth < 3) {
           for (EventId e = 0; e < db.AlphabetSize(); ++e) {
             next.push_back(GrowSupportSet(idx, set, e));
@@ -376,8 +397,58 @@ TEST(AppendOccurrenceBound, GrowMatchesInsgrowOnBothIntersections) {
       frontier = std::move(next);
     }
   }
+
+  for (int round = 0; round < 12; ++round) {
+    const EventId alphabet = 40 + static_cast<EventId>(rng.UniformInt(111));
+    std::vector<Sequence> sequences;
+    for (int i = 0; i < 8; ++i) {
+      std::vector<EventId> events(
+          static_cast<size_t>(rng.UniformRange(20, 300)));
+      for (EventId& e : events) {
+        e = static_cast<EventId>(rng.UniformInt(alphabet));
+      }
+      sequences.emplace_back(std::move(events));
+    }
+    const SequenceDatabase db(std::move(sequences));
+    const InvertedIndex idx(db);
+    std::vector<SupportSet> frontier;
+    for (int r = 0; r < 4; ++r) {
+      frontier.push_back(RootInstances(
+          idx, static_cast<EventId>(rng.UniformInt(db.AlphabetSize()))));
+    }
+    for (int depth = 1; depth <= 3; ++depth) {
+      std::vector<SupportSet> next;
+      for (const SupportSet& set : frontier) {
+        if (set.empty()) continue;
+        // Short lists (1-20 events) probe the long blocks; long lists walk.
+        const size_t size =
+            rng.UniformInt(2) == 0
+                ? 1 + static_cast<size_t>(rng.UniformInt(20))
+                : static_cast<size_t>(rng.UniformInt(db.AlphabetSize() + 1));
+        std::vector<EventId> candidates;
+        for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+          candidates.push_back(e);
+        }
+        rng.Shuffle(&candidates);
+        candidates.resize(std::min(size, candidates.size()));
+        if (rng.UniformInt(4) == 0) candidates.push_back(db.AlphabetSize());
+        if (rng.UniformInt(4) == 0) candidates.push_back(kNoEvent);
+        check(idx, set, std::move(candidates), 100 + round);
+        if (depth < 3) {
+          for (int c = 0; c < 3; ++c) {
+            next.push_back(GrowSupportSet(
+                idx, set,
+                static_cast<EventId>(rng.UniformInt(db.AlphabetSize()))));
+          }
+        }
+      }
+      frontier = std::move(next);
+    }
+  }
   EXPECT_GT(searched_runs, 0u);
   EXPECT_GT(walked_runs, 0u);
+  EXPECT_GT(long_searched_runs, 0u);
+  EXPECT_GT(long_walked_runs, 0u);
   EXPECT_GT(kept_total, 0u);
   EXPECT_GT(dropped_total, 0u);
 }

@@ -338,6 +338,81 @@ TEST(InvertedIndexProperty, WideSequencesListEventsAscending) {
   }
 }
 
+// A block over sorted distinct `events` must place every probe where
+// std::lower_bound does: SeekSlot lands on the probe's slot when it is
+// present and just below its insertion point (slot 0 below the minimum)
+// when it is not.
+void ExpectSlotsMatchLowerBound(const std::vector<EventId>& events,
+                                const std::vector<EventId>& probes) {
+  const InvertedIndex::SeqBlock block{events, {}, {}};
+  for (const EventId e : probes) {
+    const auto it = std::lower_bound(events.begin(), events.end(), e);
+    const bool present = it != events.end() && *it == e;
+    const size_t at = static_cast<size_t>(it - events.begin());
+    const size_t below = at == 0 ? 0 : at - 1;
+    ASSERT_EQ(block.SeekSlot(e), present ? at : below)
+        << events.size() << " events, probe " << e;
+  }
+}
+
+// The branch-free slot search against std::lower_bound on sorted distinct
+// event lists of every length from 0 to 160, across the block builder's
+// 64-event sort switch and past gazelle-like 138-event blocks. Probes are
+// every present event, every value between two neighbours, 0, values below
+// the minimum and above the maximum, and ids up to kNoEvent; they run on
+// the block directly (also with the list shifted to the top of the id
+// range) and through Positions, Count and Cursor of an index whose one
+// sequence holds each event one to three times.
+TEST(InvertedIndexProperty, FindSlotMatchesLowerBound) {
+  Rng rng(1511);
+  for (size_t length = 0; length <= 160; ++length) {
+    std::vector<EventId> events;
+    EventId next = 1 + static_cast<EventId>(rng.UniformInt(3));
+    for (size_t k = 0; k < length; ++k) {
+      events.push_back(next);
+      next += 1 + static_cast<EventId>(rng.UniformInt(3));
+    }
+    std::vector<EventId> probes = {0, next};
+    for (const EventId e : events) {
+      probes.insert(probes.end(), {e - 1, e, e + 1});
+    }
+    // The same list ending just below kNoEvent.
+    const EventId shift = kNoEvent - next;
+    std::vector<EventId> high_events;
+    std::vector<EventId> high_probes = {0, kNoEvent};
+    for (const EventId e : events) high_events.push_back(e + shift);
+    for (const EventId e : probes) high_probes.push_back(e + shift);
+    probes.insert(probes.end(), {kNoEvent - 1, kNoEvent});
+
+    if (length > 0) {
+      ExpectSlotsMatchLowerBound(events, probes);
+      ExpectSlotsMatchLowerBound(high_events, high_probes);
+    }
+
+    std::vector<EventId> stream;
+    for (size_t k = 0; k < length; ++k) {
+      stream.insert(stream.end(), 1 + k % 3, events[k]);
+    }
+    rng.Shuffle(&stream);
+    std::vector<Sequence> sequences;
+    sequences.emplace_back(stream);
+    const SequenceDatabase db(std::move(sequences));
+    const InvertedIndex idx(db);
+    for (const EventId e : probes) {
+      const bool present = std::binary_search(events.begin(), events.end(), e);
+      const std::vector<Position> want = ScanPositions(db[0], e);
+      ASSERT_EQ(want.empty(), !present);
+      const std::span<const Position> got = idx.Positions(0, e);
+      ASSERT_EQ(std::vector<Position>(got.begin(), got.end()), want)
+          << length << " events, probe " << e;
+      ASSERT_EQ(idx.Count(0, e), want.size());
+      PositionCursor cursor = idx.Cursor(0, e);
+      ASSERT_EQ(cursor.empty(), !present);
+      ASSERT_EQ(cursor.NextAtOrAfter(0), present ? want[0] : kNoPosition);
+    }
+  }
+}
+
 #ifndef NDEBUG
 // Satellite regression for the cursor contract hole: a DECREASING bound
 // must trip the debug assertion instead of silently skipping positions.
