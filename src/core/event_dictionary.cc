@@ -18,7 +18,11 @@ EventId EventDictionary::Lookup(std::string_view name) const {
 
 std::string EventDictionary::Name(EventId id) const {
   if (id < names_.size()) return names_[id];
-  return "e" + std::to_string(id);
+  // Built with += : gcc 12's -O3 -Wrestrict misfires on
+  // `"literal" + std::to_string(...)`.
+  std::string name = "e";
+  name += std::to_string(id);
+  return name;
 }
 
 }  // namespace gsgrow

@@ -1,6 +1,7 @@
 #include "core/gap_constrained.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/growth_engine.h"
@@ -64,16 +65,21 @@ uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
   return ReferenceSupport(db, pattern, gap);
 }
 
-uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
+uint64_t ExactGapConstrainedSupport(const InvertedIndex& index,
                                     const SupportSet& support_set,
                                     const Pattern& pattern,
                                     const LandmarkGapConstraint& gap) {
-  // The set is ascending by sequence: one oracle run per distinct sequence.
+  // The set is ascending by sequence: one oracle run per distinct sequence,
+  // its layers the index's position lists of the pattern's events.
+  std::vector<std::span<const Position>> layers(pattern.size());
   uint64_t total = 0;
   for (size_t k = 0; k < support_set.size(); ++k) {
     const SeqId seq = support_set[k].seq;
     if (k > 0 && support_set[k - 1].seq == seq) continue;
-    total += ReferenceSequenceSupport(db[seq], pattern, gap);
+    for (size_t j = 0; j < pattern.size(); ++j) {
+      layers[j] = index.Positions(seq, pattern[j]);
+    }
+    total += LayeredFlowSupport(layers, gap);
   }
   return total;
 }
@@ -81,17 +87,15 @@ uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
 MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
                                            const MinerOptions& options,
                                            const LandmarkGapConstraint& gap) {
-  InvertedIndex index(db);
-  return MineAllFrequentGapConstrained(db, index, options, gap);
+  return MineAllFrequentGapConstrained(InvertedIndex(db), options, gap);
 }
 
-MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
-                                           const InvertedIndex& index,
+MiningResult MineAllFrequentGapConstrained(const InvertedIndex& index,
                                            const MinerOptions& options,
                                            const LandmarkGapConstraint& gap) {
   GSGROW_CHECK_MSG(options.min_support >= 1, "min_support must be >= 1");
   // Each worker gets a private BoundedGapExtension (it carries a pattern
-  // scratch buffer); db, index, and gap are shared read-only. Annotation:
+  // scratch buffer); index and gap are shared read-only. Annotation:
   // the engine's per-node state is the UNCONSTRAINED leftmost support set,
   // whose distinct sequence ids are exactly the sequences containing the
   // pattern — precisely what TableIAnnotator needs, so the Table-I values
@@ -102,7 +106,7 @@ MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
         options,
         [&](SharedRunState& state) {
           return GrowthEngine(
-              BoundedGapExtension(db, index, gap, options.min_support),
+              BoundedGapExtension(index, gap, options.min_support),
               NoPruning(), make_sink(), options, &state);
         },
         MergeCollectedPatterns);

@@ -7,8 +7,9 @@
 // consecutive landmark positions. Two support computations are provided:
 //
 //  * EXACT — the layered max-flow of core/reference.h with gap-filtered
-//    edges. The flow argument does not depend on the greedy construction,
-//    so it stays exact under constraints (polynomial, but heavier).
+//    edges, its layers read from the index's position lists. The flow
+//    argument does not depend on the greedy construction, so it stays
+//    exact under constraints (polynomial, but heavier).
 //
 //  * GREEDY — instance growth with a bounded next() window. Under gap
 //    constraints the paper's leftmost-is-maximum theorem (Lemma 4) no
@@ -59,9 +60,10 @@ uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
                                     const LandmarkGapConstraint& gap);
 
 /// The same, with the oracle run only on the sequences of `support_set`,
-/// the unconstrained leftmost support set of `pattern`: a sequence with no
-/// unconstrained instance has no constrained one either.
-uint64_t ExactGapConstrainedSupport(const SequenceDatabase& db,
+/// the unconstrained leftmost support set of `pattern` (a sequence with no
+/// unconstrained instance has no constrained one either), and each flow
+/// layer read from `index` as the position list of one pattern event.
+uint64_t ExactGapConstrainedSupport(const InvertedIndex& index,
                                     const SupportSet& support_set,
                                     const Pattern& pattern,
                                     const LandmarkGapConstraint& gap);
@@ -74,12 +76,10 @@ MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
                                            const MinerOptions& options,
                                            const LandmarkGapConstraint& gap);
 
-/// Same with a prebuilt index over `db` (the serving path reuses one
-/// long-lived snapshot across queries). `index` must have been built from
-/// exactly `db` — the flow oracle reads the raw sequences, the growth state
-/// reads the index, and they must agree.
-MiningResult MineAllFrequentGapConstrained(const SequenceDatabase& db,
-                                           const InvertedIndex& index,
+/// Same with a prebuilt index (the serving path reuses one long-lived
+/// snapshot across queries). The growth state and the flow oracle's layers
+/// both come from the index, so no raw sequence is read.
+MiningResult MineAllFrequentGapConstrained(const InvertedIndex& index,
                                            const MinerOptions& options,
                                            const LandmarkGapConstraint& gap);
 

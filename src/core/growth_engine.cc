@@ -75,7 +75,7 @@ uint64_t BoundedGapExtension::Support(const GrowthNode& node, EventId e,
   events_scratch_.push_back(e);
   Pattern candidate(std::move(events_scratch_));
   const uint64_t support =
-      ExactGapConstrainedSupport(*db_, grown, candidate, *gap_);
+      ExactGapConstrainedSupport(*index_, grown, candidate, *gap_);
   events_scratch_ = std::move(candidate).TakeEvents();
   return support;
 }

@@ -51,7 +51,6 @@
 #include "core/mining_result.h"
 #include "core/pattern.h"
 #include "core/reference.h"
-#include "core/sequence_database.h"
 #include "core/types.h"
 #include "util/timer.h"
 
@@ -248,9 +247,9 @@ class BoundedGapExtension {
 
   /// `min_support` is the mining threshold: children whose unconstrained
   /// upper bound is already below it skip the flow oracle entirely.
-  BoundedGapExtension(const SequenceDatabase& db, const InvertedIndex& index,
+  BoundedGapExtension(const InvertedIndex& index,
                       const LandmarkGapConstraint& gap, uint64_t min_support)
-      : db_(&db), index_(&index), gap_(&gap), min_support_(min_support) {}
+      : index_(&index), gap_(&gap), min_support_(min_support) {}
 
   std::vector<EventId> FrequentRoots(uint64_t min_support) const;
 
@@ -265,7 +264,6 @@ class BoundedGapExtension {
   const InvertedIndex& index() const { return *index_; }
 
  private:
-  const SequenceDatabase* db_;
   const InvertedIndex* index_;
   const LandmarkGapConstraint* gap_;
   uint64_t min_support_;

@@ -52,7 +52,8 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   auto arena = std::make_shared<Arena>();
 
   std::vector<std::vector<Posting>> postings_acc(alphabet_size_);
-  std::vector<uint64_t> totals(alphabet_size_, 0);
+  auto totals_acc = std::make_shared<EventTotals>(alphabet_size_, 0);
+  EventTotals& totals = *totals_acc;
   SeqBlockBuilder builder;
   for (SeqId i = 0; i < db.size(); ++i) {
     const Sequence& s = db[i];
@@ -70,9 +71,11 @@ InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   postings_.resize(alphabet_size_);
   for (EventId e = 0; e < alphabet_size_; ++e) {
     if (totals[e] == 0) continue;
-    postings_[e] = BuildEventPostings(postings_acc[e], totals[e], arena);
+    postings_[e] = BuildEventPostings(postings_acc[e], arena);
     present_events_.push_back(e);
   }
+  totals_ = totals;
+  totals_owner_ = std::move(totals_acc);
 }
 
 std::shared_ptr<const InvertedIndex::SeqBlock>
@@ -134,9 +137,8 @@ InvertedIndex::SeqBlockBuilder::Build(const SeqBlock* base,
 
 std::shared_ptr<const InvertedIndex::EventPostings>
 InvertedIndex::BuildEventPostings(std::span<const Posting> postings,
-                                  uint64_t total,
                                   const std::shared_ptr<Arena>& arena) {
-  return Publish(EventPostings{arena->CopyArray(postings), total}, arena);
+  return Publish(EventPostings{arena->CopyArray(postings)}, arena);
 }
 
 std::span<const Position> InvertedIndex::Positions(SeqId i,
@@ -161,11 +163,6 @@ Position InvertedIndex::NextAtOrAfter(SeqId i, EventId e,
 
 uint32_t InvertedIndex::Count(SeqId i, EventId e) const {
   return static_cast<uint32_t>(Positions(i, e).size());
-}
-
-uint64_t InvertedIndex::TotalCount(EventId e) const {
-  if (e >= postings_.size() || postings_[e] == nullptr) return 0;
-  return postings_[e]->total;
 }
 
 std::span<const InvertedIndex::Posting> InvertedIndex::Postings(

@@ -191,12 +191,17 @@ class InvertedIndex {
     }
   };
 
-  /// Per-event postings: (sequence, count) pairs ascending by sequence plus
-  /// the database-wide occurrence total. Arena-resident like SeqBlock.
+  /// Per-event postings: (sequence, count) pairs ascending by sequence.
+  /// Arena-resident like SeqBlock.
   struct EventPostings {
     std::span<const Posting> postings;
-    uint64_t total = 0;
   };
+
+  /// Database-wide occurrence count of each event, indexed by event id.
+  /// Dense and flat, so root enumeration reads it without touching the
+  /// postings; an incremental index shares one array across the snapshots
+  /// of epochs that changed no count.
+  using EventTotals = std::vector<uint64_t>;
 
   /// Builds per-sequence CSR blocks by counting, with no sort of positions:
   /// one pass counts each event's occurrences in a dense per-event table,
@@ -232,26 +237,28 @@ class InvertedIndex {
   explicit InvertedIndex(const SequenceDatabase& db);
 
   /// Snapshot-assembly constructor (serve/incremental_index.h): adopts
-  /// already-frozen blocks and postings. Entries may be null only when the
-  /// corresponding sequence is empty / the event is absent; `present_events`
-  /// must list the events with a positive total, ascending. Content must
-  /// satisfy the same invariants the batch constructor establishes (events
-  /// and positions ascending, postings ascending by sequence) — the
-  /// differential suite in tests/serve pins snapshot output to the batch
-  /// build bit for bit.
+  /// already-frozen blocks, postings and totals. Entries may be null only
+  /// when the corresponding sequence is empty / the event is absent;
+  /// `totals` must not be null, and `present_events` must list the events
+  /// with a positive total, ascending. Content must satisfy the same
+  /// invariants the batch constructor establishes (events and positions
+  /// ascending, postings ascending by sequence) — the differential suite in
+  /// tests/serve pins snapshot output to the batch build bit for bit.
   InvertedIndex(std::vector<std::shared_ptr<const SeqBlock>> seq_blocks,
                 std::vector<std::shared_ptr<const EventPostings>> postings,
+                std::shared_ptr<const EventTotals> totals,
                 std::vector<EventId> present_events, EventId alphabet_size)
       : seq_blocks_(std::move(seq_blocks)),
         postings_(std::move(postings)),
+        totals_owner_(std::move(totals)),
+        totals_(*totals_owner_),
         present_events_(std::move(present_events)),
         alphabet_size_(alphabet_size) {}
 
   /// Freezes one event's postings into an arena-backed EventPostings; the
   /// returned pointer shares ownership of the arena.
   static std::shared_ptr<const EventPostings> BuildEventPostings(
-      std::span<const Posting> postings, uint64_t total,
-      const std::shared_ptr<Arena>& arena);
+      std::span<const Posting> postings, const std::shared_ptr<Arena>& arena);
 
   /// Sorted positions of `e` in sequence `i` (possibly empty).
   std::span<const Position> Positions(SeqId i, EventId e) const;
@@ -273,7 +280,9 @@ class InvertedIndex {
   uint32_t Count(SeqId i, EventId e) const;
 
   /// Total occurrences of `e` across the database.
-  uint64_t TotalCount(EventId e) const;
+  uint64_t TotalCount(EventId e) const {
+    return e < totals_.size() ? totals_[e] : 0;
+  }
 
   /// Sequences containing `e`, with per-sequence counts, ascending by seq.
   std::span<const Posting> Postings(EventId e) const;
@@ -317,6 +326,9 @@ class InvertedIndex {
   // constructor allocates every block it fills).
   std::vector<std::shared_ptr<const SeqBlock>> seq_blocks_;
   std::vector<std::shared_ptr<const EventPostings>> postings_;
+  // TotalCount reads the span; the owner keeps its array alive.
+  std::shared_ptr<const EventTotals> totals_owner_;
+  std::span<const uint64_t> totals_;
   std::vector<EventId> present_events_;
   EventId alphabet_size_ = 0;
 };

@@ -101,19 +101,11 @@ std::vector<std::vector<Position>> EnumerateLandmarks(const Sequence& sequence,
   return out;
 }
 
-uint64_t ReferenceSequenceSupport(const Sequence& sequence,
-                                  const Pattern& pattern,
-                                  const LandmarkGapConstraint& gap) {
-  if (pattern.empty()) return 0;
-  const size_t m = pattern.size();
-  // Layer j: positions of pattern[j] in the sequence.
-  std::vector<std::vector<Position>> layers(m);
-  for (Position p = 0; p < sequence.length(); ++p) {
-    for (size_t j = 0; j < m; ++j) {
-      if (sequence[p] == pattern[j]) layers[j].push_back(p);
-    }
-  }
-  for (const auto& layer : layers) {
+uint64_t LayeredFlowSupport(std::span<const std::span<const Position>> layers,
+                            const LandmarkGapConstraint& gap) {
+  const size_t m = layers.size();
+  if (m == 0) return 0;
+  for (const std::span<const Position> layer : layers) {
     if (layer.empty()) return 0;
   }
   // Assign node ids layer by layer.
@@ -139,6 +131,22 @@ uint64_t ReferenceSequenceSupport(const Sequence& sequence,
     }
   }
   return flow.MaxFlow();
+}
+
+uint64_t ReferenceSequenceSupport(const Sequence& sequence,
+                                  const Pattern& pattern,
+                                  const LandmarkGapConstraint& gap) {
+  const size_t m = pattern.size();
+  // Layer j: positions of pattern[j] in the sequence.
+  std::vector<std::vector<Position>> positions(m);
+  for (Position p = 0; p < sequence.length(); ++p) {
+    for (size_t j = 0; j < m; ++j) {
+      if (sequence[p] == pattern[j]) positions[j].push_back(p);
+    }
+  }
+  const std::vector<std::span<const Position>> layers(positions.begin(),
+                                                      positions.end());
+  return LayeredFlowSupport(layers, gap);
 }
 
 uint64_t ReferenceSupport(const SequenceDatabase& db, const Pattern& pattern,

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/mining_result.h"
@@ -52,11 +53,17 @@ struct LandmarkGapConstraint {
   }
 };
 
-/// Exact sup(pattern) restricted to one sequence, via layered max-flow.
-/// With a gap constraint, only landmark steps allowed by `gap` are edges;
-/// this remains exact (the flow argument does not rely on greedy growth),
-/// which makes it the oracle for the gap-constrained miner (paper §V
-/// future work).
+/// The layered max-flow itself: layer j holds the ascending positions of
+/// pattern event j in one sequence, and the value is the maximum number of
+/// non-overlapping instances whose landmark steps `gap` allows. This stays
+/// exact under a gap constraint (the flow argument does not rely on greedy
+/// growth), which makes it the oracle of the gap-constrained miner (paper
+/// §V future work); that miner reads each layer straight from the index.
+uint64_t LayeredFlowSupport(std::span<const std::span<const Position>> layers,
+                            const LandmarkGapConstraint& gap = {});
+
+/// Exact sup(pattern) restricted to one sequence: scans `sequence` for the
+/// layers of LayeredFlowSupport, so it shares no code with the index.
 uint64_t ReferenceSequenceSupport(const Sequence& sequence,
                                   const Pattern& pattern,
                                   const LandmarkGapConstraint& gap = {});

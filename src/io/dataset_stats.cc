@@ -35,8 +35,13 @@ std::string FormatStatsReport(const std::string& name,
   TextTable table({"length", "sequences"});
   for (size_t b = 0; b < buckets.size(); ++b) {
     if (buckets[b] == 0) continue;
-    std::string range = "[" + std::to_string(1u << b) + "," +
-                        std::to_string(1u << (b + 1)) + ")";
+    // Appended piecewise: gcc 12's -O3 -Wrestrict misfires on
+    // `"literal" + std::string`.
+    std::string range = "[";
+    range += std::to_string(1u << b);
+    range += ',';
+    range += std::to_string(1u << (b + 1));
+    range += ')';
     table.AddRow({range, WithThousandsSeparators(buckets[b])});
   }
   out += table.ToString();

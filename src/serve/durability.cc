@@ -173,21 +173,21 @@ Result<LogRecord> DecodeLogRecord(const persist::WalRecord& record) {
 // Checkpoint.
 
 Status WriteServeCheckpoint(const std::string& dir,
-                            const AppendableDatabase& db, uint64_t epoch,
-                            uint64_t wal_segment) {
+                            const EventDictionary& dict,
+                            const IncrementalInvertedIndex& index,
+                            uint64_t epoch, uint64_t wal_segment) {
   persist::CheckpointWriter writer;
 
   std::string page;
   PutFixed32(&page, kCheckpointFormatVersion);
   PutFixed64(&page, epoch);
   PutFixed64(&page, wal_segment);
-  PutFixed64(&page, db.size());
-  PutFixed64(&page, db.dictionary().size());
-  PutFixed64(&page, db.total_events());
+  PutFixed64(&page, index.num_sequences());
+  PutFixed64(&page, dict.size());
+  PutFixed64(&page, index.total_events());
   writer.AddPage(kMetaPage, page);
 
   // Dictionary pages: [first_id, count, names...], contiguous runs.
-  const EventDictionary& dict = db.dictionary();
   for (size_t first = 0; first < dict.size();) {
     page.clear();
     size_t count = 0;
@@ -205,14 +205,15 @@ Status WriteServeCheckpoint(const std::string& dir,
   }
 
   // Sequence pages: [first_seq, count, (len, events...)...].
-  for (size_t first = 0; first < db.size();) {
+  const size_t num_sequences = index.num_sequences();
+  std::vector<EventId> events;
+  for (size_t first = 0; first < num_sequences;) {
     page.clear();
     size_t count = 0;
     std::string body;
-    while (first + count < db.size() &&
+    while (first + count < num_sequences &&
            (count == 0 || body.size() < kPageTargetBytes)) {
-      const std::span<const EventId> events =
-          db.SequenceEvents(static_cast<SeqId>(first + count));
+      index.SequenceEvents(static_cast<SeqId>(first + count), &events);
       PutFixed32(&body, static_cast<uint32_t>(events.size()));
       for (const EventId e : events) PutFixed32(&body, e);
       ++count;

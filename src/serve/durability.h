@@ -30,8 +30,10 @@
 // counts), then kDict pages (contiguous runs of names) and kSequences
 // pages (contiguous runs of sequences), split at ~256 KiB so no single
 // page checksum covers an unbounded payload. The checkpoint spills the
-// SOURCE corpus (dictionary + sequence store); the frozen index blocks are
-// a pure function of it and are rebuilt on recovery through the same
+// SOURCE corpus (dictionary + raw event sequences), each sequence read
+// back from the incremental index — the service's only copy of the corpus
+// — by IncrementalInvertedIndex::SequenceEvents. The frozen index blocks
+// are a pure function of it and are rebuilt on recovery through the same
 // AddSequence path the live service used — the crash-replay differential
 // pins the rebuilt surface byte-identical, and the spill stays immune to
 // posting-encoding changes.
@@ -45,9 +47,10 @@
 #include <string_view>
 #include <vector>
 
+#include "core/event_dictionary.h"
 #include "core/types.h"
 #include "persist/wal.h"
-#include "serve/appendable_database.h"
+#include "serve/incremental_index.h"
 #include "util/status.h"
 
 namespace gsgrow::serve {
@@ -112,9 +115,12 @@ struct CheckpointState {
   uint64_t total_events = 0;
 };
 
-/// Spills `db` (+ the epoch / wal position) as the checkpoint of `dir`,
-/// atomically replacing any previous one.
-Status WriteServeCheckpoint(const std::string& dir, const AppendableDatabase& db,
+/// Spills `dict` and every sequence of `index` (+ the epoch / wal
+/// position) as the checkpoint of `dir`, atomically replacing any previous
+/// one. Unfrozen tails are included: a sequence is spilled as it stands.
+Status WriteServeCheckpoint(const std::string& dir,
+                            const EventDictionary& dict,
+                            const IncrementalInvertedIndex& index,
                             uint64_t epoch, uint64_t wal_segment);
 
 /// Reads and fully validates the checkpoint of `dir`. NotFound when no

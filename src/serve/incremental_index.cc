@@ -52,10 +52,11 @@ void IncrementalInvertedIndex::RecordPosting(SeqId seq, EventId e) {
   // Postings patch (counts ascend by sequence).
   if (e >= events_.size()) {
     events_.resize(static_cast<size_t>(e) + 1);
+    totals_.resize(static_cast<size_t>(e) + 1, 0);
     present_dirty_ = true;  // a new event id extends the present list
   }
   EventAccum& ea = events_[e];
-  if (ea.total == 0) present_dirty_ = true;  // first occurrence ever
+  if (totals_[e]++ == 0) present_dirty_ = true;  // first occurrence ever
   if (ea.postings.empty() || ea.postings.back().seq < seq) {
     ea.postings.push_back(InvertedIndex::Posting{seq, 1});
   } else if (ea.postings.back().seq == seq) {
@@ -74,7 +75,6 @@ void IncrementalInvertedIndex::RecordPosting(SeqId seq, EventId e) {
       ea.postings.insert(it, InvertedIndex::Posting{seq, 1});
     }
   }
-  ++ea.total;
   if (!ea.dirty) {
     ea.dirty = true;
     dirty_events_.push_back(e);
@@ -99,6 +99,22 @@ Position IncrementalInvertedIndex::SequenceLength(SeqId seq) const {
   // invariant: callers resolve ids against this index under the same lock.
   GSGROW_CHECK_MSG(seq < seqs_.size(), "unknown sequence");
   return seqs_[seq].length;
+}
+
+void IncrementalInvertedIndex::SequenceEvents(SeqId seq,
+                                              std::vector<EventId>* out) const {
+  writer_lock_.AssertHeld();
+  // invariant: callers resolve ids against this index under the same lock.
+  GSGROW_CHECK_MSG(seq < seqs_.size(), "unknown sequence");
+  const SeqAccum& sa = seqs_[seq];
+  out->resize(sa.length);
+  if (sa.frozen != nullptr) {
+    const InvertedIndex::SeqBlock& block = *sa.frozen;
+    for (size_t k = 0; k < block.num_events(); ++k) {
+      for (const Position p : block.Slot(k)) (*out)[p] = block.events[k];
+    }
+  }
+  std::copy(sa.tail.begin(), sa.tail.end(), out->end() - sa.tail.size());
 }
 
 InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
@@ -149,17 +165,22 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
   }
   dirty_seqs_.clear();
 
+  // A count changed exactly when some event is dirty.
+  if (!dirty_events_.empty() || published_totals_ == nullptr) {
+    published_totals_ =
+        std::make_shared<const InvertedIndex::EventTotals>(totals_);
+  }
   for (const EventId e : dirty_events_) {
     EventAccum& ea = events_[e];
-    ea.frozen = InvertedIndex::BuildEventPostings(ea.postings, ea.total, arena);
+    ea.frozen = InvertedIndex::BuildEventPostings(ea.postings, arena);
     ea.dirty = false;
   }
   dirty_events_.clear();
 
   if (present_dirty_) {
     present_cache_.clear();
-    for (EventId e = 0; e < events_.size(); ++e) {
-      if (events_[e].total > 0) present_cache_.push_back(e);
+    for (EventId e = 0; e < totals_.size(); ++e) {
+      if (totals_[e] > 0) present_cache_.push_back(e);
     }
     present_dirty_ = false;
   }
@@ -171,8 +192,8 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
   std::vector<std::shared_ptr<const InvertedIndex::EventPostings>> postings;
   postings.reserve(events_.size());
   for (const EventAccum& ea : events_) postings.push_back(ea.frozen);
-  return InvertedIndex(std::move(blocks), std::move(postings), present_cache_,
-                       alphabet_size());
+  return InvertedIndex(std::move(blocks), std::move(postings),
+                       published_totals_, present_cache_, alphabet_size());
 }
 
 }  // namespace gsgrow

@@ -24,7 +24,8 @@
 // is never mutated — an append to a frozen sequence marks its accumulator
 // dirty, and the NEXT snapshot re-freezes just that sequence (one CSR
 // rebuild of that sequence, not of the world). Snapshot cost is therefore
-// O(delta) — the blocks/postings touched since the last epoch — plus
+// O(delta) — the blocks/postings touched since the last epoch, and one
+// copy of the dense per-event totals when a count changed — plus
 // O(num_sequences + alphabet) shared_ptr copies for the view itself, and
 // appends never block readers of previously taken snapshots.
 //
@@ -130,6 +131,12 @@ class IncrementalInvertedIndex {
   /// Writer-side length of sequence `seq` (includes unfrozen appends).
   Position SequenceLength(SeqId seq) const;
 
+  /// Overwrites `*out` with the events of sequence `seq` in position order:
+  /// its frozen block scattered back by position, then its unfrozen tail.
+  /// O(length). The index is the serving layer's only copy of the corpus,
+  /// so the checkpoint writer reads sequences through this.
+  void SequenceEvents(SeqId seq, std::vector<EventId>* out) const;
+
   /// Sequences / events whose accumulators changed since the last
   /// snapshot (what the next Snapshot() must freeze). Exposed for the cost
   /// model assertions in tests and the serve stats verb.
@@ -155,7 +162,6 @@ class IncrementalInvertedIndex {
   struct EventAccum {
     // (sequence, count) ascending by sequence, patched in place.
     std::vector<InvertedIndex::Posting> postings;
-    uint64_t total = 0;
     bool dirty = false;
     std::shared_ptr<const InvertedIndex::EventPostings> frozen;
   };
@@ -172,6 +178,11 @@ class IncrementalInvertedIndex {
 
   std::vector<SeqAccum> seqs_ GSGROW_GUARDED_BY(writer_lock_);
   std::vector<EventAccum> events_ GSGROW_GUARDED_BY(writer_lock_);
+  // Occurrence count per event, kept as appends land; Snapshot() publishes
+  // a copy when a count changed and otherwise re-shares the last one.
+  InvertedIndex::EventTotals totals_ GSGROW_GUARDED_BY(writer_lock_);
+  std::shared_ptr<const InvertedIndex::EventTotals> published_totals_
+      GSGROW_GUARDED_BY(writer_lock_);
   // Clean→dirty transitions since the last snapshot; the freeze loop walks
   // exactly these instead of scanning the world.
   std::vector<SeqId> dirty_seqs_ GSGROW_GUARDED_BY(writer_lock_);

@@ -99,6 +99,22 @@ Status CheckPositionSpace(size_t current_length, size_t appended) {
   return Status::OK();
 }
 
+// Name-length guard of the two name-carrying append paths: an over-long
+// name is refused before it is logged or interned, so one append cannot put
+// an unbounded name into the WAL and the dictionary, which every later
+// copy-on-write of the names duplicates.
+Status CheckEventNames(const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    if (name.size() > kMaxEventNameBytes) {
+      return Status::InvalidArgument(
+          "event name of " + std::to_string(name.size()) +
+          " bytes exceeds the " + std::to_string(kMaxEventNameBytes) +
+          "-byte limit");
+    }
+  }
+  return Status::OK();
+}
+
 Status CheckEventIds(std::span<const EventId> events) {
   for (const EventId e : events) {
     if (e == kNoEvent) {
@@ -135,7 +151,7 @@ bool CacheableResponse(const MineResponse& response) {
 // non-empty but no name resolved — the caller answers with an empty result
 // instead of mining unrestricted.
 bool ResolveRequestAlphabet(const MineRequest& request,
-                            const SequenceDatabase& db,
+                            const EventDictionary& dictionary,
                             std::vector<EventId>* restrict_alphabet) {
   if (request.event_filter.empty()) {
     *restrict_alphabet = request.options.restrict_alphabet;
@@ -143,7 +159,7 @@ bool ResolveRequestAlphabet(const MineRequest& request,
   }
   restrict_alphabet->clear();
   for (const std::string& name : request.event_filter) {
-    const EventId id = db.dictionary().Lookup(name);
+    const EventId id = dictionary.Lookup(name);
     if (id != kNoEvent) restrict_alphabet->push_back(id);
   }
   std::sort(restrict_alphabet->begin(), restrict_alphabet->end());
@@ -213,7 +229,7 @@ void MiningService::ResolveIdsLocked(
     std::vector<std::pair<EventId, const std::string*>>* fresh) const {
   ids->reserve(names.size());
   for (const std::string& name : names) {
-    EventId id = db_.dictionary().Lookup(name);
+    EventId id = names_->dictionary().Lookup(name);
     if (id == kNoEvent) {
       // Maybe already pending within this very append (linear scan: appends
       // carry few distinct new names).
@@ -224,7 +240,8 @@ void MiningService::ResolveIdsLocked(
         }
       }
       if (id == kNoEvent) {
-        id = static_cast<EventId>(db_.dictionary().size() + fresh->size());
+        id = static_cast<EventId>(names_->dictionary().size() +
+                                  fresh->size());
         fresh->emplace_back(id, &name);
       }
     }
@@ -253,14 +270,15 @@ Status MiningService::LogMutationLocked(
 Result<SeqId> MiningService::Append(const std::vector<std::string>& names,
                                     obs::RequestTrace* trace) {
   MutexLock lock(&mutex_);
+  GSGROW_RETURN_NOT_OK(CheckEventNames(names));
   GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, names.size()));
-  if (db_.size() >= static_cast<size_t>(kNoPosition)) {
+  if (index_.num_sequences() >= static_cast<size_t>(kNoPosition)) {
     return Status::OutOfRange("sequence id space exhausted");
   }
   std::vector<EventId> ids;
   std::vector<std::pair<EventId, const std::string*>> fresh;
   ResolveIdsLocked(names, &ids, &fresh);
-  const SeqId seq = static_cast<SeqId>(db_.size());
+  const SeqId seq = static_cast<SeqId>(index_.num_sequences());
   // The kWalSync span covers the mutation's whole durability cost: record
   // encode + log append, plus the policy-driven sync after the mutation
   // (the in-memory mutate between them is excluded on purpose).
@@ -272,15 +290,14 @@ Result<SeqId> MiningService::Append(const std::vector<std::string>& names,
     wal_us += timer.ElapsedMicros();
   }
   for (const auto& [id, name] : fresh) {
-    const EventId interned = db_.dictionary().Intern(*name);
+    const EventId interned = MutableDictionaryLocked().Intern(*name);
     // invariant: ResolveIdsLocked predicted dense first-use ids under this
     // same lock; a mismatch is a bug in our own id assignment, not input.
     GSGROW_CHECK(interned == id);
   }
-  const SeqId db_seq = db_.AddSequence(ids);
   const SeqId index_seq = index_.AddSequence(ids);
-  // invariant: store and index are fed identical inputs under one lock.
-  GSGROW_CHECK(seq == db_seq && seq == index_seq);
+  // invariant: the id was read from the index under this same lock.
+  GSGROW_CHECK(seq == index_seq);
   snapshot_cache_.reset();
   ++appends_;
   {
@@ -298,11 +315,12 @@ Status MiningService::AppendTo(SeqId seq,
                                const std::vector<std::string>& names,
                                obs::RequestTrace* trace) {
   MutexLock lock(&mutex_);
-  if (seq >= db_.size()) {
+  if (seq >= index_.num_sequences()) {
     return Status::NotFound("unknown sequence id " + std::to_string(seq));
   }
+  GSGROW_RETURN_NOT_OK(CheckEventNames(names));
   GSGROW_RETURN_NOT_OK(
-      CheckPositionSpace(db_.SequenceLength(seq), names.size()));
+      CheckPositionSpace(index_.SequenceLength(seq), names.size()));
   std::vector<EventId> ids;
   std::vector<std::pair<EventId, const std::string*>> fresh;
   ResolveIdsLocked(names, &ids, &fresh);
@@ -314,11 +332,10 @@ Status MiningService::AppendTo(SeqId seq,
     wal_us += timer.ElapsedMicros();
   }
   for (const auto& [id, name] : fresh) {
-    const EventId interned = db_.dictionary().Intern(*name);
+    const EventId interned = MutableDictionaryLocked().Intern(*name);
     // invariant: same dense-id prediction as Append (one lock, one path).
     GSGROW_CHECK(interned == id);
   }
-  db_.AppendToSequence(seq, ids);
   index_.AppendToSequence(seq, ids);
   snapshot_cache_.reset();
   ++appends_;
@@ -334,16 +351,15 @@ Result<SeqId> MiningService::AppendIds(std::span<const EventId> events) {
   MutexLock lock(&mutex_);
   GSGROW_RETURN_NOT_OK(CheckEventIds(events));
   GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, events.size()));
-  if (db_.size() >= static_cast<size_t>(kNoPosition)) {
+  if (index_.num_sequences() >= static_cast<size_t>(kNoPosition)) {
     return Status::OutOfRange("sequence id space exhausted");
   }
-  const SeqId seq = static_cast<SeqId>(db_.size());
+  const SeqId seq = static_cast<SeqId>(index_.num_sequences());
   GSGROW_RETURN_NOT_OK(
       LogMutationLocked({}, serve::LogRecordType::kAddSequence, seq, events));
-  const SeqId db_seq = db_.AddSequence(events);
   const SeqId index_seq = index_.AddSequence(events);
-  // invariant: store and index are fed identical inputs under one lock.
-  GSGROW_CHECK(seq == db_seq && seq == index_seq);
+  // invariant: the id was read from the index under this same lock.
+  GSGROW_CHECK(seq == index_seq);
   snapshot_cache_.reset();
   ++appends_;
   GSGROW_RETURN_NOT_OK(MaybeSyncWalLocked(false));
@@ -352,15 +368,14 @@ Result<SeqId> MiningService::AppendIds(std::span<const EventId> events) {
 
 Status MiningService::AppendIdsTo(SeqId seq, std::span<const EventId> events) {
   MutexLock lock(&mutex_);
-  if (seq >= db_.size()) {
+  if (seq >= index_.num_sequences()) {
     return Status::NotFound("unknown sequence id " + std::to_string(seq));
   }
   GSGROW_RETURN_NOT_OK(CheckEventIds(events));
   GSGROW_RETURN_NOT_OK(
-      CheckPositionSpace(db_.SequenceLength(seq), events.size()));
+      CheckPositionSpace(index_.SequenceLength(seq), events.size()));
   GSGROW_RETURN_NOT_OK(
       LogMutationLocked({}, serve::LogRecordType::kAppendTo, seq, events));
-  db_.AppendToSequence(seq, events);
   index_.AppendToSequence(seq, events);
   snapshot_cache_.reset();
   ++appends_;
@@ -369,7 +384,7 @@ Status MiningService::AppendIdsTo(SeqId seq, std::span<const EventId> events) {
 
 Status MiningService::Ingest(const SequenceDatabase& db) {
   MutexLock lock(&mutex_);
-  if (db_.size() != 0) {
+  if (index_.num_sequences() != 0 || names_->dictionary().size() != 0) {
     return Status::InvalidArgument(
         "Ingest requires an empty service (ids are preserved)");
   }
@@ -389,7 +404,7 @@ Status MiningService::Ingest(const SequenceDatabase& db) {
           serve::LogRecordType::kAddSequence, scratch_payload_));
     }
   }
-  db_.Ingest(db);
+  MutableDictionaryLocked() = db.dictionary();
   for (const Sequence& s : db.sequences()) {
     index_.AddSequence(s.events());
   }
@@ -401,6 +416,14 @@ Status MiningService::Ingest(const SequenceDatabase& db) {
 std::shared_ptr<const ServiceSnapshot> MiningService::Snapshot() {
   MutexLock lock(&mutex_);
   return SnapshotLocked();
+}
+
+EventDictionary& MiningService::MutableDictionaryLocked() {
+  if (names_published_) {
+    names_ = std::make_shared<SnapshotNames>(names_->dictionary());
+    names_published_ = false;
+  }
+  return names_->mutable_dictionary();
 }
 
 std::shared_ptr<const ServiceSnapshot> MiningService::SnapshotLocked() {
@@ -421,10 +444,12 @@ std::shared_ptr<const ServiceSnapshot> MiningService::SnapshotLocked() {
                      status.ToString().c_str());
       }
     }
+    // The snapshot shares the writer's names; the next intern copies them.
+    names_published_ = true;
     EpochDelta delta;
     snapshot_cache_ = std::make_shared<const ServiceSnapshot>(
         ServiceSnapshot{index_.Snapshot(cache_ != nullptr ? &delta : nullptr),
-                        db_.SnapshotDatabase(), index_.epoch()});
+                        names_, index_.epoch()});
     // Every epoch advance the running service takes goes through here, so
     // the cache's delta history is the complete epoch trajectory (the
     // direct index_.Snapshot() calls in ReplayRecord predate any cache
@@ -550,7 +575,7 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
   }
 
   MinerOptions options = request.options;
-  if (!ResolveRequestAlphabet(request, *snapshot.db,
+  if (!ResolveRequestAlphabet(request, snapshot.db->dictionary(),
                               &options.restrict_alphabet)) {
     // A name filter that resolves to nothing matches no pattern; answer
     // empty rather than silently mining the whole alphabet.
@@ -578,7 +603,7 @@ MineResponse MiningService::ExecuteOn(const ServiceSnapshot& snapshot,
     }
     case MineRequest::Miner::kGapConstrained: {
       MiningResult result = MineAllFrequentGapConstrained(
-          *snapshot.db, snapshot.index, options, request.gap);
+          snapshot.index, options, request.gap);
       response.patterns = std::move(result.patterns);
       response.stats = std::move(result.stats);
       break;
@@ -655,7 +680,7 @@ std::vector<MineResponse> MiningService::ExecuteBatch(
 ServiceStats MiningService::Stats() {
   MutexLock lock(&mutex_);
   ServiceStats stats;
-  stats.num_sequences = db_.size();
+  stats.num_sequences = index_.num_sequences();
   stats.alphabet_size = index_.alphabet_size();
   stats.total_events = index_.total_events();
   stats.epoch = index_.epoch();
@@ -683,10 +708,10 @@ ServiceStats MiningService::Stats() {
 
 Status MiningService::ReplayFreshNames(const serve::LogRecord& record) {
   for (const auto& [id, name] : record.fresh) {
-    if (id != db_.dictionary().size()) {
+    if (id != names_->dictionary().size()) {
       return Status::Corruption("wal replay: fresh name out of id order");
     }
-    const EventId got = db_.dictionary().Intern(name);
+    const EventId got = MutableDictionaryLocked().Intern(name);
     if (got != id) {
       return Status::Corruption("wal replay: fresh name '" + name +
                                 "' already interned");
@@ -701,39 +726,37 @@ Status MiningService::ReplayRecord(const serve::LogRecord& record) {
   };
   switch (record.type) {
     case serve::LogRecordType::kIntern: {
-      if (record.event_id != db_.dictionary().size()) {
+      if (record.event_id != names_->dictionary().size()) {
         return corrupt("intern record out of id order");
       }
-      const EventId got = db_.dictionary().Intern(record.name);
+      const EventId got = MutableDictionaryLocked().Intern(record.name);
       if (got != record.event_id) {
         return corrupt("intern record re-defines name '" + record.name + "'");
       }
       return Status::OK();
     }
     case serve::LogRecordType::kAddSequence: {
-      if (record.seq != db_.size()) {
+      if (record.seq != index_.num_sequences()) {
         return corrupt("sequence record out of id order");
       }
       GSGROW_RETURN_NOT_OK(ReplayFreshNames(record));
       GSGROW_RETURN_NOT_OK(CheckEventIds(record.events));
       GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, record.events.size()));
-      const SeqId db_seq = db_.AddSequence(record.events);
       const SeqId index_seq = index_.AddSequence(record.events);
-      // invariant: record.seq == db_.size() was checked above with a
-      // kCorruption return — hostile log bytes cannot reach this.
-      GSGROW_CHECK(db_seq == record.seq && index_seq == record.seq);
+      // invariant: record.seq == index_.num_sequences() was checked above
+      // with a kCorruption return — hostile log bytes cannot reach this.
+      GSGROW_CHECK(index_seq == record.seq);
       ++appends_;
       return Status::OK();
     }
     case serve::LogRecordType::kAppendTo: {
-      if (record.seq >= db_.size()) {
+      if (record.seq >= index_.num_sequences()) {
         return corrupt("append record names an unknown sequence");
       }
       GSGROW_RETURN_NOT_OK(ReplayFreshNames(record));
       GSGROW_RETURN_NOT_OK(CheckEventIds(record.events));
-      GSGROW_RETURN_NOT_OK(CheckPositionSpace(db_.SequenceLength(record.seq),
-                                              record.events.size()));
-      db_.AppendToSequence(record.seq, record.events);
+      GSGROW_RETURN_NOT_OK(CheckPositionSpace(
+          index_.SequenceLength(record.seq), record.events.size()));
       index_.AppendToSequence(record.seq, record.events);
       ++appends_;
       return Status::OK();
@@ -768,7 +791,8 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
   WallTimer timer;
   auto service = std::make_unique<MiningService>(index_options, cache_options);
   // The service is single-owner until this function returns, but the
-  // recovery body writes guarded fields (db_, index_, wal_) — hold the lock
+  // recovery body writes guarded fields (names_, index_, wal_) — hold
+  // the lock
   // so the thread-safety analysis can prove every access, here and in the
   // Replay* helpers.
   MutexLock lock(&service->mutex_);
@@ -783,7 +807,8 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
         serve::ReadServeCheckpoint(options.dir);
     if (!ckpt.ok()) return ckpt.status();
     for (size_t id = 0; id < ckpt->names.size(); ++id) {
-      const EventId got = service->db_.dictionary().Intern(ckpt->names[id]);
+      const EventId got =
+          service->MutableDictionaryLocked().Intern(ckpt->names[id]);
       if (got != id) {
         return Status::Corruption("serve checkpoint: duplicate name '" +
                                   ckpt->names[id] + "'");
@@ -792,11 +817,7 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
     for (const std::vector<EventId>& events : ckpt->sequences) {
       GSGROW_RETURN_NOT_OK(CheckEventIds(events));
       GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, events.size()));
-      const SeqId db_seq = service->db_.AddSequence(events);
-      const SeqId index_seq = service->index_.AddSequence(events);
-      // invariant: both stores were empty and are fed the same validated
-      // checkpoint vector; hostile bytes were rejected above.
-      GSGROW_CHECK(db_seq == index_seq);
+      service->index_.AddSequence(events);
     }
     service->index_.RestoreEpoch(ckpt->epoch);
     service->appends_ = ckpt->sequences.size();
@@ -867,7 +888,7 @@ Result<std::unique_ptr<MiningService>> MiningService::OpenDurable(
   service->wal_first_live_segment_ = start_segment;
   GSGROW_RETURN_NOT_OK(persist::SyncDir(options.dir));
 
-  info.recovered_sequences = service->db_.size();
+  info.recovered_sequences = service->index_.num_sequences();
   info.recovered_epoch = service->index_.epoch();
   info.recover_seconds = timer.ElapsedSeconds();
   // Invalidation-on-recover contract (DESIGN.md §12): the replayed corpus
@@ -912,9 +933,9 @@ Status MiningService::Checkpoint() {
   wal_bytes_before_active_ = 0;
   unsynced_appends_ = 0;
 
-  GSGROW_RETURN_NOT_OK(serve::WriteServeCheckpoint(dopts_.dir, db_,
-                                                   index_.epoch(),
-                                                   next_segment));
+  GSGROW_RETURN_NOT_OK(serve::WriteServeCheckpoint(
+      dopts_.dir, names_->dictionary(), index_, index_.epoch(),
+      next_segment));
 
   // The covered prefix is garbage now; deletion failures are retried by the
   // next open (stale segments below the checkpoint are removed there too).

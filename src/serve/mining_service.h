@@ -1,10 +1,11 @@
 // Query-driven mining service (DESIGN.md §8) — the session layer between a
 // live, appendable corpus and the batch miners of src/core.
 //
-// A MiningService owns one AppendableDatabase + IncrementalInvertedIndex
-// pair kept in lockstep, and executes typed MineRequests against epoch
-// snapshots: every query — or every batch of queries — runs on one
-// immutable, consistent view while appends keep landing on the writer side.
+// A MiningService owns the event names and one IncrementalInvertedIndex
+// — the index is its only copy of the corpus — and executes typed
+// MineRequests against epoch snapshots: every query — or every batch of
+// queries — runs on one immutable, consistent view while appends keep
+// landing on the writer side.
 // The request struct covers all four miner facades (all / closed / top-K /
 // gap-constrained), the Table-I semantics selection, and an event-alphabet
 // filter, so the CLI front-end (serve_session.h), mine_cli, the tests, and
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "core/event_dictionary.h"
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
 #include "core/mining_result.h"
@@ -40,7 +42,6 @@
 #include "core/sequence_database.h"
 #include "obs/trace.h"
 #include "persist/wal.h"
-#include "serve/appendable_database.h"
 #include "serve/durability.h"
 #include "serve/incremental_index.h"
 #include "serve/result_cache.h"
@@ -53,6 +54,11 @@ namespace gsgrow {
 
 /// Empty (one index encoding); kept because e2ebench/ still passes it.
 struct IndexBuildOptions {};
+
+/// Longest event name Append/AppendTo accept, in bytes. A longer name is
+/// InvalidArgument before anything is logged or interned. WAL replay and
+/// Ingest are not capped: they load what the service or a parser produced.
+inline constexpr size_t kMaxEventNameBytes = 4096;
 
 /// How a durable service is opened (DESIGN.md §10).
 struct DurabilityOptions {
@@ -117,16 +123,18 @@ class MiningService {
       const ResultCacheOptions& cache_options = {});
 
   /// Appends a new sequence of event names; returns its id. Bad input
-  /// (position-space exhaustion) and WAL failures come back as a Status —
-  /// client data never fires an invariant check. A non-null `trace`
-  /// receives the mutation's WAL log+sync span (obs::Stage::kWalSync).
+  /// (position-space exhaustion, a name over kMaxEventNameBytes) and WAL
+  /// failures come back as a Status — client data never fires an invariant
+  /// check. A non-null `trace` receives the mutation's WAL log+sync span
+  /// (obs::Stage::kWalSync).
   Result<SeqId> Append(const std::vector<std::string>& names,
                        obs::RequestTrace* trace = nullptr)
       GSGROW_EXCLUDES(mutex_);
 
   /// Appends events to the end of existing sequence `seq`. NotFound for an
   /// unknown id, OutOfRange when the sequence's position space would
-  /// overflow — validated BEFORE anything is logged or mutated.
+  /// overflow, InvalidArgument for an over-long name — validated BEFORE
+  /// anything is logged or mutated.
   Status AppendTo(SeqId seq, const std::vector<std::string>& names,
                   obs::RequestTrace* trace = nullptr)
       GSGROW_EXCLUDES(mutex_);
@@ -148,7 +156,9 @@ class MiningService {
   /// freeze + view assembly after appends, and a cached-handle copy (O(1))
   /// when nothing changed since the last call — a query storm on a quiet
   /// corpus shares one assembled snapshot instead of re-copying the
-  /// per-sequence/per-event pointer tables per query.
+  /// per-sequence/per-event pointer tables per query. The snapshot's `db`
+  /// is the service's names object itself: snapshots share it until an
+  /// append interns a new name, which copies the names once (O(names)).
   std::shared_ptr<const ServiceSnapshot> Snapshot() GSGROW_EXCLUDES(mutex_);
 
   /// Executes one request against a fresh snapshot, consulting the result
@@ -244,6 +254,9 @@ class MiningService {
       GSGROW_REQUIRES(mutex_);
   std::shared_ptr<const ServiceSnapshot> SnapshotLocked()
       GSGROW_REQUIRES(mutex_);
+  // The writer-side dictionary, for interning: copied first when a
+  // snapshot has published it.
+  EventDictionary& MutableDictionaryLocked() GSGROW_REQUIRES(mutex_);
   // Applies one replayed WAL record; kCorruption when it contradicts the
   // state built so far (single-threaded, called only from OpenDurable,
   // which holds the lock over the whole recovery body).
@@ -252,7 +265,12 @@ class MiningService {
       GSGROW_REQUIRES(mutex_);
 
   Mutex mutex_;  // serializes appends, snapshots, stats
-  AppendableDatabase db_ GSGROW_GUARDED_BY(mutex_);
+  // The writer-side names. A snapshot publishes this very object as its
+  // `db`, without a copy; the first intern after that copies it
+  // (MutableDictionaryLocked), so a published dictionary never changes.
+  std::shared_ptr<SnapshotNames> names_ GSGROW_GUARDED_BY(mutex_) =
+      std::make_shared<SnapshotNames>();
+  bool names_published_ GSGROW_GUARDED_BY(mutex_) = false;
   IncrementalInvertedIndex index_ GSGROW_GUARDED_BY(mutex_);
   // Last assembled snapshot; reset by every mutation, so a Snapshot() call
   // with no intervening append is one shared_ptr copy.

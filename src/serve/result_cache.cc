@@ -88,7 +88,8 @@ bool ResultCache::RevalidateLocked(const Entry& entry,
   // (a) The name filter must still resolve to the same event set: an
   // appended sequence can intern a name the filter was waiting for.
   std::vector<EventId> now;
-  const bool resolve_ok = ResolveRequestAlphabet(request, *snapshot.db, &now);
+  const bool resolve_ok =
+      ResolveRequestAlphabet(request, snapshot.db->dictionary(), &now);
   if (entry.filter_matched_nothing) {
     // The cached answer is the empty response; it stays the answer exactly
     // as long as the filter keeps matching nothing.
@@ -114,9 +115,9 @@ bool ResultCache::RevalidateLocked(const Entry& entry,
     }
     // (c) When the answer can also depend on host-sequence shape (window
     // annotations see sequence length; the gap-constrained flow oracle
-    // reads raw sequences), the appended-to sequences must not host any
-    // restriction event. Both sides are sorted ascending by sequence, so
-    // this is a linear merge per alphabet event.
+    // reads whole per-sequence position lists), the appended-to sequences
+    // must not host any restriction event. Both sides are sorted ascending
+    // by sequence, so this is a linear merge per alphabet event.
     if (entry.needs_host_check && !delta.appended_seqs.empty()) {
       for (const EventId e : entry.alphabet) {
         const std::span<const InvertedIndex::Posting> postings =
@@ -197,7 +198,7 @@ void ResultCache::Insert(const ResultCacheKey& key, const MineRequest& request,
   fresh.response = response;
   fresh.epoch = response.epoch;
   std::vector<EventId> resolved;
-  if (ResolveRequestAlphabet(request, *snapshot.db, &resolved)) {
+  if (ResolveRequestAlphabet(request, snapshot.db->dictionary(), &resolved)) {
     SortDedup(&resolved);
     fresh.alphabet = std::move(resolved);
   } else {

@@ -13,13 +13,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/event_dictionary.h"
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
 #include "core/mining_result.h"
 #include "core/reference.h"
-#include "core/sequence_database.h"
 #include "util/status.h"
 
 namespace gsgrow {
@@ -67,13 +68,30 @@ struct MineResponse {
   uint64_t epoch = 0;
 };
 
+/// The event names of one epoch: what a snapshot's name filters resolve
+/// against and its responses are formatted with. It holds no sequences —
+/// the snapshot's index is its only copy of the corpus. Snapshots hold it
+/// const; only the service, before publishing it, interns into it.
+class SnapshotNames {
+ public:
+  SnapshotNames() = default;
+  explicit SnapshotNames(EventDictionary dictionary)
+      : dictionary_(std::move(dictionary)) {}
+
+  const EventDictionary& dictionary() const { return dictionary_; }
+  EventDictionary& mutable_dictionary() { return dictionary_; }
+
+ private:
+  EventDictionary dictionary_;
+};
+
 /// One consistent, immutable view of the corpus: the index snapshot, the
-/// materialized database (dictionary for name resolution and formatting;
-/// raw sequences for the gap-constrained flow oracle), and its epoch.
-/// Copyable and freely shareable across threads.
+/// epoch's names, and its epoch. Snapshots of epochs that interned no new
+/// name share one `db`. Copyable and freely shareable across threads.
 struct ServiceSnapshot {
   InvertedIndex index;
-  std::shared_ptr<const SequenceDatabase> db;
+  /// The names (`db->dictionary()`); the field keeps its historical name.
+  std::shared_ptr<const SnapshotNames> db;
   uint64_t epoch = 0;
 };
 
@@ -104,7 +122,7 @@ struct ServiceStats {
   double recover_seconds = 0.0;     // last recovery's wall-clock cost
 };
 
-/// Resolves the request's effective alphabet restriction against `db`:
+/// Resolves the request's effective alphabet restriction against `dictionary`:
 /// the name-level event_filter when non-empty (sorted, deduplicated ids;
 /// unknown names match nothing), otherwise a copy of
 /// options.restrict_alphabet. Returns false when the filter is non-empty
@@ -113,7 +131,7 @@ struct ServiceStats {
 /// clean/dirty classification off the same outcome (one definition, used
 /// by both; defined in mining_service.cc).
 bool ResolveRequestAlphabet(const MineRequest& request,
-                            const SequenceDatabase& db,
+                            const EventDictionary& dictionary,
                             std::vector<EventId>* restrict_alphabet);
 
 }  // namespace gsgrow

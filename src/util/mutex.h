@@ -7,9 +7,9 @@
 // "never bare" part on gcc builds, where the attributes are no-ops).
 //
 // ExternalSerialization is the capability token for the single-writer,
-// externally-synchronized classes (IncrementalInvertedIndex,
-// AppendableDatabase): they own no lock — MiningService's mutex serializes
-// them — but their writer-side state is still GSGROW_GUARDED_BY the token,
+// externally-synchronized classes (IncrementalInvertedIndex): they own no
+// lock — MiningService's mutex serializes them — but their writer-side
+// state is still GSGROW_GUARDED_BY the token,
 // and every method that touches it must open with AssertHeld(). A new
 // method that forgets is a -Werror=thread-safety build error, which forces
 // its author to read (and re-state) the threading contract.

@@ -107,7 +107,7 @@ TEST(ExactGapConstrainedSupport, SupportSetRestrictionMatchesReference) {
       for (const LandmarkGapConstraint gap :
            {LandmarkGapConstraint{0, 0}, LandmarkGapConstraint{0, 2},
             LandmarkGapConstraint{1, 3}, LandmarkGapConstraint{}}) {
-        EXPECT_EQ(ExactGapConstrainedSupport(db, set, pattern, gap),
+        EXPECT_EQ(ExactGapConstrainedSupport(index, set, pattern, gap),
                   ReferenceSupport(db, pattern, gap))
             << "round=" << round << " trial=" << trial
             << " min_gap=" << gap.min_gap << " max_gap=" << gap.max_gap;

@@ -78,7 +78,9 @@ std::vector<Op> MakeWorkload(Rng& rng, size_t num_ops) {
     const size_t len = 2 + rng.UniformInt(4);
     for (size_t k = 0; k < len; ++k) {
       if (rng.Bernoulli(0.1)) {
-        op.names.push_back("n" + std::to_string(next_fresh++));
+        std::string name = "n";
+        name += std::to_string(next_fresh++);
+        op.names.push_back(std::move(name));
       } else {
         op.names.push_back(base[rng.UniformInt(base.size())]);
       }
@@ -140,43 +142,64 @@ void ApplyRecordByName(MiningService& reference,
 // ---------------------------------------------------------------------------
 // Surface serialization: everything a query can observe, in one string.
 
+// Appends `value` in decimal. The surface strings are built with += only:
+// gcc's -O3 -Wrestrict misfires on `"literal" + std::to_string(...)`.
+void PutNumber(std::string* out, uint64_t value) {
+  out->append(std::to_string(value));
+}
+
 std::string SerializeSurface(MiningService& service) {
   const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
-  std::string out;
-  out += "epoch " + std::to_string(snapshot->epoch) + "\n";
+  std::string out = "epoch ";
+  PutNumber(&out, snapshot->epoch);
 
   const EventDictionary& dict = snapshot->db->dictionary();
-  out += "dict " + std::to_string(dict.size()) + "\n";
+  out += "\ndict ";
+  PutNumber(&out, dict.size());
+  out += '\n';
   for (EventId e = 0; e < dict.size(); ++e) {
-    out += "  " + std::string(dict.Name(e)) + "\n";
+    out += "  ";
+    out += dict.Name(e);
+    out += '\n';
   }
 
+  // The index positions pin every sequence: each position holds one event.
   const InvertedIndex& index = snapshot->index;
-  out += "sequences " + std::to_string(index.num_sequences()) + " alphabet " +
-         std::to_string(index.alphabet_size()) + "\n";
+  out += "sequences ";
+  PutNumber(&out, index.num_sequences());
+  out += " alphabet ";
+  PutNumber(&out, index.alphabet_size());
+  out += '\n';
   for (SeqId i = 0; i < index.num_sequences(); ++i) {
-    out += "seq " + std::to_string(i) + " len " +
-           std::to_string(index.SequenceLength(i)) + " raw";
-    for (const EventId e : snapshot->db->sequences()[i].events()) {
-      out += " " + std::to_string(e);
-    }
-    out += "\n";
+    out += "seq ";
+    PutNumber(&out, i);
+    out += " len ";
+    PutNumber(&out, index.SequenceLength(i));
+    out += '\n';
     for (const EventId e : index.EventsInSequence(i)) {
-      out += "  e" + std::to_string(e) + ":";
+      out += "  e";
+      PutNumber(&out, e);
+      out += ':';
       for (const Position p : index.Positions(i, e)) {
-        out += " " + std::to_string(p);
+        out += ' ';
+        PutNumber(&out, p);
       }
-      out += "\n";
+      out += '\n';
     }
   }
   for (const EventId e : index.present_events()) {
-    out += "post e" + std::to_string(e) + " total " +
-           std::to_string(index.TotalCount(e));
+    out += "post e";
+    PutNumber(&out, e);
+    out += " total ";
+    PutNumber(&out, index.TotalCount(e));
     for (const InvertedIndex::Posting& p : index.Postings(e)) {
-      out += " (" + std::to_string(p.seq) + "," + std::to_string(p.count) +
-             ")";
+      out += " (";
+      PutNumber(&out, p.seq);
+      out += ',';
+      PutNumber(&out, p.count);
+      out += ')';
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }
@@ -231,8 +254,10 @@ TEST(CrashReplay, RandomKillPointsMatchReferenceRun) {
   for (int trial = 0; trial < 60; ++trial) {
     // Kill point: everything past `cut` never reached the disk.
     const size_t cut = trial == 0 ? 0 : rng.UniformInt(wal->size() + 1);
-    const std::string label = "phase A trial " + std::to_string(trial) +
-                              " cut at " + std::to_string(cut);
+    std::string label = "phase A trial ";
+    PutNumber(&label, trial);
+    label += " cut at ";
+    PutNumber(&label, cut);
     std::filesystem::remove_all(trial_dir);
     ASSERT_TRUE(persist::CreateDirIfMissing(trial_dir).ok());
     ASSERT_TRUE(persist::WriteFileAtomic(serve::WalSegmentPath(trial_dir, 0),
@@ -306,8 +331,10 @@ TEST(CrashReplay, KillPointsAfterCheckpointMatchReferenceRun) {
   const std::string trial_dir = TempDir("phase_b_trial");
   for (int trial = 0; trial < 50; ++trial) {
     const size_t cut = trial == 0 ? 0 : rng.UniformInt(tail->size() + 1);
-    const std::string label = "phase B trial " + std::to_string(trial) +
-                              " cut at " + std::to_string(cut);
+    std::string label = "phase B trial ";
+    PutNumber(&label, trial);
+    label += " cut at ";
+    PutNumber(&label, cut);
     std::filesystem::remove_all(trial_dir);
     ASSERT_TRUE(persist::CreateDirIfMissing(trial_dir).ok());
     ASSERT_TRUE(persist::WriteFileAtomic(serve::CheckpointPath(trial_dir),
@@ -374,10 +401,14 @@ TEST(CrashReplay, RandomBitFlipsNeverCrash) {
     const size_t at = rng.UniformInt(target->size());
     const uint8_t bit = 1u << rng.UniformInt(8);
     (*target)[at] = static_cast<char>((*target)[at] ^ bit);
-    const std::string label =
-        "phase C trial " + std::to_string(trial) + " flip bit " +
-        std::to_string(bit) + " at " + std::to_string(at) + " of " +
-        (hit_checkpoint ? "checkpoint" : "wal tail");
+    std::string label = "phase C trial ";
+    PutNumber(&label, trial);
+    label += " flip bit ";
+    PutNumber(&label, bit);
+    label += " at ";
+    PutNumber(&label, at);
+    label += " of ";
+    label += hit_checkpoint ? "checkpoint" : "wal tail";
 
     std::filesystem::remove_all(trial_dir);
     ASSERT_TRUE(persist::CreateDirIfMissing(trial_dir).ok());

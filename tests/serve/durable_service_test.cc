@@ -6,13 +6,16 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "io/text_format.h"
 #include "persist/file_io.h"
+#include "persist/wal.h"
 #include "serve/durability.h"
+#include "serve/incremental_index.h"
 #include "serve/mining_service.h"
 
 namespace gsgrow {
@@ -233,6 +236,34 @@ TEST_F(DurableServiceTest, IngestIsLoggedAsOneCommit) {
   EXPECT_EQ(reopened->Snapshot()->db->dictionary().Lookup("y"), 1u);
 }
 
+// A crash in the middle of a bulk load can recover its dictionary records
+// without any sequence (Ingest logs every name first). Ingesting into that
+// service is refused with a Status, not an invariant abort: the ids the
+// load would assign are partly taken.
+TEST_F(DurableServiceTest, IngestAfterRecoveredNamesIsInvalidArgument) {
+  ASSERT_TRUE(persist::CreateDirIfMissing(dir_).ok());
+  {
+    Result<persist::WalWriter> wal =
+        persist::WalWriter::Open(serve::WalSegmentPath(dir_, 0));
+    ASSERT_TRUE(wal.ok());
+    std::string payload;
+    serve::EncodeInternRecord(0, "x", &payload);
+    ASSERT_TRUE(
+        wal->Append(static_cast<uint8_t>(serve::LogRecordType::kIntern),
+                    payload)
+            .ok());
+    ASSERT_TRUE(wal->Close().ok());
+  }
+  std::unique_ptr<MiningService> service = Open();
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->Stats().num_sequences, 0u);
+  Result<SequenceDatabase> db = ParseTextDatabase("y x\n");
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(service->Ingest(*db).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service->Stats().num_sequences, 0u);
+  EXPECT_EQ(service->Stats().total_events, 0u);
+}
+
 // --- Result cache across checkpoint and recovery (DESIGN.md §12). ---
 
 TEST_F(DurableServiceTest, CheckpointKeepsCacheCoherent) {
@@ -313,6 +344,94 @@ TEST_F(DurableServiceTest, AppendToUnknownSequenceIsNotFound) {
   // Nothing was logged: reopening sees an empty corpus.
   service.reset();
   EXPECT_EQ(Open()->Stats().num_sequences, 0u);
+}
+
+// Event names are capped where they are interned: a name of exactly
+// kMaxEventNameBytes is accepted, one byte more is InvalidArgument and
+// leaves the log, the epoch and the dictionary as they were.
+TEST_F(DurableServiceTest, EventNameLengthIsCappedAtInterning) {
+  std::unique_ptr<MiningService> service = Open();
+  const std::string at_cap(kMaxEventNameBytes, 'x');
+  ASSERT_TRUE(service->Append({"a", at_cap}).ok());
+  const uint64_t epoch = service->Snapshot()->epoch;
+  const ServiceStats before = service->Stats();
+
+  const std::string over_cap(kMaxEventNameBytes + 1, 'y');
+  EXPECT_EQ(service->Append({"a", over_cap}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service->AppendTo(0, {over_cap}).code(),
+            StatusCode::kInvalidArgument);
+  const ServiceStats after = service->Stats();
+  EXPECT_EQ(after.wal_live_bytes, before.wal_live_bytes);
+  EXPECT_EQ(after.num_sequences, before.num_sequences);
+  EXPECT_EQ(after.total_events, before.total_events);
+  EXPECT_EQ(after.appends, before.appends);
+  const std::shared_ptr<const ServiceSnapshot> snapshot = service->Snapshot();
+  EXPECT_EQ(snapshot->epoch, epoch);
+  EXPECT_EQ(snapshot->db->dictionary().size(), 2u);
+
+  service.reset();
+  std::unique_ptr<MiningService> reopened = Open();
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->Snapshot()->db->dictionary().Lookup(at_cap), 1u);
+  EXPECT_EQ(reopened->Stats().num_sequences, 1u);
+}
+
+// WAL replay is not capped: the log only ever holds names the live service
+// accepted, so a longer one in it is replayed as written.
+TEST_F(DurableServiceTest, ReplayDoesNotCapEventNames) {
+  ASSERT_TRUE(persist::CreateDirIfMissing(dir_).ok());
+  const std::string long_name(kMaxEventNameBytes + 1, 'z');
+  {
+    Result<persist::WalWriter> wal =
+        persist::WalWriter::Open(serve::WalSegmentPath(dir_, 0));
+    ASSERT_TRUE(wal.ok());
+    const std::vector<std::pair<EventId, const std::string*>> fresh = {
+        {0, &long_name}};
+    const std::vector<EventId> events = {0, 0};
+    std::string payload;
+    serve::EncodeSequenceRecord(0, fresh, events, &payload);
+    ASSERT_TRUE(
+        wal->Append(static_cast<uint8_t>(serve::LogRecordType::kAddSequence),
+                    payload)
+            .ok());
+    ASSERT_TRUE(wal->Close().ok());
+  }
+  std::unique_ptr<MiningService> service = Open();
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->Snapshot()->db->dictionary().Lookup(long_name), 0u);
+  EXPECT_EQ(service->Stats().total_events, 2u);
+}
+
+// The checkpoint spills each sequence as the index holds it — frozen block
+// plus unfrozen tail, or a tail alone — and reads back exactly.
+TEST_F(DurableServiceTest, CheckpointSpillsUnfrozenTailsExactly) {
+  ASSERT_TRUE(persist::CreateDirIfMissing(dir_).ok());
+  EventDictionary dictionary;
+  for (const char* name : {"a", "b", "c"}) dictionary.Intern(name);
+  std::vector<std::vector<EventId>> expected = {{0, 1, 0, 2}, {2, 2}, {}};
+  IncrementalInvertedIndex index;
+  for (const std::vector<EventId>& events : expected) index.AddSequence(events);
+  index.Snapshot();
+  const std::vector<EventId> extension = {1, 0};
+  index.AppendToSequence(0, extension);  // frozen block + tail
+  expected[0].insert(expected[0].end(), extension.begin(), extension.end());
+  index.AppendToSequence(2, extension);  // empty when frozen: tail only
+  expected[2] = extension;
+  const std::vector<EventId> fresh = {0, 2, 1};
+  index.AddSequence(fresh);  // never frozen
+  expected.push_back(fresh);
+
+  ASSERT_TRUE(serve::WriteServeCheckpoint(dir_, dictionary, index,
+                                          /*epoch=*/7, /*wal_segment=*/3)
+                  .ok());
+  Result<serve::CheckpointState> state = serve::ReadServeCheckpoint(dir_);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->epoch, 7u);
+  EXPECT_EQ(state->wal_segment, 3u);
+  EXPECT_EQ(state->names, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(state->sequences, expected);
+  EXPECT_EQ(state->total_events, 13u);
 }
 
 TEST(MiningServiceValidation, ReservedEventIdIsInvalidArgument) {

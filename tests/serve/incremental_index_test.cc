@@ -200,6 +200,38 @@ TEST(IncrementalIndex, RandomizedDifferentialWithMining) {
             MineTopKClosed(BatchIndex(mirror), topk).patterns);
 }
 
+// SequenceEvents is how the serving layer reads its corpus back (the
+// checkpoint writer spills through it): the frozen block scattered back by
+// position, then the unfrozen tail — exact at every point between
+// snapshots, for sequences frozen, partly frozen, and never frozen.
+TEST(IncrementalIndex, SequenceEventsRebuildFrozenBlockPlusTail) {
+  Rng rng(20261019);
+  IncrementalInvertedIndex incremental;
+  std::vector<std::vector<EventId>> mirror;
+  std::vector<EventId> events_out;
+  for (int op = 0; op < 200; ++op) {
+    std::vector<EventId> events;
+    const size_t len = static_cast<size_t>(rng.UniformInt(7));
+    for (size_t i = 0; i < len; ++i) {
+      events.push_back(static_cast<EventId>(rng.UniformInt(9)));
+    }
+    if (!mirror.empty() && rng.Bernoulli(0.5)) {
+      const SeqId target = static_cast<SeqId>(rng.UniformInt(mirror.size()));
+      incremental.AppendToSequence(target, events);
+      mirror[target].insert(mirror[target].end(), events.begin(),
+                            events.end());
+    } else {
+      incremental.AddSequence(events);
+      mirror.push_back(std::move(events));
+    }
+    if (rng.Bernoulli(0.2)) incremental.Snapshot();
+    for (SeqId seq = 0; seq < mirror.size(); ++seq) {
+      incremental.SequenceEvents(seq, &events_out);
+      ASSERT_EQ(events_out, mirror[seq]) << "op " << op << " seq " << seq;
+    }
+  }
+}
+
 // Sharing contract: a sequence untouched between snapshots keeps its frozen
 // block pointer-identical across epochs — the delta freeze rebuilds only
 // dirty sequences.

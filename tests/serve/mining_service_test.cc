@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -119,7 +120,7 @@ TEST(MiningService, EventFilterEqualsProjectedDatabase) {
   const MiningResult direct = MineClosedFrequent(projected, options);
   // Ids differ between the two databases; compare as (names, support).
   const auto snapshot = service.Snapshot();
-  EXPECT_EQ(AsSet(*snapshot->db, response.patterns),
+  EXPECT_EQ(AsSet(snapshot->db->dictionary(), response.patterns),
             AsSet(projected, direct.patterns));
 }
 
@@ -192,6 +193,33 @@ TEST(MiningService, SnapshotIsolatesFromLaterAppends) {
       {"AABCDABBAB", "ABCD", "BABA", "ABABAB"});
   EXPECT_EQ(new_view.patterns, MineClosedFrequent(grown, options).patterns);
   EXPECT_GT(new_view.epoch, old_view.epoch);
+}
+
+// A snapshot holds the epoch's names and no sequences: the index is its
+// only copy of the corpus.
+static_assert(!std::is_constructible_v<InvertedIndex, const SnapshotNames&>);
+
+// The names are copied only when an append interned a new one; every other
+// epoch's snapshot shares the previous snapshot's `db`.
+TEST(MiningService, SnapshotsShareNamesUntilANameIsInterned) {
+  MiningService service;
+  LoadExample(&service);
+  const auto first = service.Snapshot();
+  ASSERT_TRUE(service.Append({"A", "B"}).ok());
+  ASSERT_TRUE(service.AppendTo(0, {"C"}).ok());
+  ASSERT_TRUE(service.AppendIds(std::vector<EventId>{0, 3}).ok());
+  const auto second = service.Snapshot();
+  EXPECT_GT(second->epoch, first->epoch);
+  EXPECT_EQ(second->db.get(), first->db.get());
+
+  ASSERT_TRUE(service.Append({"A", "E"}).ok());
+  const auto third = service.Snapshot();
+  EXPECT_GT(third->epoch, second->epoch);
+  EXPECT_NE(third->db.get(), second->db.get());
+  EXPECT_EQ(third->db->dictionary().Lookup("E"), 4u);
+  // The earlier snapshots keep the names of their epoch.
+  EXPECT_EQ(second->db->dictionary().Lookup("E"), kNoEvent);
+  EXPECT_EQ(second->db->dictionary().size(), 4u);
 }
 
 TEST(MiningService, BatchSharesOneSnapshotAndIsThreadCountInvariant) {

@@ -5,33 +5,99 @@
 //
 // This suite runs under the `tsan` preset (ServeSnapshot* is in the ctest
 // filter): a writer thread streams appends/extensions through the service
-// while reader threads snapshot and mine concurrently. Each reader
-// validates its snapshot self-consistently — the database view captured in
-// the same ServiceSnapshot must, when batch-indexed from scratch, mine
-// exactly what the incremental snapshot mines. Any torn or
-// non-epoch-consistent view would break that equality (or trip TSan).
+// while reader threads snapshot and mine concurrently. The ground truth is
+// independent of the index under test: the writer logs every mutation in a
+// mirror BEFORE applying it, and every append carries at least one event,
+// so a snapshot's total event count names exactly one prefix of that log.
+// Each reader batch-indexes that prefix from scratch and must mine exactly
+// what the incremental snapshot mines; a torn or non-epoch-consistent view
+// matches no prefix (or trips TSan).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "core/clogsgrow.h"
 #include "core/inverted_index.h"
+#include "core/sequence_database.h"
 #include "serve/mining_service.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 
 namespace gsgrow {
 namespace {
 
+// The writer's log of mutations, in the order the service applied them.
+class MutationMirror {
+ public:
+  static constexpr SeqId kNewSequence = std::numeric_limits<SeqId>::max();
+
+  void Record(SeqId target, std::vector<EventId> events) {
+    MutexLock lock(&mutex_);
+    ops_.emplace_back(target, std::move(events));
+  }
+
+  size_t num_sequences() {
+    MutexLock lock(&mutex_);
+    size_t count = 0;
+    for (const auto& op : ops_) count += op.first == kNewSequence ? 1 : 0;
+    return count;
+  }
+
+  /// The corpus after the shortest prefix of the log holding exactly
+  /// `total_events` events, or nullopt when no prefix does.
+  std::optional<SequenceDatabase> Prefix(uint64_t total_events) {
+    MutexLock lock(&mutex_);
+    std::vector<std::vector<EventId>> sequences;
+    uint64_t total = 0;
+    for (const auto& [target, events] : ops_) {
+      if (total == total_events) break;
+      if (target == kNewSequence) {
+        sequences.push_back(events);
+      } else {
+        sequences[target].insert(sequences[target].end(), events.begin(),
+                                 events.end());
+      }
+      total += events.size();
+    }
+    if (total != total_events) return std::nullopt;
+    std::vector<Sequence> rows;
+    rows.reserve(sequences.size());
+    for (std::vector<EventId>& events : sequences) {
+      rows.emplace_back(std::move(events));
+    }
+    return SequenceDatabase(std::move(rows));
+  }
+
+ private:
+  Mutex mutex_;
+  std::vector<std::pair<SeqId, std::vector<EventId>>> ops_
+      GSGROW_GUARDED_BY(mutex_);
+};
+
+uint64_t TotalEvents(const InvertedIndex& index) {
+  uint64_t total = 0;
+  for (SeqId i = 0; i < index.num_sequences(); ++i) {
+    total += index.SequenceLength(i);
+  }
+  return total;
+}
+
 TEST(ServeSnapshotIsolation, AppendWhileMining) {
   MiningService service;
+  MutationMirror mirror;
   // Seed corpus so early snapshots have something to mine.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.AppendIds(std::vector<EventId>{0, 1, 2, 0, 1}).ok());
+    const std::vector<EventId> seed = {0, 1, 2, 0, 1};
+    mirror.Record(MutationMirror::kNewSequence, seed);
+    ASSERT_TRUE(service.AppendIds(seed).ok());
   }
 
   std::atomic<bool> stop{false};
@@ -56,11 +122,15 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
         std::this_thread::yield();
         continue;
       }
+      // Logged before it is applied: the mirror always holds at least what
+      // any snapshot can see.
       if (rng.Bernoulli(0.3)) {
-        const SeqId target = static_cast<SeqId>(
-            rng.UniformInt(service.Stats().num_sequences));
+        const SeqId target =
+            static_cast<SeqId>(rng.UniformInt(mirror.num_sequences()));
+        mirror.Record(target, events);
         ASSERT_TRUE(service.AppendIdsTo(target, events).ok());
       } else {
+        mirror.Record(MutationMirror::kNewSequence, events);
         ASSERT_TRUE(service.AppendIds(events).ok());
       }
       ++appended;
@@ -73,19 +143,22 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&service] {
+    readers.emplace_back([&service, &mirror] {
       for (int s = 0; s < kSnapshotsPerReader; ++s) {
         const auto snapshot = service.Snapshot();
-        // The snapshot's db view captures the same epoch as its index; a
-        // batch index over it is the ground truth for that epoch.
-        InvertedIndex batch(*snapshot->db);
+        const uint64_t total = TotalEvents(snapshot->index);
+        const std::optional<SequenceDatabase> truth = mirror.Prefix(total);
+        ASSERT_TRUE(truth.has_value())
+            << "snapshot epoch " << snapshot->epoch << " holds " << total
+            << " events, which no prefix of the mutation log does";
+        const InvertedIndex batch(*truth);
+        ASSERT_EQ(batch.num_sequences(), snapshot->index.num_sequences());
         MinerOptions options;
         // Scale the floor with the corpus so per-iteration mining cost
         // stays flat while the writer grows the database (the point here
         // is the concurrency surface, not DFS depth — TSan multiplies
         // every instruction).
-        options.min_support =
-            std::max<uint64_t>(3, snapshot->db->Stats().total_length / 10);
+        options.min_support = std::max<uint64_t>(3, total / 10);
         options.max_pattern_length = 5;
         const MiningResult incremental =
             MineClosedFrequent(snapshot->index, options);
@@ -104,12 +177,17 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
   stop.store(true, std::memory_order_relaxed);
   writer.join();
 
-  // Final consistency: quiescent snapshot equals batch ground truth.
+  // Final consistency: the quiescent snapshot equals a batch index over
+  // the whole mirror.
   const auto final_snapshot = service.Snapshot();
-  InvertedIndex batch(*final_snapshot->db);
+  const uint64_t total = TotalEvents(final_snapshot->index);
+  const std::optional<SequenceDatabase> truth = mirror.Prefix(total);
+  ASSERT_TRUE(truth.has_value());
+  const InvertedIndex batch(*truth);
+  ASSERT_EQ(batch.num_sequences(), final_snapshot->index.num_sequences());
+  ASSERT_EQ(batch.num_sequences(), mirror.num_sequences());
   MinerOptions options;
-  options.min_support =
-      std::max<uint64_t>(3, final_snapshot->db->Stats().total_length / 20);
+  options.min_support = std::max<uint64_t>(3, total / 20);
   options.max_pattern_length = 5;
   EXPECT_EQ(MineClosedFrequent(final_snapshot->index, options).patterns,
             MineClosedFrequent(batch, options).patterns);

@@ -51,12 +51,18 @@ inline Instance PaperTriple(SeqId seq_1based, Position first_1based,
 
 /// Mining result as a canonical set of (compact pattern string, support).
 inline std::set<std::pair<std::string, uint64_t>> AsSet(
-    const SequenceDatabase& db, const std::vector<PatternRecord>& records) {
+    const EventDictionary& dictionary,
+    const std::vector<PatternRecord>& records) {
   std::set<std::pair<std::string, uint64_t>> out;
   for (const PatternRecord& r : records) {
-    out.emplace(r.pattern.ToCompactString(db.dictionary()), r.support);
+    out.emplace(r.pattern.ToCompactString(dictionary), r.support);
   }
   return out;
+}
+
+inline std::set<std::pair<std::string, uint64_t>> AsSet(
+    const SequenceDatabase& db, const std::vector<PatternRecord>& records) {
+  return AsSet(db.dictionary(), records);
 }
 
 /// Random database for property tests: `num_seqs` sequences of length in
