@@ -42,24 +42,6 @@
 
 using namespace gsgrow;
 
-namespace {
-
-// Reads integer flag --`name` into *out (`fallback` when absent). Prints why
-// and returns false when the flag is present but not an integer >= `min`,
-// so a typo or a negative count cannot silently become a default or wrap.
-bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
-                 int64_t min, int64_t* out) {
-  *out = fallback;
-  if (!flags.Has(name)) return true;
-  const std::string raw = flags.GetString(name, "");
-  if (ParseInt64(raw, out) && *out >= min) return true;
-  std::fprintf(stderr, "error: --%s must be an integer >= %lld, got '%s'\n",
-               name, static_cast<long long>(min), raw.c_str());
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const std::string input = flags.GetString("input", "");
@@ -74,9 +56,40 @@ int main(int argc, char** argv) {
                  "[--semantics_floor=measure:N] [--trace]\n");
     return 2;
   }
+  const std::string format = flags.GetString("format", "text");
+  if (format != "text" && format != "spmf") {
+    std::fprintf(stderr, "error: --format must be text|spmf, got '%s'\n",
+                 format.c_str());
+    return 2;
+  }
+  // Every numeric or boolean flag is checked before any work: a typo, a
+  // negative count or a NaN exits 2 naming the flag instead of becoming a
+  // default or wrapping. --max_len=0 means unlimited, --budget=0 no budget,
+  // and --threads=0 one worker per hardware thread (output is identical
+  // either way).
+  int64_t min_sup = 10;
+  int64_t max_len = 0;
+  int64_t threads = 1;
+  int64_t top = 20;
+  double budget = 0;
+  double density = 0;
+  bool maximal = false;
+  bool trace_enabled = false;
+  for (const Status& st : {flags.Get("min_sup", &min_sup, int64_t{1}),
+                           flags.Get("max_len", &max_len, int64_t{0}),
+                           flags.Get("threads", &threads, int64_t{0}),
+                           flags.Get("top", &top, int64_t{0}),
+                           flags.Get("budget", &budget, 0.0),
+                           flags.Get("density", &density, 0.0, 1.0),
+                           flags.Get("maximal", &maximal),
+                           flags.Get("trace", &trace_enabled)}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
+      return 2;
+    }
+  }
 
   // --- Load. ---
-  const std::string format = flags.GetString("format", "text");
   Result<SequenceDatabase> loaded =
       format == "spmf" ? ReadSpmfDatabaseFile(input)
                        : ReadTextDatabaseFile(input);
@@ -106,21 +119,8 @@ int main(int argc, char** argv) {
 
   MineRequest request;
   MinerOptions& options = request.options;
-  // --max_len=0 means unlimited; --threads=0 means one worker per hardware
-  // thread (output is identical either way).
-  int64_t min_sup = 0;
-  int64_t max_len = 0;
-  int64_t threads = 0;
-  int64_t top = 0;
-  if (!ReadIntFlag(flags, "min_sup", 10, 1, &min_sup) ||
-      !ReadIntFlag(flags, "max_len", 0, 0, &max_len) ||
-      !ReadIntFlag(flags, "threads", 1, 0, &threads) ||
-      !ReadIntFlag(flags, "top", 20, 0, &top)) {
-    return 2;
-  }
   options.min_support = static_cast<uint64_t>(min_sup);
   if (max_len > 0) options.max_pattern_length = static_cast<size_t>(max_len);
-  const double budget = flags.GetDouble("budget", 0.0);
   if (budget > 0) options.time_budget_seconds = budget;
   options.num_threads = static_cast<size_t>(threads);
 
@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
 
   request.miner = algorithm == "all" ? MineRequest::Miner::kAll
                                      : MineRequest::Miner::kClosed;
-  const bool trace_enabled = flags.GetBool("trace", false);
   obs::RequestTrace trace;
   MineResponse response;
   if (trace_enabled) {
@@ -167,9 +166,8 @@ int main(int argc, char** argv) {
 
   // --- Post-process. ---
   std::vector<PatternRecord> patterns = std::move(response.patterns);
-  const double density = flags.GetDouble("density", 0.0);
   if (density > 0) patterns = FilterByDensity(patterns, density);
-  if (flags.GetBool("maximal", false)) patterns = FilterMaximal(patterns);
+  if (maximal) patterns = FilterMaximal(patterns);
   const std::string floor_spec = flags.GetString("semantics_floor", "");
   if (!floor_spec.empty()) {
     // measure:N — the measure must be part of --semantics; the filter reads

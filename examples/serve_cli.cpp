@@ -37,6 +37,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "io/spmf_format.h"
@@ -66,10 +67,26 @@ int main(int argc, char** argv) {
     return StartupFailure("bad flag", "--cache=" + cache,
                           Status::InvalidArgument("expected on|off"));
   }
-  const int64_t cache_mb = flags.GetInt("cache_mb", 64);
-  if (cache_mb < 0) {
-    return StartupFailure("bad flag", "--cache_mb=" + std::to_string(cache_mb),
-                          Status::InvalidArgument("expected N >= 0"));
+  const std::string format = flags.GetString("format", "text");
+  if (format != "text" && format != "spmf") {
+    return StartupFailure("bad flag", "--format=" + format,
+                          Status::InvalidArgument("expected text|spmf"));
+  }
+  // Numeric flags are checked before any work: a malformed or out-of-range
+  // value exits 2 naming the flag. --cache_mb is capped so that `<< 20`
+  // cannot wrap; --slow_query_ms=-1 (the default) keeps the log off and is
+  // capped so that the microsecond threshold cannot wrap.
+  int64_t cache_mb = 64;
+  int64_t group = 32;
+  int64_t slow_query_ms = -1;
+  for (const Status& st :
+       {flags.Get("cache_mb", &cache_mb, int64_t{0},
+                  static_cast<int64_t>(std::numeric_limits<size_t>::max() >>
+                                       20)),
+        flags.Get("group_commit", &group, int64_t{1}),
+        flags.Get("slow_query_ms", &slow_query_ms, int64_t{-1},
+                  std::numeric_limits<int64_t>::max() / 1000)}) {
+    if (!st.ok()) return StartupFailure("bad", "flag", st);
   }
   ResultCacheOptions cache_options;
   cache_options.max_bytes =
@@ -95,12 +112,6 @@ int main(int argc, char** argv) {
           "bad flag", "--sync=" + sync,
           Status::InvalidArgument("expected none|batch|always"));
     }
-    const int64_t group = flags.GetInt("group_commit", 32);
-    if (group < 1) {
-      return StartupFailure("bad flag",
-                            "--group_commit=" + std::to_string(group),
-                            Status::InvalidArgument("expected N >= 1"));
-    }
     options.group_commit_appends = static_cast<size_t>(group);
     Result<std::unique_ptr<MiningService>> opened =
         MiningService::OpenDurable(options, IndexBuildOptions{}, cache_options);
@@ -123,7 +134,6 @@ int main(int argc, char** argv) {
 
   const std::string input = flags.GetString("input", "");
   if (!input.empty()) {
-    const std::string format = flags.GetString("format", "text");
     Result<SequenceDatabase> loaded = format == "spmf"
                                           ? ReadSpmfDatabaseFile(input)
                                           : ReadTextDatabaseFile(input);
@@ -140,12 +150,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.total_events));
   }
 
-  const int64_t slow_query_ms = flags.GetInt("slow_query_ms", -1);
-  if (slow_query_ms < -1) {
-    return StartupFailure("bad flag",
-                          "--slow_query_ms=" + std::to_string(slow_query_ms),
-                          Status::InvalidArgument("expected N >= 0"));
-  }
   if (slow_query_ms >= 0) {
     service->traces().EnableSlowQueryLog(static_cast<uint64_t>(slow_query_ms) *
                                          1000);

@@ -25,7 +25,12 @@ class CloSpanRun {
       if (db_[i].length() > 0) root.push_back({i, 0});
     }
     Dfs(root);
-    result_.patterns = FilterClosedSequential(candidates_);
+    // The closure filter is exact only over the complete candidate set, and
+    // it is quadratic in a support group's size: a stopped run has neither
+    // a complete set nor time left, so it reports its candidates as they
+    // stand (flagged truncated) instead of overrunning its budget.
+    result_.patterns = stopped_ ? std::move(candidates_)
+                                : FilterClosedSequential(candidates_);
     result_.stats.patterns_found = result_.patterns.size();
     result_.stats.elapsed_seconds = timer.ElapsedSeconds();
     return std::move(result_);

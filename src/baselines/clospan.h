@@ -8,7 +8,9 @@
 // identical projected database; its whole subtree is dominated and is
 // skipped). The backward super-pattern "transplanting" optimization is not
 // replicated; instead those dominated candidates are removed by the final
-// closure filter, which preserves exactness at some cost in speed.
+// closure filter, which preserves exactness at some cost in speed. A run
+// stopped by its time budget or max_patterns skips that filter and returns
+// its unfiltered candidates (stats.truncated is set).
 // Support semantics: number of sequences containing the pattern.
 
 #ifndef GSGROW_BASELINES_CLOSPAN_H_

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/clogsgrow.h"
-#include "core/gsgrow.h"
 #include "core/instance_growth.h"
 #include "semantics/interaction_support.h"
 #include "semantics/iterative_support.h"
@@ -95,23 +93,6 @@ SemanticsAnnotations TableIAnnotator::AnnotatePattern(const Pattern& pattern) {
   const SupportSet support_set = ComputeSupportSet(*index_, pattern);
   Annotate(pattern.events(), support_set, &out);
   return out;
-}
-
-MiningResult MineWithSemantics(const InvertedIndex& index,
-                               const MinerOptions& options,
-                               SemanticsMiner miner) {
-  GSGROW_CHECK_MSG(options.semantics.AnyEnabled(),
-                   "MineWithSemantics requires at least one enabled measure "
-                   "in options.semantics");
-  return miner == SemanticsMiner::kClosed ? MineClosedFrequent(index, options)
-                                          : MineAllFrequent(index, options);
-}
-
-MiningResult MineWithSemantics(const SequenceDatabase& db,
-                               const MinerOptions& options,
-                               SemanticsMiner miner) {
-  InvertedIndex index(db);
-  return MineWithSemantics(index, options, miner);
 }
 
 SemanticsAnnotations AnnotatePostHoc(const SequenceDatabase& db,

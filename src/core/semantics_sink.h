@@ -22,10 +22,10 @@
 //    byte-identical at any thread count.
 //
 // The selection travels as MinerOptions::semantics through all four miner
-// facades; MineWithSemantics below is the convenience entry point, and
-// AnnotatePostHoc is the reference baseline (whole-sequence scanners over
-// the full database) that the differential tests and bench/table1_semantics
-// compare against.
+// facades (MineClosedFrequent / MineAllFrequent return annotated records
+// whenever it enables a measure), and AnnotatePostHoc is the reference
+// baseline (whole-sequence scanners over the full database) that the
+// differential tests and bench/table1_semantics compare against.
 
 #ifndef GSGROW_CORE_SEMANTICS_SINK_H_
 #define GSGROW_CORE_SEMANTICS_SINK_H_
@@ -166,26 +166,6 @@ MiningResult MineWithSelectedSink(const InvertedIndex& index,
   }
   return mine([] { return CountSink(); });
 }
-
-/// Which miner MineWithSemantics runs under the annotation layer.
-enum class SemanticsMiner {
-  kClosed,  // CloGSgrow (closed patterns)
-  kAll,     // GSgrow (all frequent patterns)
-};
-
-/// One-pass multi-semantics mining: mines with `options` (whose `semantics`
-/// selection must enable at least one measure) and returns PatternRecords
-/// carrying the annotation block. Exactly equivalent to calling
-/// MineClosedFrequent / MineAllFrequent with the same options — this entry
-/// point exists so callers wanting annotations need not know the wiring.
-MiningResult MineWithSemantics(const InvertedIndex& index,
-                               const MinerOptions& options,
-                               SemanticsMiner miner = SemanticsMiner::kClosed);
-
-/// Convenience overload; builds the inverted index internally.
-MiningResult MineWithSemantics(const SequenceDatabase& db,
-                               const MinerOptions& options,
-                               SemanticsMiner miner = SemanticsMiner::kClosed);
 
 /// Reference baseline: the selected measures computed by the standalone
 /// whole-sequence scanners of src/semantics over the ENTIRE database —

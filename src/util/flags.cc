@@ -1,10 +1,64 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/string_util.h"
 
 namespace gsgrow {
+
+namespace {
+
+bool ParseValue(const std::string& raw, int64_t* out) {
+  return ParseInt64(raw, out);
+}
+
+bool ParseValue(const std::string& raw, double* out) {
+  return ParseDouble(raw, out);
+}
+
+bool ParseValue(const std::string& raw, bool* out) {
+  if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") {
+    *out = true;
+    return true;
+  }
+  if (raw == "false" || raw == "0" || raw == "no" || raw == "off") {
+    *out = false;
+    return true;
+  }
+  return false;
+}
+
+// What a valid value of --name looks like, for the error message: `kind`
+// plus the bounds that differ from the type's own limits.
+template <typename T>
+std::string Expected(const char* kind, T min, T max,
+                     std::string (*format)(T)) {
+  const bool low = min != std::numeric_limits<T>::lowest();
+  const bool high = max != std::numeric_limits<T>::max();
+  std::string s = kind;
+  if (low && high) return s + " in [" + format(min) + ", " + format(max) + "]";
+  if (low) return s + " >= " + format(min);
+  if (high) return s + " <= " + format(max);
+  return s;
+}
+
+std::string Expected(int64_t min, int64_t max) {
+  return Expected<int64_t>("an integer", min, max,
+                           [](int64_t v) { return std::to_string(v); });
+}
+
+std::string Expected(double min, double max) {
+  return Expected<double>("a number", min, max, [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return std::string(buf);
+  });
+}
+
+std::string Expected(bool, bool) { return "true|false|1|0|yes|no|on|off"; }
+
+}  // namespace
 
 Flags Flags::Parse(int argc, char** argv) {
   Flags flags;
@@ -27,38 +81,31 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
   auto it = values_.find(name);
   return it == values_.end() ? default_value : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
+template <typename T>
+Status Flags::Get(const std::string& name, T* value, T min, T max) const {
   auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  int64_t v;
-  return ParseInt64(it->second, &v) ? v : default_value;
+  if (it == values_.end()) return Status::OK();
+  T parsed{};
+  // Written so that a NaN, which compares false to everything, fails.
+  if (ParseValue(it->second, &parsed) && parsed >= min && parsed <= max) {
+    *value = parsed;
+    return Status::OK();
+  }
+  return Status::InvalidArgument("--" + name + " must be " +
+                                 Expected(min, max) + ", got '" +
+                                 it->second + "'");
 }
 
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  double v;
-  return ParseDouble(it->second, &v) ? v : default_value;
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return default_value;
-}
+template Status Flags::Get(const std::string&, int64_t*, int64_t,
+                           int64_t) const;
+template Status Flags::Get(const std::string&, double*, double, double) const;
+template Status Flags::Get(const std::string&, bool*, bool, bool) const;
 
 double EnvDouble(const char* name, double default_value) {
   const char* raw = std::getenv(name);

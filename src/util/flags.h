@@ -1,4 +1,4 @@
-// Minimal command-line flag parsing for examples and benchmark harnesses.
+// Minimal command-line flag parsing for the command-line front ends.
 //
 // Supports --name=value and --name value forms plus bare boolean switches
 // (--verbose). Unknown positional arguments are collected in order.
@@ -7,25 +7,33 @@
 #define GSGROW_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace gsgrow {
 
-/// Parsed command line. Typed getters fall back to the provided default when
-/// the flag is absent or unparsable.
+/// Parsed command line.
 class Flags {
  public:
   /// Parses argv (argv[0] is skipped).
   static Flags Parse(int argc, char** argv);
 
-  bool Has(const std::string& name) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
-  int64_t GetInt(const std::string& name, int64_t default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
-  bool GetBool(const std::string& name, bool default_value) const;
+
+  /// Checked read of --`name` into *value. An absent flag leaves *value (the
+  /// caller's default) as it is; a value that does not parse as T, or lies
+  /// outside [min, max], is an InvalidArgument error naming the flag, and
+  /// *value is left unchanged. T is int64_t, double (NaN never passes) or
+  /// bool (true|false, 1|0, yes|no, on|off).
+  template <typename T>
+  Status Get(const std::string& name, T* value,
+             T min = std::numeric_limits<T>::lowest(),
+             T max = std::numeric_limits<T>::max()) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -16,6 +16,7 @@
 #include "core/inverted_index.h"
 #include "core/reference.h"
 #include "core/sequence_database.h"
+#include "semantics/sequence_count_support.h"
 #include "test_util.h"
 
 namespace gsgrow {
@@ -48,7 +49,8 @@ TEST_F(Example11Db, ABRepeatsThreeTimesWithinS1) {
 }
 
 // Section I, "a larger example": 50 copies of CABABABABABD and 50 copies of
-// ABCD give sup(AB) = 5*50 + 50 = 300 and sup(CD) = 100.
+// ABCD give sup(AB) = 5*50 + 50 = 300 and sup(CD) = 100, while the classic
+// sequence count sees both in all 100 sequences.
 TEST(IntroLargerExample, RepetitiveSupportDifferentiatesABFromCD) {
   std::vector<std::string> rows;
   for (int i = 0; i < 50; ++i) rows.push_back("CABABABABABD");
@@ -57,6 +59,8 @@ TEST(IntroLargerExample, RepetitiveSupportDifferentiatesABFromCD) {
   InvertedIndex index(db);
   EXPECT_EQ(ComputeSupport(index, MakePattern(db, "AB")), 300u);
   EXPECT_EQ(ComputeSupport(index, MakePattern(db, "CD")), 100u);
+  EXPECT_EQ(SequenceCount(db, MakePattern(db, "AB")), 100u);
+  EXPECT_EQ(SequenceCount(db, MakePattern(db, "CD")), 100u);
 }
 
 class TableIIDb : public ::testing::Test {
@@ -271,9 +275,11 @@ TEST_F(TableIIIDb, AllMinersAgreeWithReferenceAtMinSup3) {
   MiningResult all = MineAllFrequent(db_, options);
   std::vector<PatternRecord> ref = ReferenceMineAll(db_, 3);
   EXPECT_EQ(AsSet(db_, all.patterns), AsSet(db_, ref));
+  EXPECT_EQ(all.patterns.size(), 23u);
 
   MiningResult closed = MineClosedFrequent(db_, options);
   EXPECT_EQ(AsSet(db_, closed.patterns), AsSet(db_, FilterClosed(ref)));
+  EXPECT_EQ(closed.patterns.size(), 7u);
 }
 
 }  // namespace

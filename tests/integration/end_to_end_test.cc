@@ -1,5 +1,5 @@
 // End-to-end pipelines across modules: generate -> serialize -> parse ->
-// index -> mine -> post-process -> extract features.
+// index -> mine -> post-process -> per-sequence feature values.
 
 #include <cstdio>
 #include <filesystem>
@@ -7,8 +7,8 @@
 #include "gtest/gtest.h"
 
 #include "core/clogsgrow.h"
-#include "core/feature_extraction.h"
 #include "core/gsgrow.h"
+#include "core/instance_growth.h"
 #include "core/topk.h"
 #include "datagen/models.h"
 #include "datagen/quest_generator.h"
@@ -112,18 +112,15 @@ TEST(EndToEnd, FeaturePipelineOnMinedPatterns) {
   std::vector<PatternRecord> top = MineTopKClosed(db, topk);
   ASSERT_FALSE(top.empty());
 
-  std::vector<Pattern> patterns;
-  for (const PatternRecord& r : top) patterns.push_back(r.pattern);
+  // The paper's per-sequence feature values (§V) of each top-K pattern sum
+  // to its total repetitive support.
   InvertedIndex index(db);
-  FeatureMatrix features = ExtractFeatures(index, patterns);
-  ASSERT_EQ(features.num_sequences(), db.size());
-  // Feature columns sum to the pattern's total repetitive support.
-  for (size_t j = 0; j < patterns.size(); ++j) {
+  for (const PatternRecord& r : top) {
+    std::vector<uint32_t> features = PerSequenceSupport(index, r.pattern);
+    ASSERT_EQ(features.size(), db.size());
     uint64_t total = 0;
-    for (size_t i = 0; i < features.num_sequences(); ++i) {
-      total += features.rows[i][j];
-    }
-    EXPECT_EQ(total, top[j].support);
+    for (uint32_t value : features) total += value;
+    EXPECT_EQ(total, r.support);
   }
 }
 

@@ -178,7 +178,7 @@ TEST(SemanticsSink, PaperExampleAnnotations) {
   MinerOptions options;
   options.min_support = 2;
   options.semantics = SemanticsOptions::All(4, 0, 3);
-  MiningResult result = MineWithSemantics(db, options);
+  MiningResult result = MineClosedFrequent(db, options);
   const Pattern ab = MakePattern(db, "AB");
   bool found = false;
   for (const PatternRecord& r : result.patterns) {

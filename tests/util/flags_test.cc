@@ -1,6 +1,9 @@
 #include "util/flags.h"
 
 #include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -16,9 +19,19 @@ Flags ParseArgs(std::vector<std::string> args) {
   return Flags::Parse(static_cast<int>(argv.size()), argv.data());
 }
 
+// Reads --name through the checked accessor, starting from `init`; the
+// test fails if the read is rejected.
+template <typename T>
+T Read(const Flags& f, const std::string& name, T init) {
+  T value = init;
+  Status st = f.Get(name, &value);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return value;
+}
+
 TEST(Flags, EqualsForm) {
   Flags f = ParseArgs({"--min_sup=5"});
-  EXPECT_EQ(f.GetInt("min_sup", 0), 5);
+  EXPECT_EQ(Read<int64_t>(f, "min_sup", 0), 5);
 }
 
 TEST(Flags, SpaceForm) {
@@ -28,30 +41,54 @@ TEST(Flags, SpaceForm) {
 
 TEST(Flags, BareBooleanSwitch) {
   Flags f = ParseArgs({"--verbose"});
-  EXPECT_TRUE(f.GetBool("verbose", false));
+  EXPECT_TRUE(Read(f, "verbose", false));
 }
 
 TEST(Flags, BooleanSpellings) {
-  EXPECT_TRUE(ParseArgs({"--x=yes"}).GetBool("x", false));
-  EXPECT_TRUE(ParseArgs({"--x=on"}).GetBool("x", false));
-  EXPECT_TRUE(ParseArgs({"--x=1"}).GetBool("x", false));
-  EXPECT_FALSE(ParseArgs({"--x=no"}).GetBool("x", true));
-  EXPECT_FALSE(ParseArgs({"--x=0"}).GetBool("x", true));
-  EXPECT_FALSE(ParseArgs({"--x=off"}).GetBool("x", true));
+  EXPECT_TRUE(Read(ParseArgs({"--x=yes"}), "x", false));
+  EXPECT_TRUE(Read(ParseArgs({"--x=on"}), "x", false));
+  EXPECT_TRUE(Read(ParseArgs({"--x=1"}), "x", false));
+  EXPECT_FALSE(Read(ParseArgs({"--x=no"}), "x", true));
+  EXPECT_FALSE(Read(ParseArgs({"--x=0"}), "x", true));
+  EXPECT_FALSE(Read(ParseArgs({"--x=off"}), "x", true));
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
   Flags f = ParseArgs({});
-  EXPECT_EQ(f.GetInt("k", 7), 7);
+  EXPECT_EQ(Read<int64_t>(f, "k", 7), 7);
   EXPECT_EQ(f.GetString("s", "d"), "d");
-  EXPECT_DOUBLE_EQ(f.GetDouble("d", 1.5), 1.5);
-  EXPECT_TRUE(f.GetBool("b", true));
-  EXPECT_FALSE(f.Has("k"));
+  EXPECT_DOUBLE_EQ(Read(f, "d", 1.5), 1.5);
+  EXPECT_TRUE(Read(f, "b", true));
 }
 
+// A value that does not parse, or lies outside the allowed range, is an
+// error naming the flag and leaves the default in place — never a silent
+// fall-back.
 TEST(Flags, DefaultWhenUnparsable) {
-  Flags f = ParseArgs({"--k=abc"});
-  EXPECT_EQ(f.GetInt("k", 9), 9);
+  const auto rejects = [](const std::vector<std::string>& args, auto init,
+                          auto min, auto max) {
+    Flags f = ParseArgs(args);
+    auto value = init;
+    Status st = f.Get("k", &value, min, max);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << args[0];
+    EXPECT_NE(st.message().find("--k"), std::string::npos) << st.message();
+    EXPECT_EQ(value, init) << args[0];
+  };
+  constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  rejects({"--k=abc"}, int64_t{9}, int64_t{0}, kIntMax);
+  rejects({"--k=-1"}, int64_t{9}, int64_t{0}, kIntMax);
+  rejects({"--k=99999999999999999999"}, int64_t{9}, int64_t{0}, kIntMax);
+  rejects({"--k=17"}, int64_t{9}, int64_t{0}, int64_t{16});
+  rejects({"--k=abc"}, 1.5, 0.0, kDoubleMax);
+  rejects({"--k=nan"}, 1.5, 0.0, kDoubleMax);
+  rejects({"--k=-1"}, 1.5, 0.0, kDoubleMax);
+  rejects({"--k=maybe"}, false, false, true);
+
+  Flags f = ParseArgs({"--k=-5"});
+  int64_t value = 0;
+  EXPECT_EQ(f.Get("k", &value, int64_t{1}).message(),
+            "--k must be an integer >= 1, got '-5'");
 }
 
 TEST(Flags, Positional) {
@@ -63,7 +100,7 @@ TEST(Flags, Positional) {
 
 TEST(Flags, DoubleValues) {
   Flags f = ParseArgs({"--scale=0.25"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("scale", 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(Read(f, "scale", 1.0), 0.25);
 }
 
 TEST(EnvDouble, ReadsAndDefaults) {
