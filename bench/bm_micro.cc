@@ -6,7 +6,8 @@
 // (DESIGN.md §5), and whole supComp runs as pattern length grows. The Setup
 // rows split the serving stack's bulk load (text parse,
 // MiningService::Ingest, first Snapshot) on the Quest D5C20N10S20 corpus,
-// next to the batch index build of the same database.
+// next to the batch index build of the same database. SnapshotSmallDelta
+// times one small-delta snapshot publish on the serving corpus.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "datagen/models.h"
 #include "datagen/quest_generator.h"
 #include "io/text_format.h"
+#include "serve/incremental_index.h"
 #include "serve/mining_service.h"
 
 namespace gsgrow {
@@ -113,7 +115,7 @@ BENCHMARK(BM_IndexBuild);
 void BM_NextQuery(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
   EventId e = TopEvents(index, 1)[0];
-  SeqId seq = index.Postings(e)[0].seq;
+  SeqId seq = *index.Postings(e).begin();
   Position p = 0;
   for (auto _ : state) {
     Position next = index.NextAtOrAfter(seq, e, p);
@@ -130,9 +132,9 @@ BENCHMARK(BM_NextQuery);
 // event, not a degenerate short list.
 void NextQueryCursor(benchmark::State& state, const InvertedIndex& index) {
   EventId e = TopEvents(index, 1)[0];
-  SeqId seq = index.Postings(e)[0].seq;
-  for (const auto& posting : index.Postings(e)) {
-    if (index.Count(posting.seq, e) > index.Count(seq, e)) seq = posting.seq;
+  SeqId seq = *index.Postings(e).begin();
+  for (const SeqId candidate : index.Postings(e)) {
+    if (index.Count(candidate, e) > index.Count(seq, e)) seq = candidate;
   }
   PositionCursor cursor = index.Cursor(seq, e);
   Position p = 0;
@@ -159,9 +161,9 @@ BENCHMARK(BM_NextQueryCursor);
 void BM_PrevQueryCursor(benchmark::State& state) {
   const InvertedIndex& index = TestIndex();
   EventId e = TopEvents(index, 1)[0];
-  SeqId seq = index.Postings(e)[0].seq;
-  for (const auto& posting : index.Postings(e)) {
-    if (index.Count(posting.seq, e) > index.Count(seq, e)) seq = posting.seq;
+  SeqId seq = *index.Postings(e).begin();
+  for (const SeqId candidate : index.Postings(e)) {
+    if (index.Count(candidate, e) > index.Count(seq, e)) seq = candidate;
   }
   PositionCursor cursor = index.Cursor(seq, e);
   Position bound = kNoPosition;
@@ -193,9 +195,9 @@ BENCHMARK(BM_NextQueryCursorLong);
 void BM_NextQueryCursorSkipLong(benchmark::State& state) {
   const InvertedIndex& index = LongIndex();
   EventId e = TopEvents(index, 1)[0];
-  SeqId seq = index.Postings(e)[0].seq;
-  for (const auto& posting : index.Postings(e)) {
-    if (index.Count(posting.seq, e) > index.Count(seq, e)) seq = posting.seq;
+  SeqId seq = *index.Postings(e).begin();
+  for (const SeqId candidate : index.Postings(e)) {
+    if (index.Count(candidate, e) > index.Count(seq, e)) seq = candidate;
   }
   const Position limit = index.SequenceLength(seq);
   PositionCursor cursor = index.Cursor(seq, e);
@@ -563,6 +565,45 @@ void BM_SetupBatchIndex(benchmark::State& state) {
   SetSetupItems(state);
 }
 BENCHMARK(BM_SetupBatchIndex)->Unit(benchmark::kMillisecond);
+
+// Serving-side snapshot publish: the serving corpus (Quest D5C20N2S8,
+// generator seed 42, 5,000 sequences) bulk-loaded into an incremental
+// index, then per iteration one appended sequence, one 4-event extension
+// of an old sequence, and a Snapshot() that replaces the only view held —
+// so the time per iteration is one small-delta publish plus the release
+// of the previous view. Counters: the writer's reserved and live arena
+// bytes at the end.
+void BM_SnapshotSmallDelta(benchmark::State& state) {
+  QuestParams params;
+  params.num_sequences = 5000;
+  params.avg_sequence_length = 20;
+  params.num_events = 2000;
+  params.avg_pattern_length = 8;
+  params.seed = 42;
+  const SequenceDatabase db = GenerateQuest(params);
+  IncrementalInvertedIndex index;
+  for (const Sequence& s : db.sequences()) index.AddSequence(s.events());
+  InvertedIndex view = index.Snapshot();
+  uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift64 — deterministic stream
+  size_t next = 0;
+  for (auto _ : state) {
+    index.AddSequence(db[next % db.size()].events());
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::vector<EventId>& payload = db[(next + 1) % db.size()].events();
+    const size_t extension = std::min<size_t>(4, payload.size());
+    const SeqId target = static_cast<SeqId>(x % index.num_sequences());
+    index.AppendToSequence(target, std::span(payload).first(extension));
+    view = index.Snapshot();
+    benchmark::DoNotOptimize(view.num_sequences());
+    ++next;
+  }
+  state.counters["reserved_bytes"] =
+      static_cast<double>(index.reserved_bytes());
+  state.counters["live_bytes"] = static_cast<double>(index.live_bytes());
+}
+BENCHMARK(BM_SnapshotSmallDelta)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gsgrow

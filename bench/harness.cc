@@ -15,14 +15,27 @@
 
 namespace gsgrow::bench {
 
-double Scale() {
-  double s = EnvDouble("GSGROW_BENCH_SCALE", 0.25);
-  return std::clamp(s, 1e-3, 4.0);
+namespace {
+
+// The value of environment variable `name` in [min, max], or `fallback`
+// when it is unset; any other value ends the process with exit code 2, so a
+// mistyped setting never measures a configuration nobody asked for.
+double EnvOrExit(const char* name, double fallback, double min, double max) {
+  double value = fallback;
+  const Status status = EnvDouble(name, &value, min, max);
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.message().c_str());
+    std::exit(ExitCodeForStatus(status.code()));
+  }
+  return value;
 }
 
+}  // namespace
+
+double Scale() { return EnvOrExit("GSGROW_BENCH_SCALE", 0.25, 1e-3, 4.0); }
+
 double BudgetSeconds() {
-  double b = EnvDouble("GSGROW_BENCH_BUDGET", 5.0);
-  return std::clamp(b, 0.1, 36000.0);
+  return EnvOrExit("GSGROW_BENCH_BUDGET", 5.0, 0.1, 36000.0);
 }
 
 uint64_t ScaledMinSup(uint64_t paper_value, double scale) {

@@ -20,12 +20,13 @@
 
 namespace gsgrow::bench {
 
-/// Dataset scale factor from GSGROW_BENCH_SCALE (default 0.25, clamped to
-/// (0, 4]).
+/// Dataset scale factor from GSGROW_BENCH_SCALE (default 0.25). A value
+/// that is not a number in [0.001, 4] exits the process with code 2.
 double Scale();
 
 /// Per-configuration time budget in seconds from GSGROW_BENCH_BUDGET
-/// (default 5).
+/// (default 5). A value that is not a number in [0.1, 36000] exits the
+/// process with code 2.
 double BudgetSeconds();
 
 /// A paper support threshold scaled with the dataset (floor 1).

@@ -9,9 +9,9 @@ namespace gsgrow {
 
 SupportSet RootInstances(const InvertedIndex& index, EventId e) {
   SupportSet out;
-  for (const InvertedIndex::Posting& posting : index.Postings(e)) {
-    for (Position p : index.Positions(posting.seq, e)) {
-      out.push_back(Instance{posting.seq, p, p});
+  for (const SeqId seq : index.Postings(e)) {
+    for (Position p : index.Positions(seq, e)) {
+      out.push_back(Instance{seq, p, p});
     }
   }
   // Postings are ascending by sequence and positions ascending within one,
@@ -361,9 +361,9 @@ std::vector<FullInstance> ComputeFullSupportSet(const InvertedIndex& index,
                                                 const Pattern& pattern) {
   std::vector<FullInstance> set;
   if (pattern.empty()) return set;
-  for (const InvertedIndex::Posting& posting : index.Postings(pattern[0])) {
-    for (Position p : index.Positions(posting.seq, pattern[0])) {
-      set.push_back(FullInstance{posting.seq, {p}});
+  for (const SeqId seq : index.Postings(pattern[0])) {
+    for (Position p : index.Positions(seq, pattern[0])) {
+      set.push_back(FullInstance{seq, {p}});
     }
   }
   for (size_t j = 1; j < pattern.size(); ++j) {

@@ -11,12 +11,13 @@ namespace gsgrow {
 
 namespace {
 
-// Arena-resident copy of `value`; the pointer shares ownership of `arena`.
-template <typename T>
-std::shared_ptr<const T> Publish(const T& value,
-                                 const std::shared_ptr<Arena>& arena) {
-  return std::shared_ptr<const T>(
-      arena, arena->CopyArray(std::span<const T>(&value, 1)).data());
+// Places a block header over already-filled arrays in `arena`.
+const InvertedIndex::SeqBlock* PlaceBlock(std::span<const EventId> events,
+                                          std::span<const uint32_t> offsets,
+                                          std::span<const Position> positions,
+                                          Arena& arena) {
+  const InvertedIndex::SeqBlock block{events, offsets, positions};
+  return arena.CopyArray(std::span(&block, 1)).data();
 }
 
 // Sorts `events`, whose values are distinct. A short list (a typical
@@ -47,41 +48,75 @@ void SortDistinct(std::vector<EventId>* events, std::vector<EventId>* scratch) {
 InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   alphabet_size_ = db.AlphabetSize();
   seq_blocks_.resize(db.size());
-  // One arena backs every block and postings array of this build; the last
-  // surviving block releases it.
-  auto arena = std::make_shared<Arena>();
-
-  std::vector<std::vector<Posting>> postings_acc(alphabet_size_);
+  postings_.resize(alphabet_size_);
   auto totals_acc = std::make_shared<EventTotals>(alphabet_size_, 0);
   EventTotals& totals = *totals_acc;
+
+  // Sizing pass: each sequence's distinct events (its block's footprint)
+  // and each event's postings length, so one arena of exactly the bytes
+  // below backs the whole build.
+  std::vector<SeqId> last_seen(alphabet_size_, static_cast<SeqId>(-1));
+  size_t bytes = 0;
+  for (SeqId i = 0; i < db.size(); ++i) {
+    const Sequence& s = db[i];
+    if (s.empty()) continue;
+    size_t distinct = 0;
+    for (const EventId e : s.events()) {
+      ++totals[e];
+      if (last_seen[e] != i) {
+        last_seen[e] = i;
+        ++distinct;
+        ++postings_[e].base_size;
+      }
+    }
+    bytes += SeqBlock::Footprint(distinct, s.length());
+  }
+  for (EventId e = 0; e < alphabet_size_; ++e) {
+    bytes += Arena::ArrayFootprint<SeqId>(postings_[e].base_size);
+  }
+  auto arena = std::make_shared<Arena>(bytes);
+
+  // Each postings array is laid out at its final length and filled in
+  // sequence order through its `fill` cursor.
+  std::vector<SeqId*> fill(alphabet_size_, nullptr);
+  for (EventId e = 0; e < alphabet_size_; ++e) {
+    if (totals[e] == 0) continue;
+    fill[e] = arena->AllocateArray<SeqId>(postings_[e].base_size).data();
+    postings_[e].base = fill[e];
+    present_events_.push_back(e);
+  }
   SeqBlockBuilder builder;
   for (SeqId i = 0; i < db.size(); ++i) {
     const Sequence& s = db[i];
     if (s.empty()) continue;
-    seq_blocks_[i] = builder.Build(nullptr, s.events(), arena);
-    const SeqBlock& block = *seq_blocks_[i];
-    for (size_t k = 0; k < block.num_events(); ++k) {
-      const EventId e = block.events[k];
-      const uint32_t count = block.offsets[k + 1] - block.offsets[k];
-      postings_acc[e].push_back(Posting{i, count});
-      totals[e] += count;
-    }
+    seq_blocks_[i] = builder.Build(nullptr, s.events(), *arena);
+    for (const EventId e : seq_blocks_[i]->events) *fill[e]++ = i;
   }
-
-  postings_.resize(alphabet_size_);
-  for (EventId e = 0; e < alphabet_size_; ++e) {
-    if (totals[e] == 0) continue;
-    postings_[e] = BuildEventPostings(postings_acc[e], arena);
-    present_events_.push_back(e);
-  }
+  GSGROW_DCHECK(arena->bytes_used() == arena->bytes_reserved());
+  arenas_.push_back(std::move(arena));
   totals_ = totals;
   totals_owner_ = std::move(totals_acc);
 }
 
-std::shared_ptr<const InvertedIndex::SeqBlock>
-InvertedIndex::SeqBlockBuilder::Build(const SeqBlock* base,
-                                      std::span<const EventId> tail,
-                                      const std::shared_ptr<Arena>& arena) {
+size_t InvertedIndex::SeqBlock::Footprint(size_t num_events, size_t length) {
+  return Arena::Footprint(sizeof(SeqBlock)) +
+         Arena::ArrayFootprint<EventId>(num_events) +
+         Arena::ArrayFootprint<uint32_t>(num_events + 1) +
+         Arena::ArrayFootprint<Position>(length);
+}
+
+size_t InvertedIndex::SeqBlock::Footprint() const {
+  return Footprint(events.size(), positions.size());
+}
+
+const InvertedIndex::SeqBlock* InvertedIndex::SeqBlock::CopyTo(
+    Arena& arena) const {
+  return PlaceBlock(arena.CopyArray(events), arena.CopyArray(offsets),
+                    arena.CopyArray(positions), arena);
+}
+
+const InvertedIndex::SeqBlock* InvertedIndex::SeqBlockBuilder::Build(
+    const SeqBlock* base, std::span<const EventId> tail, Arena& a) {
   // Count: base lists first, then the tail.
   events_.clear();
   Position length = 0;
@@ -105,7 +140,6 @@ InvertedIndex::SeqBlockBuilder::Build(const SeqBlock* base,
   SortDistinct(&events_, &sorted_);
 
   // Lay out the lists; each event's count becomes its list's write cursor.
-  Arena& a = *arena;
   const std::span<EventId> events = a.AllocateArray<EventId>(events_.size());
   const std::span<uint32_t> offsets =
       a.AllocateArray<uint32_t>(events_.size() + 1);
@@ -132,19 +166,13 @@ InvertedIndex::SeqBlockBuilder::Build(const SeqBlock* base,
   for (const EventId e : tail) positions[slot_[e]++] = p++;
   for (const EventId e : events_) slot_[e] = 0;
 
-  return Publish(SeqBlock{events, offsets, positions}, arena);
-}
-
-std::shared_ptr<const InvertedIndex::EventPostings>
-InvertedIndex::BuildEventPostings(std::span<const Posting> postings,
-                                  const std::shared_ptr<Arena>& arena) {
-  return Publish(EventPostings{arena->CopyArray(postings)}, arena);
+  return PlaceBlock(events, offsets, positions, a);
 }
 
 std::span<const Position> InvertedIndex::Positions(SeqId i,
                                                   EventId e) const {
   GSGROW_DCHECK(i < seq_blocks_.size());
-  const SeqBlock* block = seq_blocks_[i].get();
+  const SeqBlock* block = seq_blocks_[i];
   if (block == nullptr) return {};
   // Branch-free past the null check: an absent event selects an empty
   // list at its neighbour's offset.
@@ -165,26 +193,21 @@ uint32_t InvertedIndex::Count(SeqId i, EventId e) const {
   return static_cast<uint32_t>(Positions(i, e).size());
 }
 
-std::span<const InvertedIndex::Posting> InvertedIndex::Postings(
-    EventId e) const {
-  if (e >= postings_.size() || postings_[e] == nullptr) return {};
-  return postings_[e]->postings;
-}
-
 std::span<const EventId> InvertedIndex::EventsInSequence(SeqId i) const {
   GSGROW_DCHECK(i < seq_blocks_.size());
-  const SeqBlock* block = seq_blocks_[i].get();
+  const SeqBlock* block = seq_blocks_[i];
   if (block == nullptr) return {};
   return block->events;
 }
 
 size_t InvertedIndex::MemoryUsage() const {
   size_t bytes = 0;
-  for (const auto& block : seq_blocks_) {
+  for (const SeqBlock* block : seq_blocks_) {
     if (block != nullptr) bytes += block->StorageBytes();
   }
-  for (const auto& ep : postings_) {
-    if (ep != nullptr) bytes += ep->postings.size_bytes();
+  for (const EventPostings& p : postings_) {
+    bytes += (static_cast<size_t>(p.base_size) + p.recent_size) *
+             sizeof(SeqId);
   }
   return bytes;
 }

@@ -15,26 +15,26 @@
 // delimiting the per-event lists, and all position lists concatenated into
 // one Position array. This is the paper's plain position-list index; every
 // list is a contiguous std::span. Blocks are built by counting
-// (SeqBlockBuilder), and each block, its arrays included, lives in a shared
-// Arena (util/arena.h): the block's shared_ptr shares ownership of the
-// arena, so a whole build is one allocation batch and dies with its last
-// block (DESIGN.md §9).
+// (SeqBlockBuilder). Additionally, per event, the ascending list of
+// sequences that hold it (its postings) supports root instance-set
+// construction and the host checks of the serving cache.
 //
-// Additionally a per-event postings list of (sequence, count) pairs supports
-// root instance-set construction and the insert-candidate filter of
-// CloGSgrow.
-//
-// Blocks and postings are held through shared_ptr so an InvertedIndex can
-// be either a self-contained batch build (the classic constructor) or a
-// SNAPSHOT assembled by serve/IncrementalInvertedIndex, which shares the
-// frozen blocks of sequences that have not changed since the previous
-// snapshot (DESIGN.md §8). Either way the object is immutable and safe to
-// read from any number of threads.
+// Ownership: every block and postings array lives in an Arena
+// (util/arena.h). An index holds raw pointers to them plus one
+// shared_ptr<const Arena> per arena it reaches, so copying or releasing a
+// view is a table copy with one refcount per arena, not per block
+// (DESIGN.md §9). A batch build owns one exactly sized arena; a SNAPSHOT
+// assembled by serve/IncrementalInvertedIndex shares the frozen blocks and
+// postings of everything unchanged since earlier snapshots (DESIGN.md §8).
+// Either way the object is immutable and safe to read from any number of
+// threads.
 
 #ifndef GSGROW_CORE_INVERTED_INDEX_H_
 #define GSGROW_CORE_INVERTED_INDEX_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -139,19 +139,11 @@ class PositionCursor {
 /// index.
 class InvertedIndex {
  public:
-  /// One postings entry: event `count` occurrences in sequence `seq`.
-  struct Posting {
-    SeqId seq;
-    uint32_t count;
-
-    friend bool operator==(const Posting& a, const Posting& b) = default;
-  };
-
   /// Per-sequence CSR block: sorted distinct events, offsets delimiting the
   /// per-event position lists, and the lists themselves concatenated. The
-  /// block and its arrays live in one Arena; the shared_ptr that publishes
-  /// the block shares ownership of that arena. Immutable once published;
-  /// snapshots of an incremental index share blocks across epochs.
+  /// block and its arrays live in one Arena, which the views reaching the
+  /// block keep alive. Immutable once published; snapshots of an
+  /// incremental index share blocks across epochs.
   struct SeqBlock {
     /// Sorted distinct events of this sequence.
     std::span<const EventId> events;
@@ -184,17 +176,98 @@ class InvertedIndex {
       return positions.subspan(offsets[k], offsets[k + 1] - offsets[k]);
     }
 
-    /// Bytes of storage this block holds in its arena.
+    /// Bytes of list storage this block holds (its three arrays).
     size_t StorageBytes() const {
       return events.size_bytes() + offsets.size_bytes() +
              positions.size_bytes();
     }
+
+    /// Arena bytes the block takes, header included: Footprint(
+    /// num_events(), length).
+    size_t Footprint() const;
+    static size_t Footprint(size_t num_events, size_t length);
+
+    /// A copy of this block, header and arrays, allocated in `arena`.
+    const SeqBlock* CopyTo(Arena& arena) const;
   };
 
-  /// Per-event postings: (sequence, count) pairs ascending by sequence.
-  /// Arena-resident like SeqBlock.
+  /// The sequences holding one event, ascending: a `base` array shared
+  /// across snapshot epochs plus a `recent` array of the sequences gained
+  /// since the base was frozen (empty in a batch build). The two are
+  /// disjoint and each ascending; PostingList merges them. Both arrays are
+  /// arena-resident like SeqBlock.
   struct EventPostings {
-    std::span<const Posting> postings;
+    const SeqId* base = nullptr;
+    const SeqId* recent = nullptr;
+    uint32_t base_size = 0;
+    uint32_t recent_size = 0;
+  };
+
+  /// The postings of one event as an ascending range of sequence ids: the
+  /// one way readers iterate postings.
+  class PostingList {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = SeqId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const SeqId*;
+      using reference = SeqId;
+
+      Iterator() = default;
+      Iterator(const SeqId* a, const SeqId* a_end, const SeqId* b,
+               const SeqId* b_end)
+          : a_(a), a_end_(a_end), b_(b), b_end_(b_end) {}
+
+      SeqId operator*() const { return TakesBase() ? *a_ : *b_; }
+      Iterator& operator++() {
+        if (TakesBase()) {
+          ++a_;
+        } else {
+          ++b_;
+        }
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator old = *this;
+        ++*this;
+        return old;
+      }
+      friend bool operator==(const Iterator& x, const Iterator& y) {
+        return x.a_ == y.a_ && x.b_ == y.b_;
+      }
+
+     private:
+      bool TakesBase() const {
+        return b_ == b_end_ || (a_ != a_end_ && *a_ < *b_);
+      }
+
+      const SeqId* a_ = nullptr;  // base cursor
+      const SeqId* a_end_ = nullptr;
+      const SeqId* b_ = nullptr;  // recent cursor
+      const SeqId* b_end_ = nullptr;
+    };
+
+    PostingList() = default;
+    explicit PostingList(const EventPostings& p) : p_(p) {}
+
+    Iterator begin() const {
+      return Iterator(p_.base, p_.base + p_.base_size, p_.recent,
+                      p_.recent + p_.recent_size);
+    }
+    Iterator end() const {
+      const SeqId* a_end = p_.base + p_.base_size;
+      const SeqId* b_end = p_.recent + p_.recent_size;
+      return Iterator(a_end, a_end, b_end, b_end);
+    }
+    size_t size() const {
+      return static_cast<size_t>(p_.base_size) + p_.recent_size;
+    }
+    bool empty() const { return p_.base_size == 0 && p_.recent_size == 0; }
+
+   private:
+    EventPostings p_;
   };
 
   /// Database-wide occurrence count of each event, indexed by event id.
@@ -215,11 +288,10 @@ class InvertedIndex {
     /// The block of a sequence whose first events are frozen in `base`
     /// (null when none) and whose remaining events are `tail`, in position
     /// order. Each list holds `base`'s positions, then the tail's. The
-    /// block must not be empty. It is allocated in `arena`, and the
-    /// returned pointer shares ownership of the arena.
-    std::shared_ptr<const SeqBlock> Build(const SeqBlock* base,
-                                          std::span<const EventId> tail,
-                                          const std::shared_ptr<Arena>& arena);
+    /// block must not be empty. It is allocated in `arena` and takes
+    /// SeqBlock::Footprint(distinct events, length) bytes of it.
+    const SeqBlock* Build(const SeqBlock* base, std::span<const EventId> tail,
+                          Arena& arena);
 
    private:
     // By event: the occurrence count, then the write cursor of the event's
@@ -237,28 +309,25 @@ class InvertedIndex {
   explicit InvertedIndex(const SequenceDatabase& db);
 
   /// Snapshot-assembly constructor (serve/incremental_index.h): adopts
-  /// already-frozen blocks, postings and totals. Entries may be null only
-  /// when the corresponding sequence is empty / the event is absent;
-  /// `totals` must not be null, and `present_events` must list the events
-  /// with a positive total, ascending. Content must satisfy the same
-  /// invariants the batch constructor establishes (events and positions
-  /// ascending, postings ascending by sequence) — the differential suite in
-  /// tests/serve pins snapshot output to the batch build bit for bit.
-  InvertedIndex(std::vector<std::shared_ptr<const SeqBlock>> seq_blocks,
-                std::vector<std::shared_ptr<const EventPostings>> postings,
+  /// already-frozen blocks and postings, which live in `arenas`. Block
+  /// entries may be null only for an empty sequence; `totals` must not be
+  /// null, and `present_events` must list the events with a positive total,
+  /// ascending. Content must satisfy the same invariants the batch
+  /// constructor establishes (events and positions ascending, postings
+  /// ascending by sequence) — the differential suite in tests/serve pins
+  /// snapshot output to the batch build bit for bit.
+  InvertedIndex(std::vector<const SeqBlock*> seq_blocks,
+                std::vector<EventPostings> postings,
+                std::vector<std::shared_ptr<const Arena>> arenas,
                 std::shared_ptr<const EventTotals> totals,
                 std::vector<EventId> present_events, EventId alphabet_size)
       : seq_blocks_(std::move(seq_blocks)),
         postings_(std::move(postings)),
+        arenas_(std::move(arenas)),
         totals_owner_(std::move(totals)),
         totals_(*totals_owner_),
         present_events_(std::move(present_events)),
         alphabet_size_(alphabet_size) {}
-
-  /// Freezes one event's postings into an arena-backed EventPostings; the
-  /// returned pointer shares ownership of the arena.
-  static std::shared_ptr<const EventPostings> BuildEventPostings(
-      std::span<const Posting> postings, const std::shared_ptr<Arena>& arena);
 
   /// Sorted positions of `e` in sequence `i` (possibly empty).
   std::span<const Position> Positions(SeqId i, EventId e) const;
@@ -284,8 +353,11 @@ class InvertedIndex {
     return e < totals_.size() ? totals_[e] : 0;
   }
 
-  /// Sequences containing `e`, with per-sequence counts, ascending by seq.
-  std::span<const Posting> Postings(EventId e) const;
+  /// Sequences containing `e`, ascending. Count(seq, e) gives the
+  /// occurrences in one of them.
+  PostingList Postings(EventId e) const {
+    return e < postings_.size() ? PostingList(postings_[e]) : PostingList();
+  }
 
   /// Distinct events occurring in sequence `i`, ascending by event id.
   std::span<const EventId> EventsInSequence(SeqId i) const;
@@ -299,7 +371,7 @@ class InvertedIndex {
   /// event, so the length equals the total position count of the sequence's
   /// CSR block — the index answers it without the database.
   Position SequenceLength(SeqId i) const {
-    const SeqBlock* block = seq_blocks_[i].get();
+    const SeqBlock* block = seq_blocks_[i];
     return block == nullptr ? 0
                             : static_cast<Position>(block->offsets.back());
   }
@@ -308,24 +380,23 @@ class InvertedIndex {
   const std::vector<EventId>& present_events() const { return present_events_; }
 
   /// Bytes of position-list / postings storage reachable from this index
-  /// (block arrays + postings arrays; excludes the shared_ptr tables).
-  /// Snapshot views that share blocks across epochs each report the full
-  /// reachable total.
+  /// (block arrays + postings arrays; excludes block headers and the view
+  /// tables). Snapshot views that share blocks across epochs each report
+  /// the full reachable total.
   size_t MemoryUsage() const;
 
   /// The block of sequence `i` (null for an empty sequence). Exposed so
   /// serve-side tests can pin that clean blocks stay pointer-shared across
   /// snapshot epochs.
-  const std::shared_ptr<const SeqBlock>& seq_block(SeqId i) const {
-    return seq_blocks_[i];
-  }
+  const SeqBlock* seq_block(SeqId i) const { return seq_blocks_[i]; }
 
  private:
-  // Indexed by sequence / event. Null entries stand for an empty sequence /
-  // an absent event (snapshots avoid allocating blocks for them; the batch
-  // constructor allocates every block it fills).
-  std::vector<std::shared_ptr<const SeqBlock>> seq_blocks_;
-  std::vector<std::shared_ptr<const EventPostings>> postings_;
+  // Indexed by sequence / event. A null block stands for an empty
+  // sequence, an empty EventPostings for an absent event.
+  std::vector<const SeqBlock*> seq_blocks_;
+  std::vector<EventPostings> postings_;
+  // Every arena a block or postings array above lives in, once each.
+  std::vector<std::shared_ptr<const Arena>> arenas_;
   // TotalCount reads the span; the owner keeps its array alive.
   std::shared_ptr<const EventTotals> totals_owner_;
   std::span<const uint64_t> totals_;

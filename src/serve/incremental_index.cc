@@ -16,6 +16,7 @@ SeqId IncrementalInvertedIndex::AddSequence(std::span<const EventId> events) {
                    "sequence id space exhausted");
   const SeqId seq = static_cast<SeqId>(seqs_.size());
   seqs_.emplace_back();
+  blocks_.push_back(nullptr);
   changed_ = true;
   AppendToSequence(seq, events);
   return seq;
@@ -49,36 +50,102 @@ void IncrementalInvertedIndex::AppendToSequence(
 
 void IncrementalInvertedIndex::RecordPosting(SeqId seq, EventId e) {
   writer_lock_.AssertHeld();
-  // Postings patch (counts ascend by sequence).
   if (e >= events_.size()) {
     events_.resize(static_cast<size_t>(e) + 1);
+    postings_.resize(static_cast<size_t>(e) + 1);
     totals_.resize(static_cast<size_t>(e) + 1, 0);
     present_dirty_ = true;  // a new event id extends the present list
   }
   EventAccum& ea = events_[e];
   if (totals_[e]++ == 0) present_dirty_ = true;  // first occurrence ever
-  if (ea.postings.empty() || ea.postings.back().seq < seq) {
-    ea.postings.push_back(InvertedIndex::Posting{seq, 1});
-  } else if (ea.postings.back().seq == seq) {
-    ++ea.postings.back().count;
-  } else {
-    // An append to an OLD sequence can introduce the event mid-list; the
-    // insert is O(list length) and is charged to the (rare) first
-    // occurrence of an event in an old sequence — subsequent occurrences
-    // hit the count++ branch (DESIGN.md §8 cost model).
-    const auto it = std::lower_bound(
-        ea.postings.begin(), ea.postings.end(), seq,
-        [](const InvertedIndex::Posting& a, SeqId s) { return a.seq < s; });
-    if (it != ea.postings.end() && it->seq == seq) {
-      ++it->count;
-    } else {
-      ea.postings.insert(it, InvertedIndex::Posting{seq, 1});
-    }
-  }
   if (!ea.dirty) {
     ea.dirty = true;
     dirty_events_.push_back(e);
   }
+  if (ea.last_seq == seq) return;
+  ea.last_seq = seq;
+  // The sequence holds `e` already iff its frozen block does (every
+  // occurrence up to the last snapshot) or `recent` has it (every sequence
+  // gained since then). A further occurrence leaves the postings alone.
+  const InvertedIndex::SeqBlock* block = blocks_[seq];
+  if (block != nullptr && block->events[block->SeekSlot(e)] == e) return;
+  std::vector<SeqId>& recent = ea.recent;
+  if (recent.empty() || recent.back() < seq) {
+    recent.push_back(seq);
+  } else {
+    // An append to an OLD sequence can introduce the event mid-list: an
+    // O(recent) insert, charged to the first occurrence of an event in an
+    // old sequence (DESIGN.md §8 cost model).
+    const auto it = std::lower_bound(recent.begin(), recent.end(), seq);
+    if (*it == seq) return;
+    recent.insert(it, seq);
+  }
+  ++seqs_[seq].distinct;
+  if (!ea.postings_dirty) {
+    ea.postings_dirty = true;
+    dirty_postings_.push_back(e);
+  }
+}
+
+void IncrementalInvertedIndex::Acquire(uint32_t home, size_t bytes) {
+  writer_lock_.AssertHeld();
+  arenas_[home].live += bytes;
+  live_bytes_ += bytes;
+}
+
+void IncrementalInvertedIndex::Release(uint32_t home, size_t bytes) {
+  writer_lock_.AssertHeld();
+  GSGROW_DCHECK(arenas_[home].live >= bytes);
+  arenas_[home].live -= bytes;
+  live_bytes_ -= bytes;
+}
+
+uint32_t IncrementalInvertedIndex::NewArena(size_t capacity) {
+  writer_lock_.AssertHeld();
+  uint32_t slot;
+  if (free_arena_slots_.empty()) {
+    slot = static_cast<uint32_t>(arenas_.size());
+    arenas_.emplace_back();
+  } else {
+    slot = free_arena_slots_.back();
+    free_arena_slots_.pop_back();
+  }
+  arenas_[slot].arena = std::make_shared<Arena>(capacity);
+  reserved_bytes_ += capacity;
+  return slot;
+}
+
+void IncrementalInvertedIndex::Relocate(uint32_t from, uint32_t to) {
+  writer_lock_.AssertHeld();
+  ArenaRecord& target = arenas_[to];
+  const auto move = [&](size_t bytes) {
+    Release(from, bytes);
+    Acquire(to, bytes);
+  };
+  for (const SeqId seq : arenas_[from].seqs) {
+    if (seqs_[seq].home != from) continue;
+    move(blocks_[seq]->Footprint());
+    blocks_[seq] = blocks_[seq]->CopyTo(*target.arena);
+    seqs_[seq].home = to;
+    target.seqs.push_back(seq);
+  }
+  // Moves one postings array if it lives in `from`.
+  const auto move_array = [&](const SeqId*& data, uint32_t size,
+                              uint32_t& home) {
+    if (home != from) return false;
+    move(Arena::ArrayFootprint<SeqId>(size));
+    data = target.arena->CopyArray(std::span(data, size)).data();
+    home = to;
+    return true;
+  };
+  for (const EventId e : arenas_[from].events) {
+    EventAccum& ea = events_[e];
+    InvertedIndex::EventPostings& p = postings_[e];
+    const bool base = move_array(p.base, p.base_size, ea.base_home);
+    const bool recent = move_array(p.recent, p.recent_size, ea.recent_home);
+    if (base || recent) target.events.push_back(e);
+  }
+  GSGROW_DCHECK(arenas_[from].live == 0);
 }
 
 void IncrementalInvertedIndex::RestoreEpoch(uint64_t epoch) {
@@ -108,8 +175,8 @@ void IncrementalInvertedIndex::SequenceEvents(SeqId seq,
   GSGROW_CHECK_MSG(seq < seqs_.size(), "unknown sequence");
   const SeqAccum& sa = seqs_[seq];
   out->resize(sa.length);
-  if (sa.frozen != nullptr) {
-    const InvertedIndex::SeqBlock& block = *sa.frozen;
+  if (blocks_[seq] != nullptr) {
+    const InvertedIndex::SeqBlock& block = *blocks_[seq];
     for (size_t k = 0; k < block.num_events(); ++k) {
       for (const Position p : block.Slot(k)) (*out)[p] = block.events[k];
     }
@@ -146,20 +213,62 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
                                                    seqs_.size());
   }
   last_snapshot_seq_count_ = seqs_.size();
-  // Freeze the delta: one CSR build per dirty sequence (its frozen block
-  // plus its tail, O(length)), one postings copy per dirty event. Clean
-  // accumulators keep their published block — shared with every earlier
-  // snapshot that references it. Everything frozen by THIS snapshot packs
-  // into one arena, created only if there is a delta; it dies when the last
-  // block referencing it does (which may be epochs later, if some of its
-  // blocks stay clean).
-  std::shared_ptr<Arena> arena;
-  if (!dirty_seqs_.empty() || !dirty_events_.empty()) {
-    arena = std::make_shared<Arena>();
+
+  // Plan this epoch's arena. What the freeze replaces stops being live;
+  // the arena holds the dirty blocks, the dirty events' postings, and the
+  // survivors of every arena whose live share fell below one half.
+  size_t bytes = 0;
+  for (const SeqId seq : dirty_seqs_) {
+    const SeqAccum& sa = seqs_[seq];
+    if (blocks_[seq] != nullptr) Release(sa.home, blocks_[seq]->Footprint());
+    bytes += InvertedIndex::SeqBlock::Footprint(sa.distinct, sa.length);
   }
+  // A dirty event republishes its recent list, or merges it into a new
+  // base once recent^2 > base: the per-epoch copy stays O(sqrt(base)) and
+  // the merges cost O(sqrt(base)) per gained sequence, where a fixed
+  // fraction of the base would make one of them O(base).
+  const auto merges = [](size_t base, size_t recent) {
+    return recent * recent > base;
+  };
+  for (const EventId e : dirty_postings_) {
+    const EventAccum& ea = events_[e];
+    const InvertedIndex::EventPostings& p = postings_[e];
+    if (p.recent_size != 0) {
+      Release(ea.recent_home, Arena::ArrayFootprint<SeqId>(p.recent_size));
+    }
+    size_t size = ea.recent.size();
+    if (merges(p.base_size, size)) {
+      if (p.base_size != 0) {
+        Release(ea.base_home, Arena::ArrayFootprint<SeqId>(p.base_size));
+      }
+      size += p.base_size;
+    }
+    bytes += Arena::ArrayFootprint<SeqId>(size);
+  }
+  std::vector<uint32_t> relocated;
+  for (uint32_t slot = 0; slot < arenas_.size(); ++slot) {
+    const ArenaRecord& record = arenas_[slot];
+    if (record.arena == nullptr || record.live == 0) continue;
+    if (2 * record.live < record.arena->bytes_reserved()) {
+      relocated.push_back(slot);
+      bytes += record.live;
+    }
+  }
+
+  // Freeze: one CSR build per dirty sequence (its frozen block plus its
+  // tail, O(length)), one array per dirty event, then the survivors.
+  // Clean blocks and postings stay where they are, shared with every
+  // earlier snapshot that references them.
+  const uint32_t delta_home = bytes == 0 ? kNoArena : NewArena(bytes);
+  ArenaRecord* delta_record =
+      delta_home == kNoArena ? nullptr : &arenas_[delta_home];
   for (const SeqId seq : dirty_seqs_) {
     SeqAccum& sa = seqs_[seq];
-    sa.frozen = block_builder_.Build(sa.frozen.get(), sa.tail, arena);
+    blocks_[seq] =
+        block_builder_.Build(blocks_[seq], sa.tail, *delta_record->arena);
+    sa.home = delta_home;
+    Acquire(delta_home, blocks_[seq]->Footprint());
+    delta_record->seqs.push_back(seq);
     // Release the tail: a frozen sequence keeps no writer-side copy.
     sa.tail = std::vector<EventId>();
   }
@@ -170,12 +279,46 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
     published_totals_ =
         std::make_shared<const InvertedIndex::EventTotals>(totals_);
   }
-  for (const EventId e : dirty_events_) {
-    EventAccum& ea = events_[e];
-    ea.frozen = InvertedIndex::BuildEventPostings(ea.postings, arena);
-    ea.dirty = false;
-  }
+  for (const EventId e : dirty_events_) events_[e].dirty = false;
   dirty_events_.clear();
+
+  for (const EventId e : dirty_postings_) {
+    EventAccum& ea = events_[e];
+    InvertedIndex::EventPostings& p = postings_[e];
+    Arena& arena = *delta_record->arena;
+    if (merges(p.base_size, ea.recent.size())) {
+      const std::span<SeqId> base =
+          arena.AllocateArray<SeqId>(p.base_size + ea.recent.size());
+      std::merge(p.base, p.base + p.base_size, ea.recent.begin(),
+                 ea.recent.end(), base.begin());
+      p = {base.data(), nullptr, static_cast<uint32_t>(base.size()), 0};
+      ea.base_home = delta_home;
+      ea.recent_home = kNoArena;
+      ea.recent = std::vector<SeqId>();
+      Acquire(delta_home, Arena::ArrayFootprint<SeqId>(base.size()));
+    } else {
+      p.recent = arena.CopyArray(std::span<const SeqId>(ea.recent)).data();
+      p.recent_size = static_cast<uint32_t>(ea.recent.size());
+      ea.recent_home = delta_home;
+      Acquire(delta_home, Arena::ArrayFootprint<SeqId>(ea.recent.size()));
+    }
+    delta_record->events.push_back(e);
+    ea.postings_dirty = false;
+  }
+  dirty_postings_.clear();
+
+  for (const uint32_t slot : relocated) Relocate(slot, delta_home);
+  GSGROW_DCHECK(delta_record == nullptr ||
+                delta_record->live == delta_record->arena->bytes_reserved());
+
+  // Drop every arena nothing current lives in; held snapshots keep theirs.
+  for (uint32_t slot = 0; slot < arenas_.size(); ++slot) {
+    ArenaRecord& record = arenas_[slot];
+    if (record.arena == nullptr || record.live != 0) continue;
+    reserved_bytes_ -= record.arena->bytes_reserved();
+    record = ArenaRecord();
+    free_arena_slots_.push_back(slot);
+  }
 
   if (present_dirty_) {
     present_cache_.clear();
@@ -185,14 +328,14 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
     present_dirty_ = false;
   }
 
-  // Assemble the view: shared_ptr copies only.
-  std::vector<std::shared_ptr<const InvertedIndex::SeqBlock>> blocks;
-  blocks.reserve(seqs_.size());
-  for (const SeqAccum& sa : seqs_) blocks.push_back(sa.frozen);
-  std::vector<std::shared_ptr<const InvertedIndex::EventPostings>> postings;
-  postings.reserve(events_.size());
-  for (const EventAccum& ea : events_) postings.push_back(ea.frozen);
-  return InvertedIndex(std::move(blocks), std::move(postings),
+  // Assemble the view: flat copies of the pointer tables, and one
+  // reference per live arena.
+  std::vector<std::shared_ptr<const Arena>> arenas;
+  arenas.reserve(arenas_.size() - free_arena_slots_.size());
+  for (const ArenaRecord& record : arenas_) {
+    if (record.arena != nullptr) arenas.push_back(record.arena);
+  }
+  return InvertedIndex(blocks_, postings_, std::move(arenas),
                        published_totals_, present_cache_, alphabet_size());
 }
 

@@ -7,27 +7,36 @@
 //
 //  * WRITER SIDE — per-sequence accumulators keep the tail of events
 //    appended since the last freeze, so recording an appended event is one
-//    push onto that tail (O(1) amortized); per-event postings keep their
-//    (sequence, count) pairs sorted by sequence and are patched in place.
+//    push onto that tail (O(1) amortized); per event, the sequences gained
+//    since its postings base was frozen are kept sorted in a short
+//    `recent` list.
 //
 //  * READER SIDE — Snapshot() freezes the accumulators that changed since
-//    the previous snapshot into immutable CSR blocks / postings vectors —
-//    a dirty sequence's block is rebuilt from its frozen block plus its
-//    tail (InvertedIndex::SeqBlockBuilder, O(sequence length)) — and
-//    assembles an InvertedIndex view that SHARES the frozen blocks of
-//    untouched sequences with earlier snapshots. The snapshot is a plain
-//    InvertedIndex: every miner facade, annotator, and bench runs against
-//    it unchanged, and the differential suite pins its query surface to a
-//    from-scratch batch build bit for bit.
+//    the previous snapshot — a dirty sequence's block is rebuilt from its
+//    frozen block plus its tail (InvertedIndex::SeqBlockBuilder,
+//    O(sequence length)); a dirty event publishes its recent list, or
+//    merges it into a new base once it outgrows the square root of the
+//    base — into one exactly sized arena, and assembles an InvertedIndex
+//    view that SHARES everything unchanged with earlier snapshots. The
+//    snapshot is a plain InvertedIndex: every miner facade, annotator, and
+//    bench runs against it unchanged, and the differential suite pins its
+//    query surface to a from-scratch batch build bit for bit.
+//
+// Memory follows the live index, not the epoch count: the writer tracks
+// the live bytes of every arena it still references, drops an arena when
+// nothing current lives in it, and when an arena's live share falls below
+// one half, Snapshot() relocates its current blocks and postings into that
+// epoch's arena. The writer therefore reserves at most twice its live
+// bytes; an arena survives past that only while a held snapshot still
+// references it. Relocation moves bytes, not content: it is not an epoch
+// advance, and EpochDelta never reports it.
 //
 // Epoch protocol: each Snapshot() call advances the epoch. A frozen block
 // is never mutated — an append to a frozen sequence marks its accumulator
-// dirty, and the NEXT snapshot re-freezes just that sequence (one CSR
-// rebuild of that sequence, not of the world). Snapshot cost is therefore
-// O(delta) — the blocks/postings touched since the last epoch, and one
-// copy of the dense per-event totals when a count changed — plus
-// O(num_sequences + alphabet) shared_ptr copies for the view itself, and
-// appends never block readers of previously taken snapshots.
+// dirty, and the NEXT snapshot re-freezes just that sequence. Snapshot
+// cost is O(delta) plus amortized relocation (each copied byte frees at
+// least one) plus a flat copy of the view's pointer tables; appends never
+// block readers of previously taken snapshots.
 //
 // Threading contract: single writer, externally synchronized —
 // AddSequence/AppendToSequence/Snapshot must be serialized by the caller
@@ -63,7 +72,7 @@ struct EpochDelta {
   /// False when the snapshot observed nothing new (no epoch advance, no
   /// delta to apply); consumers drop such deltas.
   bool advanced = false;
-  /// Events whose postings changed this epoch, ascending.
+  /// Events that gained occurrences this epoch, ascending.
   std::vector<EventId> events;
   /// PRE-EXISTING sequences (known to the previous snapshot) that received
   /// appended events this epoch, ascending. Brand-new sequences are NOT
@@ -137,9 +146,9 @@ class IncrementalInvertedIndex {
   /// so the checkpoint writer reads sequences through this.
   void SequenceEvents(SeqId seq, std::vector<EventId>* out) const;
 
-  /// Sequences / events whose accumulators changed since the last
-  /// snapshot (what the next Snapshot() must freeze). Exposed for the cost
-  /// model assertions in tests and the serve stats verb.
+  /// Sequences the next Snapshot() re-freezes / events that gained
+  /// occurrences since the last snapshot (the next EpochDelta's events).
+  /// Exposed for the cost model assertions in tests.
   size_t dirty_sequences() const {
     writer_lock_.AssertHeld();
     return dirty_seqs_.size();
@@ -149,26 +158,74 @@ class IncrementalInvertedIndex {
     return dirty_events_.size();
   }
 
+  /// Arena bytes holding blocks and postings that the next snapshot would
+  /// still reference (headers, padding and red zones included).
+  size_t live_bytes() const {
+    writer_lock_.AssertHeld();
+    return live_bytes_;
+  }
+  /// Heap bytes of the arenas the writer still references. After every
+  /// Snapshot(), reserved_bytes() <= 2 * live_bytes().
+  size_t reserved_bytes() const {
+    writer_lock_.AssertHeld();
+    return reserved_bytes_;
+  }
+
  private:
+  static constexpr uint32_t kNoArena = static_cast<uint32_t>(-1);
+  static constexpr SeqId kNoSeq = static_cast<SeqId>(-1);
+
   struct SeqAccum {
     Position length = 0;
+    // Distinct events, the tail's included: with `length`, the footprint
+    // of the block the next freeze builds.
+    uint32_t distinct = 0;
+    // Slot in arenas_ of the arena holding the frozen block.
+    uint32_t home = kNoArena;
     // Events appended since the last freeze, in position order: they sit
     // at positions length - tail.size() .. length - 1. A non-empty tail is
     // what makes the sequence dirty.
     std::vector<EventId> tail;
-    std::shared_ptr<const InvertedIndex::SeqBlock> frozen;
   };
 
   struct EventAccum {
-    // (sequence, count) ascending by sequence, patched in place.
-    std::vector<InvertedIndex::Posting> postings;
+    // Sequences that gained the event since its base was frozen,
+    // ascending; the published `recent` array is a copy of it.
+    std::vector<SeqId> recent;
+    // The sequence of the last occurrence recorded: a repeat needs no
+    // postings lookup.
+    SeqId last_seq = kNoSeq;
+    // Slots in arenas_ of the published base and recent arrays.
+    uint32_t base_home = kNoArena;
+    uint32_t recent_home = kNoArena;
+    // Gained occurrences / gained a sequence since the last snapshot.
     bool dirty = false;
-    std::shared_ptr<const InvertedIndex::EventPostings> frozen;
+    bool postings_dirty = false;
   };
 
-  // Counts one appended occurrence of `e` in sequence `seq` in the event's
-  // postings, marking the event dirty.
+  // One arena the writer still references.
+  struct ArenaRecord {
+    std::shared_ptr<Arena> arena;  // null while the slot is free
+    // Footprint bytes of the current blocks and postings arrays in it.
+    size_t live = 0;
+    // Sequences / events frozen into it; an entry is current while its
+    // home is still this slot.
+    std::vector<SeqId> seqs;
+    std::vector<EventId> events;
+  };
+
+  // Records one appended occurrence of `e` in sequence `seq`: its total,
+  // and the postings entry when the sequence did not hold `e` yet.
   void RecordPosting(SeqId seq, EventId e);
+
+  // Arena accounting: `bytes` of slot `home` become current / superseded.
+  void Acquire(uint32_t home, size_t bytes);
+  void Release(uint32_t home, size_t bytes);
+  // A fresh arena of exactly `capacity` bytes in a free slot.
+  uint32_t NewArena(size_t capacity);
+  // Copies the current blocks and postings arrays of slot `from` into slot
+  // `to`, leaving `from` with no live bytes.
+  void Relocate(uint32_t from, uint32_t to);
 
   // Single-writer, externally-synchronized contract (file comment), made
   // machine-checkable: every method that touches the fields below opens
@@ -178,6 +235,15 @@ class IncrementalInvertedIndex {
 
   std::vector<SeqAccum> seqs_ GSGROW_GUARDED_BY(writer_lock_);
   std::vector<EventAccum> events_ GSGROW_GUARDED_BY(writer_lock_);
+  // The published tables a view copies, parallel to seqs_ / events_.
+  std::vector<const InvertedIndex::SeqBlock*> blocks_
+      GSGROW_GUARDED_BY(writer_lock_);
+  std::vector<InvertedIndex::EventPostings> postings_
+      GSGROW_GUARDED_BY(writer_lock_);
+  std::vector<ArenaRecord> arenas_ GSGROW_GUARDED_BY(writer_lock_);
+  std::vector<uint32_t> free_arena_slots_ GSGROW_GUARDED_BY(writer_lock_);
+  size_t live_bytes_ GSGROW_GUARDED_BY(writer_lock_) = 0;
+  size_t reserved_bytes_ GSGROW_GUARDED_BY(writer_lock_) = 0;
   // Occurrence count per event, kept as appends land; Snapshot() publishes
   // a copy when a count changed and otherwise re-shares the last one.
   InvertedIndex::EventTotals totals_ GSGROW_GUARDED_BY(writer_lock_);
@@ -187,6 +253,7 @@ class IncrementalInvertedIndex {
   // exactly these instead of scanning the world.
   std::vector<SeqId> dirty_seqs_ GSGROW_GUARDED_BY(writer_lock_);
   std::vector<EventId> dirty_events_ GSGROW_GUARDED_BY(writer_lock_);
+  std::vector<EventId> dirty_postings_ GSGROW_GUARDED_BY(writer_lock_);
   // Present-event list cache (ascending events with total > 0). Appends
   // only ever add occurrences, so the list changes only when a NEW event id
   // first appears; rebuilt lazily at snapshot time.

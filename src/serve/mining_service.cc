@@ -684,6 +684,8 @@ ServiceStats MiningService::Stats() {
   stats.alphabet_size = index_.alphabet_size();
   stats.total_events = index_.total_events();
   stats.epoch = index_.epoch();
+  stats.index_live_bytes = index_.live_bytes();
+  stats.index_reserved_bytes = index_.reserved_bytes();
   stats.appends = appends_;
   stats.queries = queries_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) {

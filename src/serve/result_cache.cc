@@ -120,16 +120,13 @@ bool ResultCache::RevalidateLocked(const Entry& entry,
     // by sequence, so this is a linear merge per alphabet event.
     if (entry.needs_host_check && !delta.appended_seqs.empty()) {
       for (const EventId e : entry.alphabet) {
-        const std::span<const InvertedIndex::Posting> postings =
-            snapshot.index.Postings(e);
         auto appended = delta.appended_seqs.begin();
-        for (const InvertedIndex::Posting& posting : postings) {
-          while (appended != delta.appended_seqs.end() &&
-                 *appended < posting.seq) {
+        for (const SeqId seq : snapshot.index.Postings(e)) {
+          while (appended != delta.appended_seqs.end() && *appended < seq) {
             ++appended;
           }
           if (appended == delta.appended_seqs.end()) break;
-          if (*appended == posting.seq) return false;
+          if (*appended == seq) return false;
         }
       }
     }

@@ -120,6 +120,12 @@ struct ServiceStats {
   uint64_t checkpoints = 0;     // checkpoints taken by THIS incarnation
   uint64_t wal_replay_records = 0;  // last recovery's replayed records
   double recover_seconds = 0.0;     // last recovery's wall-clock cost
+
+  /// Index memory from the writer's arena accounting
+  /// (IncrementalInvertedIndex::live_bytes / reserved_bytes). Kept OUT of
+  /// FormatServiceStats: red zones make them differ under ASan.
+  uint64_t index_live_bytes = 0;
+  uint64_t index_reserved_bytes = 0;
 };
 
 /// Resolves the request's effective alphabet restriction against `dictionary`:

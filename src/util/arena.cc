@@ -1,6 +1,6 @@
 #include "util/arena.h"
 
-#include <algorithm>
+#include <cstddef>
 
 #include "util/logging.h"
 
@@ -16,15 +16,9 @@
 
 namespace gsgrow {
 
-namespace {
-
-char* AlignUp(char* p, size_t alignment) {
-  const uintptr_t v = reinterpret_cast<uintptr_t>(p);
-  const uintptr_t aligned = (v + alignment - 1) & ~(uintptr_t{alignment} - 1);
-  return p + (aligned - v);
+Arena::Arena(size_t capacity) {
+  if (capacity > 0) NewChunk(capacity);
 }
-
-}  // namespace
 
 Arena::~Arena() {
   for (const Chunk& chunk : chunks_) {
@@ -34,31 +28,31 @@ Arena::~Arena() {
   }
 }
 
-void Arena::NewChunk(size_t min_bytes) {
-  const size_t size = std::max(min_bytes, next_chunk_bytes_);
-  next_chunk_bytes_ = std::min(next_chunk_bytes_ * 2, kMaxChunkBytes);
-  char* data = new char[size];
-  GSGROW_ASAN_POISON(data, size);
-  chunks_.push_back(Chunk{data, size});
-  reserved_ += size;
+void Arena::NewChunk(size_t bytes) {
+  // `new char[]` returns max_align_t-aligned storage, and every footprint
+  // is a multiple of kGrain, so each allocation head stays kGrain-aligned.
+  char* data = new char[bytes];
+  GSGROW_ASAN_POISON(data, bytes);
+  chunks_.push_back(Chunk{data, bytes});
+  reserved_ += bytes;
   head_ = data;
-  end_ = data + size;
+  end_ = data + bytes;
 }
 
-void* Arena::Allocate(size_t bytes, size_t alignment) {
+void* Arena::Allocate(size_t bytes, [[maybe_unused]] size_t alignment) {
+  static_assert(alignof(std::max_align_t) % kGrain == 0);
   GSGROW_DCHECK(alignment != 0 && (alignment & (alignment - 1)) == 0);
-  GSGROW_DCHECK(alignment <= alignof(std::max_align_t));
-  char* p = AlignUp(head_, alignment);
-  if (p + bytes + kRedZoneBytes > end_ || head_ == nullptr) {
-    // `new char[]` returns max_align_t-aligned storage, so the fresh chunk
-    // head satisfies any permitted alignment without padding.
-    NewChunk(bytes + kRedZoneBytes + alignment);
-    p = AlignUp(head_, alignment);
+  GSGROW_DCHECK(alignment <= kGrain);
+  const size_t footprint = Footprint(bytes);
+  if (head_ == nullptr || footprint > static_cast<size_t>(end_ - head_)) {
+    NewChunk(footprint);
   }
+  char* p = head_;
   GSGROW_ASAN_UNPOISON(p, bytes);
-  // The red zone past the allocation stays poisoned.
-  head_ = p + bytes + kRedZoneBytes;
+  // The grain padding and the red zone past the allocation stay poisoned.
+  head_ = p + footprint;
   allocated_ += bytes;
+  used_ += footprint;
   return p;
 }
 

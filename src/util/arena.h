@@ -1,15 +1,18 @@
 // Bump-pointer arena for immutable index storage (DESIGN.md §9).
 //
 // The inverted-index read path is built from many small immutable arrays
-// (per-sequence event tables, offsets, position lists). Allocating
-// each as its own heap vector fragments the general heap and scatters one
-// block's arrays across the address space; an epoch-snapshot workload
-// (serve/incremental_index.h) multiplies that by re-freezing the dirty
-// delta every epoch. An Arena packs all arrays of one build — a whole batch
-// index, or one snapshot's frozen delta — into a few large chunks: one
-// heap allocation per chunk, one contiguous region per block, and the whole
-// build is released in O(chunks) when the last block referencing it dies
-// (blocks hold the arena through shared_ptr<const Arena>).
+// (per-sequence event tables, offsets, position lists, postings). An Arena
+// packs all arrays of one build — a whole batch index, or one snapshot's
+// frozen delta — into one heap allocation of exactly the bytes they take,
+// and releases it in one free when the last index view holding it dies
+// (views hold their arenas through shared_ptr<const Arena>).
+//
+// Exact sizing: every allocation starts on a kGrain boundary and occupies
+// Footprint(bytes) of its chunk, whatever its position, so a builder that
+// adds up the footprints of what it will store can construct the arena with
+// that capacity and fill it with no slack and no second chunk. An
+// allocation that does not fit takes a new chunk of exactly its own
+// footprint; there is no growth policy to over-reserve.
 //
 // Ownership rule: an Arena is MUTATED only while a build is assembling its
 // arrays (single-threaded, writer side); afterwards it is held const and
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -49,19 +53,34 @@ namespace gsgrow {
 
 class Arena {
  public:
-  static constexpr size_t kDefaultChunkBytes = size_t{64} * 1024;
-  static constexpr size_t kMaxChunkBytes = size_t{4} * 1024 * 1024;
+  /// Every allocation starts on a multiple of kGrain bytes, which is also
+  /// the largest alignment an allocation may ask for.
+  static constexpr size_t kGrain = 8;
   /// Poisoned gap kept between consecutive allocations under ASan, so a
   /// read past one array faults instead of silently hitting its neighbor.
   static constexpr size_t kRedZoneBytes = GSGROW_HAS_ASAN ? 16 : 0;
 
-  Arena() = default;
+  /// Chunk bytes one Allocate(bytes, ...) takes, wherever it lands.
+  static constexpr size_t Footprint(size_t bytes) {
+    return (bytes + kGrain - 1) / kGrain * kGrain + kRedZoneBytes;
+  }
+
+  /// Chunk bytes one AllocateArray<T>(n) (or CopyArray of n elements)
+  /// takes; an empty array takes none.
+  template <typename T>
+  static constexpr size_t ArrayFootprint(size_t n) {
+    return n == 0 ? 0 : Footprint(n * sizeof(T));
+  }
+
+  /// An arena whose first chunk holds exactly `capacity` bytes (no chunk
+  /// when 0): the sum of the footprints the caller is about to allocate.
+  explicit Arena(size_t capacity = 0);
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// `bytes` of storage aligned to `alignment` (a power of two <= 16).
-  /// Never returns null; zero-byte requests get a unique valid pointer.
+  /// `bytes` of storage aligned to `alignment` (a power of two <= kGrain).
+  /// Never returns null.
   void* Allocate(size_t bytes, size_t alignment);
 
   /// Uninitialized array of `n` T. T must be trivially destructible — the
@@ -84,12 +103,16 @@ class Arena {
     return dst;
   }
 
-  /// Total payload bytes handed out (excludes alignment waste, red zones,
+  /// Total payload bytes handed out (excludes grain padding, red zones,
   /// and unused chunk tails).
   size_t bytes_allocated() const { return allocated_; }
 
   /// Total chunk bytes acquired from the heap.
   size_t bytes_reserved() const { return reserved_; }
+
+  /// Chunk bytes taken by allocations: the sum of their footprints. Equal
+  /// to bytes_reserved() once an exactly sized arena is full.
+  size_t bytes_used() const { return used_; }
 
  private:
   struct Chunk {
@@ -97,14 +120,14 @@ class Arena {
     size_t size;
   };
 
-  void NewChunk(size_t min_bytes);
+  void NewChunk(size_t bytes);
 
   std::vector<Chunk> chunks_;
   char* head_ = nullptr;  // next free byte in the current chunk
   char* end_ = nullptr;   // one past the current chunk
-  size_t next_chunk_bytes_ = kDefaultChunkBytes;
   size_t allocated_ = 0;
   size_t reserved_ = 0;
+  size_t used_ = 0;
 };
 
 }  // namespace gsgrow

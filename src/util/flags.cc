@@ -87,19 +87,30 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
+namespace {
+
+// Parses `raw` into *value when it is a T within [min, max]; otherwise an
+// InvalidArgument naming `label`, with *value unchanged.
+template <typename T>
+Status ReadChecked(const std::string& label, const std::string& raw, T* value,
+                   T min, T max) {
+  T parsed{};
+  // Written so that a NaN, which compares false to everything, fails.
+  if (ParseValue(raw, &parsed) && parsed >= min && parsed <= max) {
+    *value = parsed;
+    return Status::OK();
+  }
+  return Status::InvalidArgument(label + " must be " + Expected(min, max) +
+                                 ", got '" + raw + "'");
+}
+
+}  // namespace
+
 template <typename T>
 Status Flags::Get(const std::string& name, T* value, T min, T max) const {
   auto it = values_.find(name);
   if (it == values_.end()) return Status::OK();
-  T parsed{};
-  // Written so that a NaN, which compares false to everything, fails.
-  if (ParseValue(it->second, &parsed) && parsed >= min && parsed <= max) {
-    *value = parsed;
-    return Status::OK();
-  }
-  return Status::InvalidArgument("--" + name + " must be " +
-                                 Expected(min, max) + ", got '" +
-                                 it->second + "'");
+  return ReadChecked("--" + name, it->second, value, min, max);
 }
 
 template Status Flags::Get(const std::string&, int64_t*, int64_t,
@@ -107,11 +118,10 @@ template Status Flags::Get(const std::string&, int64_t*, int64_t,
 template Status Flags::Get(const std::string&, double*, double, double) const;
 template Status Flags::Get(const std::string&, bool*, bool, bool) const;
 
-double EnvDouble(const char* name, double default_value) {
+Status EnvDouble(const char* name, double* value, double min, double max) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr) return default_value;
-  double v;
-  return ParseDouble(raw, &v) ? v : default_value;
+  if (raw == nullptr) return Status::OK();
+  return ReadChecked(std::string(name), std::string(raw), value, min, max);
 }
 
 }  // namespace gsgrow

@@ -42,9 +42,14 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
-/// Reads a double from environment variable `name`, or `default_value` if it
-/// is unset or unparsable. Used by benchmarks for GSGROW_BENCH_SCALE.
-double EnvDouble(const char* name, double default_value);
+/// Checked read of environment variable `name` into *value, with the rules
+/// of Flags::Get: an unset variable leaves *value (the caller's default) as
+/// it is; a value that does not parse as a double, or lies outside
+/// [min, max], is an InvalidArgument error naming the variable. Used by the
+/// benchmarks for GSGROW_BENCH_SCALE / GSGROW_BENCH_BUDGET.
+Status EnvDouble(const char* name, double* value,
+                 double min = std::numeric_limits<double>::lowest(),
+                 double max = std::numeric_limits<double>::max());
 
 }  // namespace gsgrow
 

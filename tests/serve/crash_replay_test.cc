@@ -192,11 +192,11 @@ std::string SerializeSurface(MiningService& service) {
     PutNumber(&out, e);
     out += " total ";
     PutNumber(&out, index.TotalCount(e));
-    for (const InvertedIndex::Posting& p : index.Postings(e)) {
+    for (const SeqId seq : index.Postings(e)) {
       out += " (";
-      PutNumber(&out, p.seq);
+      PutNumber(&out, seq);
       out += ',';
-      PutNumber(&out, p.count);
+      PutNumber(&out, index.Count(seq, e));
       out += ')';
     }
     out += '\n';

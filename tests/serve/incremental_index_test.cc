@@ -5,6 +5,7 @@
 // counts, present events — and the miners must produce byte-identical
 // output (patterns, supports, annotations) on either index.
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/topk.h"
 #include "serve/incremental_index.h"
 #include "serve/mining_service.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace gsgrow {
@@ -50,10 +52,8 @@ void ExpectSameIndex(const InvertedIndex& want, const InvertedIndex& got) {
     EXPECT_EQ(want.TotalCount(e), got.TotalCount(e)) << "event " << e;
     const auto want_post = want.Postings(e);
     const auto got_post = got.Postings(e);
-    ASSERT_EQ(std::vector<InvertedIndex::Posting>(want_post.begin(),
-                                                  want_post.end()),
-              std::vector<InvertedIndex::Posting>(got_post.begin(),
-                                                  got_post.end()))
+    ASSERT_EQ(std::vector<SeqId>(want_post.begin(), want_post.end()),
+              std::vector<SeqId>(got_post.begin(), got_post.end()))
         << "event " << e;
   }
 }
@@ -247,9 +247,9 @@ TEST(IncrementalIndex, CleanBlocksArePointerSharedAcrossEpochs) {
   // Touch ONLY sequence 1; sequence 0's block must be shared, not re-frozen.
   incremental.AppendToSequence(1, std::vector<EventId>{2, 2});
   InvertedIndex after = incremental.Snapshot();
-  EXPECT_EQ(before.seq_block(0).get(), after.seq_block(0).get())
+  EXPECT_EQ(before.seq_block(0), after.seq_block(0))
       << "clean block was re-frozen";
-  EXPECT_NE(before.seq_block(1).get(), after.seq_block(1).get())
+  EXPECT_NE(before.seq_block(1), after.seq_block(1))
       << "dirty block was not re-frozen";
 }
 
@@ -333,8 +333,88 @@ TEST(IncrementalIndex, EmptyExtendChangesNothing) {
   EXPECT_FALSE(incremental.pending_epoch_advance());
   InvertedIndex after = incremental.Snapshot();
   EXPECT_EQ(incremental.epoch(), epoch);
-  EXPECT_EQ(before.seq_block(0).get(), after.seq_block(0).get());
+  EXPECT_EQ(before.seq_block(0), after.seq_block(0));
   ExpectSameIndex(BatchIndex({{1, 0, 1}}), after);
+}
+
+// Memory follows the live index, not the epoch count: 2,000 epochs of a
+// new sequence plus an extension of a random old one, holding only the
+// newest view. Superseded blocks and postings must not pin their arenas:
+// after every snapshot the writer reserves at most twice its live bytes,
+// and the live bytes are the view's content plus per-array overhead.
+TEST(IncrementalIndex, ReservedBytesTrackLiveBytes) {
+  Rng rng(20261019);
+  IncrementalInvertedIndex incremental;
+  std::vector<std::vector<EventId>> mirror;
+  const auto random_events = [&rng](size_t max_len) {
+    std::vector<EventId> events(1 + rng.UniformInt(max_len));
+    for (EventId& e : events) e = static_cast<EventId>(rng.UniformInt(40));
+    return events;
+  };
+  // Per-array overhead a live byte count may add to MemoryUsage(): a block
+  // header and the grain padding / red zone of its three arrays, and of an
+  // event's two postings arrays.
+  constexpr size_t kPerArray = Arena::kGrain + Arena::kRedZoneBytes;
+  constexpr size_t kPerBlock =
+      Arena::Footprint(sizeof(InvertedIndex::SeqBlock)) + 3 * kPerArray;
+  InvertedIndex view;
+  for (int epoch = 0; epoch < 2000; ++epoch) {
+    std::vector<EventId> added = random_events(12);
+    incremental.AddSequence(added);
+    mirror.push_back(std::move(added));
+    const SeqId target = static_cast<SeqId>(rng.UniformInt(mirror.size()));
+    const std::vector<EventId> extension = random_events(4);
+    incremental.AppendToSequence(target, extension);
+    mirror[target].insert(mirror[target].end(), extension.begin(),
+                          extension.end());
+    view = incremental.Snapshot();
+
+    const size_t live = incremental.live_bytes();
+    const size_t content = view.MemoryUsage();
+    const size_t overhead = view.num_sequences() * kPerBlock +
+                            view.alphabet_size() * 2 * kPerArray;
+    ASSERT_LE(incremental.reserved_bytes(), 2 * live) << "epoch " << epoch;
+    ASSERT_GE(live, content) << "epoch " << epoch;
+    ASSERT_LE(live, content + overhead) << "epoch " << epoch;
+  }
+  ExpectSameIndex(BatchIndex(mirror), view);
+}
+
+// Publishing a small delta costs the delta: after one 5-event extension of
+// a 5,000-sequence index, the next snapshot's arena holds exactly the
+// rebuilt block plus a one-entry postings array per event new to the
+// sequence — no 64 KB chunk floor, no whole-list postings copy.
+TEST(IncrementalIndex, SmallDeltaSnapshotAllocatesOnlyTheDelta) {
+  Rng rng(42);
+  IncrementalInvertedIndex incremental;
+  std::vector<std::vector<EventId>> mirror;
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<EventId> events(20);
+    for (EventId& e : events) e = static_cast<EventId>(rng.UniformInt(2000));
+    incremental.AddSequence(events);
+    mirror.push_back(std::move(events));
+  }
+  incremental.Snapshot();
+  const size_t before = incremental.reserved_bytes();
+
+  constexpr SeqId kTarget = 17;
+  const std::vector<EventId> extension = {3, 3, 1999, mirror[kTarget][0], 7};
+  incremental.AppendToSequence(kTarget, extension);
+  mirror[kTarget].insert(mirror[kTarget].end(), extension.begin(),
+                         extension.end());
+  const InvertedIndex view = incremental.Snapshot();
+
+  const InvertedIndex::SeqBlock& block = *view.seq_block(kTarget);
+  const std::vector<EventId>& events = mirror[kTarget];
+  const auto extended_at = events.end() - extension.size();
+  size_t gained = 0;  // events the extension adds to the sequence
+  for (const EventId e : std::vector<EventId>{3, 1999, 7}) {
+    if (std::find(events.begin(), extended_at, e) == extended_at) ++gained;
+  }
+  EXPECT_EQ(incremental.reserved_bytes() - before,
+            block.Footprint() + gained * Arena::ArrayFootprint<SeqId>(1));
+  EXPECT_LT(incremental.reserved_bytes() - before, size_t{2048});
+  ExpectSameIndex(BatchIndex(mirror), view);
 }
 
 TEST(IncrementalIndex, BulkIngestWithEmptySequencesMatchesBatch) {

@@ -263,6 +263,20 @@ TEST(MiningService, StatsTrackTheCorpus) {
   EXPECT_EQ(stats.appends, 4u);
 }
 
+// Index memory in the stats comes from the writer's arena accounting: it
+// is zero before the first snapshot, covers the snapshot's storage after
+// it, and the reserved bytes stay within twice the live bytes.
+TEST(MiningService, StatsReportIndexArenaBytes) {
+  MiningService service;
+  LoadExample(&service);
+  EXPECT_EQ(service.Stats().index_live_bytes, 0u);
+  const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
+  const ServiceStats stats = service.Stats();
+  EXPECT_GE(stats.index_live_bytes, snapshot->index.MemoryUsage());
+  EXPECT_GE(stats.index_reserved_bytes, stats.index_live_bytes);
+  EXPECT_LE(stats.index_reserved_bytes, 2 * stats.index_live_bytes);
+}
+
 TEST(MiningService, IngestSharesTheBulkLoadPath) {
   MiningService service;
   ASSERT_TRUE(service.Ingest(ExampleDatabase()).ok());

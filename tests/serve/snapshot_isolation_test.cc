@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/clogsgrow.h"
 #include "core/inverted_index.h"
 #include "core/sequence_database.h"
+#include "serve/incremental_index.h"
 #include "serve/mining_service.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -191,6 +193,87 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
   options.max_pattern_length = 5;
   EXPECT_EQ(MineClosedFrequent(final_snapshot->index, options).patterns,
             MineClosedFrequent(batch, options).patterns);
+}
+
+// Every query answer of `index`, as text: positions, postings with
+// per-sequence counts, totals and the present events.
+std::string Surface(const InvertedIndex& index) {
+  std::string out = "alphabet " + std::to_string(index.alphabet_size()) + "\n";
+  for (SeqId i = 0; i < index.num_sequences(); ++i) {
+    out += "seq " + std::to_string(i) + "\n";
+    for (const EventId e : index.EventsInSequence(i)) {
+      out += " e" + std::to_string(e) + ":";
+      for (const Position p : index.Positions(i, e)) {
+        out += " " + std::to_string(p);
+      }
+      out += "\n";
+    }
+  }
+  for (const EventId e : index.present_events()) {
+    out += "post e" + std::to_string(e) + " total " +
+           std::to_string(index.TotalCount(e));
+    for (const SeqId seq : index.Postings(e)) {
+      out += " " + std::to_string(seq) + "x" +
+             std::to_string(index.Count(seq, e));
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Relocation moves bytes, not content: a snapshot held while the writer
+// relocates the survivors of its arenas — read by another thread the whole
+// time — must still equal a batch index over its prefix, bit for bit.
+// Sequence 0 is never touched after the held snapshot, so every change of
+// its block pointer in the newest view is one relocation of its bytes.
+TEST(ServeSnapshotIsolation, HeldSnapshotSurvivesRelocation) {
+  IncrementalInvertedIndex incremental;
+  std::vector<std::vector<EventId>> mirror;
+  Rng rng(11);
+  const auto random_events = [&rng](size_t len) {
+    std::vector<EventId> events(len);
+    for (EventId& e : events) e = static_cast<EventId>(rng.UniformInt(12));
+    return events;
+  };
+  for (int i = 0; i < 64; ++i) {
+    mirror.push_back(random_events(10));
+    incremental.AddSequence(mirror.back());
+  }
+  const InvertedIndex held = incremental.Snapshot();
+  std::vector<Sequence> rows;
+  rows.reserve(mirror.size());
+  for (const std::vector<EventId>& events : mirror) rows.emplace_back(events);
+  const std::string want = Surface(InvertedIndex(SequenceDatabase(rows)));
+  ASSERT_EQ(Surface(held), want);
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    MinerOptions options;
+    options.min_support = 20;
+    options.max_pattern_length = 3;
+    const MiningResult first = MineClosedFrequent(held, options);
+    while (!stop.load(std::memory_order_relaxed)) {
+      ASSERT_EQ(MineClosedFrequent(held, options).patterns, first.patterns);
+    }
+  });
+
+  const InvertedIndex::SeqBlock* last = held.seq_block(0);
+  int relocations = 0;
+  for (int epoch = 0; epoch < 300 && relocations < 3; ++epoch) {
+    for (int k = 0; k < 8; ++k) {
+      const SeqId target = static_cast<SeqId>(1 + rng.UniformInt(63));
+      incremental.AppendToSequence(target, random_events(3));
+    }
+    const InvertedIndex newest = incremental.Snapshot();
+    if (newest.seq_block(0) != last) {
+      last = newest.seq_block(0);
+      ++relocations;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GE(relocations, 3);
+  EXPECT_EQ(Surface(held), want);
 }
 
 TEST(ServeSnapshotIsolation, ConcurrentBatchesShareSnapshotsSafely) {

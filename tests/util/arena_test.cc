@@ -41,14 +41,20 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 }
 
 TEST(Arena, CopyArrayPreservesContentAcrossChunkBoundaries) {
-  Arena arena;
+  // Room for the first 10 copies; each later one takes a chunk of its own.
+  size_t capacity = 0;
+  for (size_t i = 0; i < 10; ++i) {
+    capacity += Arena::ArrayFootprint<Position>(1000 + i);
+  }
+  Arena arena(capacity);
   std::vector<std::span<const Position>> copies;
   std::vector<std::vector<Position>> originals;
-  // Large enough total to force several chunks.
+  size_t footprints = 0;
   for (size_t i = 0; i < 50; ++i) {
     std::vector<Position> v(1000 + i);
     std::iota(v.begin(), v.end(), static_cast<Position>(i));
     copies.push_back(arena.CopyArray(std::span<const Position>(v)));
+    footprints += Arena::ArrayFootprint<Position>(v.size());
     originals.push_back(std::move(v));
   }
   for (size_t i = 0; i < copies.size(); ++i) {
@@ -56,19 +62,42 @@ TEST(Arena, CopyArrayPreservesContentAcrossChunkBoundaries) {
     EXPECT_TRUE(std::equal(copies[i].begin(), copies[i].end(),
                            originals[i].begin()));
   }
-  EXPECT_GT(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
+  // Overflow chunks are exactly as large as the allocation they hold.
+  EXPECT_EQ(arena.bytes_used(), footprints);
+  EXPECT_EQ(arena.bytes_reserved(), footprints);
 }
 
 TEST(Arena, EmptyAndOversizeRequests) {
-  Arena arena;
+  Arena arena(64);
   EXPECT_TRUE(arena.AllocateArray<Position>(0).empty());
   EXPECT_TRUE(arena.CopyArray(std::span<const Position>{}).empty());
-  // A request larger than the max chunk still succeeds in one piece.
-  const size_t big = Arena::kMaxChunkBytes + 1024;
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  // A request larger than the arena's capacity still succeeds in one piece.
+  const size_t big = size_t{4} * 1024 * 1024 + 1024;
   char* p = static_cast<char*>(arena.Allocate(big, 8));
   std::memset(p, 0xAB, big);
   EXPECT_GE(arena.bytes_allocated(), big);
-  EXPECT_GE(arena.bytes_reserved(), big);
+  EXPECT_EQ(arena.bytes_reserved(), 64 + Arena::Footprint(big));
+}
+
+// Exact sizing: an arena built with the sum of its allocations' footprints
+// holds them all in its one chunk, with nothing left over, whatever their
+// sizes and alignments.
+TEST(Arena, ExactCapacityHoldsThePlannedAllocations) {
+  std::vector<std::pair<size_t, size_t>> requests;  // (bytes, alignment)
+  size_t capacity = 0;
+  for (size_t i = 0; i < 100; ++i) {
+    const size_t bytes = 1 + (i * 13) % 97;
+    requests.emplace_back(bytes, size_t{1} << (i % 4));
+    capacity += Arena::Footprint(bytes);
+  }
+  Arena arena(capacity);
+  for (const auto& [bytes, alignment] : requests) {
+    const char* p = static_cast<char*>(arena.Allocate(bytes, alignment));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % alignment, 0u);
+  }
+  EXPECT_EQ(arena.bytes_reserved(), capacity);
+  EXPECT_EQ(arena.bytes_used(), capacity);
 }
 
 TEST(Arena, ByteAccountingIsMonotonic) {

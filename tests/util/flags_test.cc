@@ -104,12 +104,26 @@ TEST(Flags, DoubleValues) {
 }
 
 TEST(EnvDouble, ReadsAndDefaults) {
+  double value = 1.0;
   ::setenv("GSGROW_TEST_ENV_DOUBLE", "0.5", 1);
-  EXPECT_DOUBLE_EQ(EnvDouble("GSGROW_TEST_ENV_DOUBLE", 1.0), 0.5);
+  EXPECT_TRUE(EnvDouble("GSGROW_TEST_ENV_DOUBLE", &value).ok());
+  EXPECT_DOUBLE_EQ(value, 0.5);
   ::unsetenv("GSGROW_TEST_ENV_DOUBLE");
-  EXPECT_DOUBLE_EQ(EnvDouble("GSGROW_TEST_ENV_DOUBLE", 1.0), 1.0);
-  ::setenv("GSGROW_TEST_ENV_DOUBLE", "junk", 1);
-  EXPECT_DOUBLE_EQ(EnvDouble("GSGROW_TEST_ENV_DOUBLE", 2.0), 2.0);
+  value = 1.0;
+  EXPECT_TRUE(EnvDouble("GSGROW_TEST_ENV_DOUBLE", &value).ok());
+  EXPECT_DOUBLE_EQ(value, 1.0);
+  // A malformed or out-of-range value is an error naming the variable, and
+  // leaves the default in place.
+  for (const char* bad : {"junk", "-5", "nan"}) {
+    ::setenv("GSGROW_TEST_ENV_DOUBLE", bad, 1);
+    value = 2.0;
+    const Status status =
+        EnvDouble("GSGROW_TEST_ENV_DOUBLE", &value, 0.1, 10.0);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(status.message().starts_with("GSGROW_TEST_ENV_DOUBLE"))
+        << status.message();
+    EXPECT_DOUBLE_EQ(value, 2.0);
+  }
   ::unsetenv("GSGROW_TEST_ENV_DOUBLE");
 }
 
