@@ -5,11 +5,17 @@
 // whole node, event-slot lookups in one block, one CloGSgrow closure check
 // (DESIGN.md §5), and whole supComp runs as pattern length grows. The Setup
 // rows split the serving stack's bulk load (text parse,
-// MiningService::Ingest, first Snapshot) on the Quest D5C20N10S20 corpus,
-// next to the batch index build of the same database. SnapshotSmallDelta
-// times one small-delta snapshot publish on the serving corpus.
+// MiningService::Ingest in memory and durable, first Snapshot) on the Quest
+// D5C20N10S20 corpus, next to the batch index build of the same database.
+// SnapshotSmallDelta times one small-delta snapshot publish on the serving
+// corpus.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "core/growth_engine.h"
 #include "core/instance_growth.h"
@@ -554,6 +560,32 @@ void BM_SetupFirstSnapshot(benchmark::State& state) {
   SetSetupItems(state);
 }
 BENCHMARK(BM_SetupFirstSnapshot)->Unit(benchmark::kMillisecond);
+
+// The same Ingest into a durable service (default group commit) on a
+// fresh temporary directory: the load logged as one commit and synced.
+void BM_SetupDurableIngest(benchmark::State& state) {
+  const SequenceDatabase& db = SetupDb();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("gsgrow_bm_durable_" + std::to_string(::getpid())))
+          .string();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    DurabilityOptions options;
+    options.dir = dir;
+    std::unique_ptr<MiningService> service =
+        std::move(MiningService::OpenDurable(options).value());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(service->Ingest(db).ok());
+    state.PauseTiming();
+    service.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  SetSetupItems(state);
+}
+BENCHMARK(BM_SetupDurableIngest)->Unit(benchmark::kMillisecond);
 
 // Reference row: the batch index build over the same database.
 void BM_SetupBatchIndex(benchmark::State& state) {

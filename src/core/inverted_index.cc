@@ -47,55 +47,70 @@ void SortDistinct(std::vector<EventId>* events, std::vector<EventId>* scratch) {
 
 InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
   alphabet_size_ = db.AlphabetSize();
-  seq_blocks_.resize(db.size());
-  postings_.resize(alphabet_size_);
-  auto totals_acc = std::make_shared<EventTotals>(alphabet_size_, 0);
-  EventTotals& totals = *totals_acc;
+  FrozenCorpus corpus = Freeze(db.sequences(), alphabet_size_);
+  seq_blocks_ = std::move(corpus.blocks);
+  postings_ = std::move(corpus.postings);
+  if (corpus.arena != nullptr) arenas_.push_back(std::move(corpus.arena));
+  totals_owner_ =
+      std::make_shared<const EventTotals>(std::move(corpus.totals));
+  totals_ = *totals_owner_;
+  present_events_ = std::move(corpus.present_events);
+}
+
+InvertedIndex::FrozenCorpus InvertedIndex::Freeze(
+    std::span<const Sequence> sequences, EventId alphabet_size) {
+  FrozenCorpus corpus;
+  corpus.blocks.resize(sequences.size());
+  corpus.postings.resize(alphabet_size);
+  corpus.totals.assign(alphabet_size, 0);
+  std::vector<EventPostings>& postings = corpus.postings;
+  EventTotals& totals = corpus.totals;
 
   // Sizing pass: each sequence's distinct events (its block's footprint)
   // and each event's postings length, so one arena of exactly the bytes
-  // below backs the whole build.
-  std::vector<SeqId> last_seen(alphabet_size_, static_cast<SeqId>(-1));
+  // below backs the whole corpus.
+  std::vector<SeqId> last_seen(alphabet_size, static_cast<SeqId>(-1));
   size_t bytes = 0;
-  for (SeqId i = 0; i < db.size(); ++i) {
-    const Sequence& s = db[i];
+  for (SeqId i = 0; i < sequences.size(); ++i) {
+    const Sequence& s = sequences[i];
     if (s.empty()) continue;
     size_t distinct = 0;
-    for (const EventId e : s.events()) {
+    for (const EventId e : s) {
+      GSGROW_DCHECK(e < alphabet_size);
       ++totals[e];
       if (last_seen[e] != i) {
         last_seen[e] = i;
         ++distinct;
-        ++postings_[e].base_size;
+        ++postings[e].base_size;
       }
     }
     bytes += SeqBlock::Footprint(distinct, s.length());
   }
-  for (EventId e = 0; e < alphabet_size_; ++e) {
-    bytes += Arena::ArrayFootprint<SeqId>(postings_[e].base_size);
+  for (EventId e = 0; e < alphabet_size; ++e) {
+    bytes += Arena::ArrayFootprint<SeqId>(postings[e].base_size);
   }
-  auto arena = std::make_shared<Arena>(bytes);
+  if (bytes == 0) return corpus;
+  corpus.arena = std::make_shared<Arena>(bytes);
+  Arena& arena = *corpus.arena;
 
   // Each postings array is laid out at its final length and filled in
   // sequence order through its `fill` cursor.
-  std::vector<SeqId*> fill(alphabet_size_, nullptr);
-  for (EventId e = 0; e < alphabet_size_; ++e) {
+  std::vector<SeqId*> fill(alphabet_size, nullptr);
+  for (EventId e = 0; e < alphabet_size; ++e) {
     if (totals[e] == 0) continue;
-    fill[e] = arena->AllocateArray<SeqId>(postings_[e].base_size).data();
-    postings_[e].base = fill[e];
-    present_events_.push_back(e);
+    fill[e] = arena.AllocateArray<SeqId>(postings[e].base_size).data();
+    postings[e].base = fill[e];
+    corpus.present_events.push_back(e);
   }
   SeqBlockBuilder builder;
-  for (SeqId i = 0; i < db.size(); ++i) {
-    const Sequence& s = db[i];
+  for (SeqId i = 0; i < sequences.size(); ++i) {
+    const Sequence& s = sequences[i];
     if (s.empty()) continue;
-    seq_blocks_[i] = builder.Build(nullptr, s.events(), *arena);
-    for (const EventId e : seq_blocks_[i]->events) *fill[e]++ = i;
+    corpus.blocks[i] = builder.Build(nullptr, s.events(), arena);
+    for (const EventId e : corpus.blocks[i]->events) *fill[e]++ = i;
   }
-  GSGROW_DCHECK(arena->bytes_used() == arena->bytes_reserved());
-  arenas_.push_back(std::move(arena));
-  totals_ = totals;
-  totals_owner_ = std::move(totals_acc);
+  GSGROW_DCHECK(arena.bytes_used() == arena.bytes_reserved());
+  return corpus;
 }
 
 size_t InvertedIndex::SeqBlock::Footprint(size_t num_events, size_t length) {

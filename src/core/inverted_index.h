@@ -280,9 +280,9 @@ class InvertedIndex {
   /// one pass counts each event's occurrences in a dense per-event table,
   /// the distinct events are sorted (by rank counting when there are few),
   /// and a second pass scatters every position into its list, which comes
-  /// out ascending. The batch constructor and the incremental index's
-  /// Snapshot() freeze both build through it (DESIGN.md §9). Reusable
-  /// across blocks; it allocates only while its tables grow.
+  /// out ascending. Freeze (the batch constructor and the bulk load) and
+  /// the incremental index's Snapshot() both build through it (DESIGN.md
+  /// §9). Reusable across blocks; it allocates only while its tables grow.
   class SeqBlockBuilder {
    public:
     /// The block of a sequence whose first events are frozen in `base`
@@ -302,10 +302,38 @@ class InvertedIndex {
     std::vector<EventId> sorted_;
   };
 
+  /// A whole corpus frozen into one exactly sized arena: what the batch
+  /// constructor builds, and what serve/IncrementalInvertedIndex adopts
+  /// for a bulk load (DESIGN.md §9).
+  struct FrozenCorpus {
+    /// Indexed by sequence; null for an empty sequence.
+    std::vector<const SeqBlock*> blocks;
+    /// Indexed by event, over the alphabet; every array is a base, none a
+    /// recent one.
+    std::vector<EventPostings> postings;
+    /// Holds every block and postings array; null when no sequence holds
+    /// an event.
+    std::shared_ptr<Arena> arena;
+    EventTotals totals;
+    /// Events with a positive total, ascending.
+    std::vector<EventId> present_events;
+  };
+
+  /// Freezes `sequences`, whose largest event id plus one (0 when they
+  /// hold no event) is `alphabet_size`: a sizing pass counts each block's
+  /// footprint and each event's postings, one arena of exactly their bytes
+  /// is allocated, then every block is built (SeqBlockBuilder) and the
+  /// postings are filled in place, in sequence order. O(total length +
+  /// alphabet).
+  static FrozenCorpus Freeze(std::span<const Sequence> sequences,
+                             EventId alphabet_size);
+
   /// An empty index (no sequences, empty alphabet) — the value a snapshot
   /// handle holds before its first assignment.
   InvertedIndex() = default;
 
+  /// The batch build: Freeze(db.sequences(), db.AlphabetSize()), adopted
+  /// as the view.
   explicit InvertedIndex(const SequenceDatabase& db);
 
   /// Snapshot-assembly constructor (serve/incremental_index.h): adopts

@@ -6,13 +6,13 @@
 namespace gsgrow {
 
 EventId SequenceDatabase::AlphabetSize() const {
+  // One max over every event, with no branch in the inner loop, so it
+  // vectorizes.
   EventId max_id = 0;
   bool any = false;
   for (const Sequence& s : sequences_) {
-    for (EventId e : s) {
-      max_id = std::max(max_id, e);
-      any = true;
-    }
+    any = any || !s.empty();
+    for (const EventId e : s) max_id = std::max(max_id, e);
   }
   return any ? max_id + 1 : 0;
 }
@@ -48,10 +48,6 @@ void SequenceDatabaseBuilder::AddSequence(
 
 void SequenceDatabaseBuilder::AddSequenceIds(std::vector<EventId> ids) {
   sequences_.emplace_back(std::move(ids));
-}
-
-EventId SequenceDatabaseBuilder::InternEvent(std::string_view name) {
-  return dictionary_.Intern(name);
 }
 
 SequenceDatabase SequenceDatabaseBuilder::Build() {

@@ -4,7 +4,6 @@
 #define GSGROW_CORE_SEQUENCE_DATABASE_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/event_dictionary.h"
@@ -71,9 +70,6 @@ class SequenceDatabaseBuilder {
 
   /// Appends a sequence of raw ids (caller manages the alphabet).
   void AddSequenceIds(std::vector<EventId> ids);
-
-  /// Interns a single event name (useful to pre-seed id order).
-  EventId InternEvent(std::string_view name);
 
   /// Number of sequences added so far.
   size_t size() const { return sequences_.size(); }

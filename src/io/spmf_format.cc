@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "persist/file_io.h"
 #include "util/string_util.h"
 
 namespace gsgrow {
@@ -84,11 +85,11 @@ std::string WriteSpmfDatabase(const SequenceDatabase& db) {
 }
 
 Result<SequenceDatabase> ReadSpmfDatabaseFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseSpmfDatabase(buffer.str());
+  // Every failure to read the corpus, a missing file included, is IOError
+  // naming the path (a directory fails its first read with EISDIR).
+  Result<std::string> content = persist::ReadFileToString(path);
+  if (!content.ok()) return Status::IOError(content.status().message());
+  return ParseSpmfDatabase(*content);
 }
 
 Status WriteSpmfDatabaseFile(const SequenceDatabase& db,

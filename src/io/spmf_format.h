@@ -22,7 +22,8 @@ Result<SequenceDatabase> ParseSpmfDatabase(const std::string& content);
 /// Serializes to SPMF ("id -1 id -1 ... -2" per line).
 std::string WriteSpmfDatabase(const SequenceDatabase& db);
 
-/// File wrappers.
+/// File wrappers. Reading fails with IOError naming the path when the
+/// file cannot be opened or read (a directory included).
 Result<SequenceDatabase> ReadSpmfDatabaseFile(const std::string& path);
 Status WriteSpmfDatabaseFile(const SequenceDatabase& db,
                              const std::string& path);

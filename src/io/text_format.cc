@@ -1,10 +1,11 @@
 #include "io/text_format.h"
 
+#include <cctype>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
-#include "util/string_util.h"
+#include "persist/file_io.h"
 
 namespace gsgrow {
 
@@ -16,37 +17,59 @@ Result<SequenceDatabase> ParseTextDatabase(const std::string& content) {
 
 Result<SequenceDatabase> ParseTextDatabase(std::string_view content,
                                            size_t max_length) {
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
   const auto is_delimiter = [](char c) { return c == ' ' || c == '\t'; };
-  SequenceDatabaseBuilder builder;
-  // Lines and tokens are views into `content`; each token is interned
-  // straight into the id scratch, which is copied out at its exact size.
-  std::vector<EventId> ids;
+  std::vector<Sequence> sequences;
+  EventDictionary dictionary;
+  std::vector<std::string_view> tokens;  // the current line's, reused
+  const char* const text = content.data();
   size_t line_number = 0;
   size_t line_start = 0;
   while (line_start < content.size()) {
-    size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string_view::npos) line_end = content.size();
-    const std::string_view line =
-        Trim(content.substr(line_start, line_end - line_start));
-    line_start = line_end + 1;
     ++line_number;
-    if (line.empty() || line.front() == '#') continue;
-    ids.clear();
-    size_t i = 0;
-    while (i < line.size()) {
-      const size_t token_start = i;
-      while (i < line.size() && !is_delimiter(line[i])) ++i;
-      if (ids.size() + 1 >= max_length) {
+    const void* newline = std::memchr(text + line_start, '\n',
+                                      content.size() - line_start);
+    const size_t line_end =
+        newline == nullptr ? content.size()
+                           : static_cast<size_t>(
+                                 static_cast<const char*>(newline) - text);
+    // The line's events lie in [begin, end): the line trimmed of
+    // surrounding whitespace.
+    size_t begin = line_start;
+    size_t end = line_end;
+    line_start = line_end + 1;
+    while (begin < end && is_space(text[begin])) ++begin;
+    while (end > begin && is_space(text[end - 1])) --end;
+    if (begin == end || text[begin] == '#') continue;
+    // One scan splits the line into views, so the ids land in a vector of
+    // its exact size; an over-long line fails before anything is interned.
+    tokens.clear();
+    for (size_t i = begin; i < end;) {
+      if (tokens.size() + 1 >= max_length) {
         return Status::OutOfRange("line " + std::to_string(line_number) +
                                   ": sequence exceeds the supported length");
       }
-      ids.push_back(
-          builder.InternEvent(line.substr(token_start, i - token_start)));
-      while (i < line.size() && is_delimiter(line[i])) ++i;
+      const size_t token_start = i;
+      while (i < end && !is_delimiter(text[i])) ++i;
+      tokens.emplace_back(text + token_start, i - token_start);
+      while (i < end && is_delimiter(text[i])) ++i;
     }
-    builder.AddSequenceIds(std::vector<EventId>(ids.begin(), ids.end()));
+    std::vector<EventId> ids;
+    ids.reserve(tokens.size());
+    for (const std::string_view token : tokens) {
+      if (token.size() > kMaxEventNameBytes) {
+        return Status::InvalidArgument(
+            "line " + std::to_string(line_number) + ": event name of " +
+            std::to_string(token.size()) + " bytes exceeds the " +
+            std::to_string(kMaxEventNameBytes) + "-byte limit");
+      }
+      ids.push_back(dictionary.Intern(token));
+    }
+    sequences.emplace_back(std::move(ids));
   }
-  return builder.Build();
+  return SequenceDatabase(std::move(sequences), std::move(dictionary));
 }
 
 std::string WriteTextDatabase(const SequenceDatabase& db) {
@@ -62,11 +85,11 @@ std::string WriteTextDatabase(const SequenceDatabase& db) {
 }
 
 Result<SequenceDatabase> ReadTextDatabaseFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseTextDatabase(buffer.str());
+  // Every failure to read the corpus, a missing file included, is IOError
+  // naming the path (a directory fails its first read with EISDIR).
+  Result<std::string> content = persist::ReadFileToString(path);
+  if (!content.ok()) return Status::IOError(content.status().message());
+  return ParseTextDatabase(*content);
 }
 
 Status WriteTextDatabaseFile(const SequenceDatabase& db,

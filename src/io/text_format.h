@@ -16,9 +16,11 @@ namespace gsgrow {
 
 /// Parses a database from text content. Lines end at '\n'; each line is
 /// trimmed of surrounding whitespace (so "\r\n" endings parse), and its
-/// events are the runs of characters other than ' ' and '\t'. A line of
-/// 2^32 - 1 or more events (beyond the 32-bit position space) fails with
-/// OutOfRange naming the line.
+/// events are the runs of characters other than ' ' and '\t', interned in
+/// first-seen order. A line of 2^32 - 1 or more events (beyond the 32-bit
+/// position space) fails with OutOfRange naming the line; an event name
+/// longer than kMaxEventNameBytes fails with InvalidArgument naming the
+/// line and the name's length.
 Result<SequenceDatabase> ParseTextDatabase(const std::string& content);
 
 /// The same with an explicit length limit: a line of `max_length` or more
@@ -30,7 +32,8 @@ Result<SequenceDatabase> ParseTextDatabase(std::string_view content,
 /// Serializes a database (event names resolved via its dictionary).
 std::string WriteTextDatabase(const SequenceDatabase& db);
 
-/// File wrappers.
+/// File wrappers. Reading fails with IOError naming the path when the
+/// file cannot be opened or read (a directory included).
 Result<SequenceDatabase> ReadTextDatabaseFile(const std::string& path);
 Status WriteTextDatabaseFile(const SequenceDatabase& db,
                              const std::string& path);

@@ -23,17 +23,23 @@ Result<WalWriter> WalWriter::Open(const std::string& path) {
   return writer;
 }
 
+void FrameWalRecord(uint8_t type, std::string_view payload, std::string* out) {
+  uint32_t crc = Crc32cExtend(0, &type, 1);
+  crc = Crc32cExtend(crc, payload.data(), payload.size());
+  PutFixed32(out, MaskCrc(crc));
+  PutFixed32(out, static_cast<uint32_t>(payload.size()));
+  out->push_back(static_cast<char>(type));
+  out->append(payload.data(), payload.size());
+}
+
 Status WalWriter::Append(uint8_t type, std::string_view payload) {
   scratch_.clear();
-  const uint32_t crc = [&] {
-    uint32_t c = Crc32cExtend(0, &type, 1);
-    return Crc32cExtend(c, payload.data(), payload.size());
-  }();
-  PutFixed32(&scratch_, MaskCrc(crc));
-  PutFixed32(&scratch_, static_cast<uint32_t>(payload.size()));
-  scratch_.push_back(static_cast<char>(type));
-  scratch_.append(payload.data(), payload.size());
+  FrameWalRecord(type, payload, &scratch_);
   return file_.Append(scratch_);
+}
+
+Status WalWriter::AppendFramed(std::string_view records) {
+  return file_.Append(records);
 }
 
 Status WalWriter::Sync() { return file_.Sync(); }

@@ -39,6 +39,10 @@ struct WalRecord {
   std::string payload;
 };
 
+/// Appends one record, framed as above, to `out`: the exact bytes
+/// WalWriter::Append writes for it.
+void FrameWalRecord(uint8_t type, std::string_view payload, std::string* out);
+
 /// Appends framed records to one log file. Writes go straight to the fd
 /// (no user-space buffer): a killed process loses at most the record the
 /// kernel never saw, and Sync() is the only additional durability point.
@@ -53,6 +57,10 @@ class WalWriter {
   /// Appends one framed record. On failure nothing is guaranteed appended
   /// and the caller must treat the log as ended at the last Sync().
   Status Append(uint8_t type, std::string_view payload);
+
+  /// Appends a run of records already framed by FrameWalRecord, in one
+  /// write loop. On failure any prefix of them may have been appended.
+  Status AppendFramed(std::string_view records);
 
   /// Forces every appended record to stable storage.
   Status Sync();

@@ -24,7 +24,8 @@
 // whole mutations, never leave a dictionary entry without its sequence.
 // kIntern exists for Ingest, whose bulk dictionary does not belong to any
 // single sequence; a crash mid-ingest legitimately recovers a prefix of
-// the load.
+// the load. Ingest writes its records in runs of about 1 MiB, each record
+// byte-identical to one written alone.
 //
 // Checkpoint pages: one kMeta page first (version, epoch, wal segment,
 // counts), then kDict pages (contiguous runs of names) and kSequences
@@ -33,10 +34,11 @@
 // SOURCE corpus (dictionary + raw event sequences), each sequence read
 // back from the incremental index — the service's only copy of the corpus
 // — by IncrementalInvertedIndex::SequenceEvents. The frozen index blocks
-// are a pure function of it and are rebuilt on recovery through the same
-// AddSequence path the live service used — the crash-replay differential
-// pins the rebuilt surface byte-identical, and the spill stays immune to
-// posting-encoding changes.
+// are a pure function of it and are rebuilt on recovery through
+// AddSequence, the path live appends take (a bulk Ingest freezes through
+// AddCorpus, which tests/serve pins to AddSequence) — the crash-replay
+// differential pins the rebuilt surface byte-identical, and the spill stays
+// immune to posting-encoding changes.
 
 #ifndef GSGROW_SERVE_DURABILITY_H_
 #define GSGROW_SERVE_DURABILITY_H_

@@ -48,6 +48,55 @@ void IncrementalInvertedIndex::AppendToSequence(
   }
 }
 
+void IncrementalInvertedIndex::AddCorpus(std::span<const Sequence> sequences,
+                                         EventId alphabet_size) {
+  writer_lock_.AssertHeld();
+  // A snapshot of the empty index may have advanced the epoch already: it
+  // froze nothing, so no arena holds live bytes, and changed_ below makes
+  // the next snapshot advance.
+  // invariant: MiningService::Ingest refuses a non-empty service and
+  // validates the corpus before it gets here.
+  GSGROW_CHECK_MSG(seqs_.empty() && events_.empty(),
+                   "bulk load into a non-empty index");
+  // invariant: Ingest bounds the sequence count with Status(kOutOfRange).
+  GSGROW_CHECK_MSG(sequences.size() <= static_cast<size_t>(kNoPosition),
+                   "sequence id space exhausted");
+  InvertedIndex::FrozenCorpus corpus =
+      InvertedIndex::Freeze(sequences, alphabet_size);
+  blocks_ = std::move(corpus.blocks);
+  postings_ = std::move(corpus.postings);
+  totals_ = std::move(corpus.totals);
+  present_cache_ = std::move(corpus.present_events);
+  seqs_.resize(sequences.size());
+  events_.resize(postings_.size());
+  changed_ = !sequences.empty();
+  if (corpus.arena == nullptr) return;
+
+  // Writer bookkeeping: everything lives in the one arena, all of it live.
+  const uint32_t home = AdoptArena(std::move(corpus.arena));
+  ArenaRecord& record = arenas_[home];
+  record.seqs.reserve(blocks_.size());
+  for (SeqId seq = 0; seq < blocks_.size(); ++seq) {
+    const InvertedIndex::SeqBlock* block = blocks_[seq];
+    if (block == nullptr) continue;
+    SeqAccum& sa = seqs_[seq];
+    sa.length = static_cast<Position>(block->offsets.back());
+    sa.distinct = static_cast<uint32_t>(block->num_events());
+    sa.home = home;
+    total_events_ += sa.length;
+    record.seqs.push_back(seq);
+  }
+  // Every present event gained occurrences this epoch (the next
+  // EpochDelta's events); none has a recent list to publish.
+  for (const EventId e : present_cache_) {
+    events_[e].base_home = home;
+    events_[e].dirty = true;
+  }
+  dirty_events_ = present_cache_;
+  record.events = present_cache_;
+  Acquire(home, record.arena->bytes_used());
+}
+
 void IncrementalInvertedIndex::RecordPosting(SeqId seq, EventId e) {
   writer_lock_.AssertHeld();
   if (e >= events_.size()) {
@@ -100,7 +149,7 @@ void IncrementalInvertedIndex::Release(uint32_t home, size_t bytes) {
   live_bytes_ -= bytes;
 }
 
-uint32_t IncrementalInvertedIndex::NewArena(size_t capacity) {
+uint32_t IncrementalInvertedIndex::AdoptArena(std::shared_ptr<Arena> arena) {
   writer_lock_.AssertHeld();
   uint32_t slot;
   if (free_arena_slots_.empty()) {
@@ -110,8 +159,8 @@ uint32_t IncrementalInvertedIndex::NewArena(size_t capacity) {
     slot = free_arena_slots_.back();
     free_arena_slots_.pop_back();
   }
-  arenas_[slot].arena = std::make_shared<Arena>(capacity);
-  reserved_bytes_ += capacity;
+  reserved_bytes_ += arena->bytes_reserved();
+  arenas_[slot].arena = std::move(arena);
   return slot;
 }
 
@@ -259,7 +308,8 @@ InvertedIndex IncrementalInvertedIndex::Snapshot(EpochDelta* delta) {
   // tail, O(length)), one array per dirty event, then the survivors.
   // Clean blocks and postings stay where they are, shared with every
   // earlier snapshot that references them.
-  const uint32_t delta_home = bytes == 0 ? kNoArena : NewArena(bytes);
+  const uint32_t delta_home =
+      bytes == 0 ? kNoArena : AdoptArena(std::make_shared<Arena>(bytes));
   ArenaRecord* delta_record =
       delta_home == kNoArena ? nullptr : &arenas_[delta_home];
   for (const SeqId seq : dirty_seqs_) {

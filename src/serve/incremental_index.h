@@ -38,9 +38,13 @@
 // least one) plus a flat copy of the view's pointer tables; appends never
 // block readers of previously taken snapshots.
 //
+// Bulk load: AddCorpus freezes a whole corpus into an empty index in one
+// pass, the batch build's (InvertedIndex::Freeze), so loading n sequences
+// costs one batch build rather than n tails plus a freeze of all of them.
+//
 // Threading contract: single writer, externally synchronized —
-// AddSequence/AppendToSequence/Snapshot must be serialized by the caller
-// (MiningService holds the mutex). Snapshots are immutable and readable
+// AddSequence/AppendToSequence/AddCorpus/Snapshot must be serialized by the
+// caller (MiningService holds the mutex). Snapshots are immutable and readable
 // from any thread; handing one to another thread is the caller's
 // synchronization point (tests/serve/snapshot_isolation_test.cc runs this
 // under ThreadSanitizer).
@@ -54,6 +58,7 @@
 #include <vector>
 
 #include "core/inverted_index.h"
+#include "core/sequence.h"
 #include "core/types.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -93,6 +98,16 @@ class IncrementalInvertedIndex {
 
   /// Appends events to the END of existing sequence `seq`.
   void AppendToSequence(SeqId seq, std::span<const EventId> events);
+
+  /// Bulk load into an EMPTY index (no sequence yet; snapshots of the empty
+  /// index may have been taken): `sequences` become sequences 0..n-1,
+  /// frozen in one pass by InvertedIndex::Freeze into one exactly sized
+  /// arena (no tails, no per-event `recent` lists). The next Snapshot()
+  /// only assembles the view, and reports the same epoch and EpochDelta as
+  /// n AddSequence calls would have: every present event, no appended
+  /// sequences, new_sequences = n. `alphabet_size` is the largest event id
+  /// plus one (0 when there is no event); no event may be kNoEvent.
+  void AddCorpus(std::span<const Sequence> sequences, EventId alphabet_size);
 
   /// Immutable view of everything recorded so far. Clean sequences/events
   /// share their frozen blocks with prior snapshots; only the dirty delta
@@ -221,8 +236,8 @@ class IncrementalInvertedIndex {
   // Arena accounting: `bytes` of slot `home` become current / superseded.
   void Acquire(uint32_t home, size_t bytes);
   void Release(uint32_t home, size_t bytes);
-  // A fresh arena of exactly `capacity` bytes in a free slot.
-  uint32_t NewArena(size_t capacity);
+  // Records `arena` in a free slot, with no live bytes yet.
+  uint32_t AdoptArena(std::shared_ptr<Arena> arena);
   // Copies the current blocks and postings arrays of slot `from` into slot
   // `to`, leaving `from` with no live bytes.
   void Relocate(uint32_t from, uint32_t to);

@@ -125,6 +125,26 @@ Status CheckEventIds(std::span<const EventId> events) {
   return Status::OK();
 }
 
+// What Ingest validates before logging or loading anything: the corpus
+// fits the id and position spaces and holds no reserved id. Its names are
+// taken as given: ParseTextDatabase caps them at kMaxEventNameBytes. Yields
+// the alphabet size AddCorpus needs.
+Result<EventId> CheckCorpus(const SequenceDatabase& db) {
+  if (db.size() > static_cast<size_t>(kNoPosition)) {
+    return Status::OutOfRange("sequence id space exhausted");
+  }
+  bool any = false;
+  for (const Sequence& s : db.sequences()) {
+    GSGROW_RETURN_NOT_OK(CheckPositionSpace(0, s.length()));
+    any = any || !s.empty();
+  }
+  // The reserved id kNoEvent is the largest EventId: the alphabet size
+  // wraps to 0 exactly when a corpus with events holds it.
+  const EventId alphabet_size = db.AlphabetSize();
+  if (any && alphabet_size == 0) return CheckEventIds(std::span(&kNoEvent, 1));
+  return alphabet_size;
+}
+
 // A request is cacheable when its answer is a pure function of
 // (canonical request, corpus): a finite time budget can truncate
 // nondeterministically (wall clock), and a count-only run carries no
@@ -188,11 +208,19 @@ MiningService::~MiningService() {
 Status MiningService::LogWalRecordLocked(serve::LogRecordType type,
                                          const std::string& payload) {
   if (!durable_) return Status::OK();
+  scratch_frame_.clear();
+  persist::FrameWalRecord(static_cast<uint8_t>(type), payload,
+                          &scratch_frame_);
+  return WriteWalLocked(scratch_frame_, 1);
+}
+
+Status MiningService::WriteWalLocked(std::string_view framed,
+                                     uint64_t records) {
   if (!wal_status_.ok()) return wal_status_;
   const WallTimer timer;
-  Status status = wal_.Append(static_cast<uint8_t>(type), payload);
+  Status status = wal_.AppendFramed(framed);
   Metrics().wal_append_us->Record(timer.ElapsedMicros());
-  Metrics().wal_appends->Increment();
+  Metrics().wal_appends->Increment(records);
   if (!status.ok()) wal_status_ = status;
   return status;
 }
@@ -388,29 +416,47 @@ Status MiningService::Ingest(const SequenceDatabase& db) {
     return Status::InvalidArgument(
         "Ingest requires an empty service (ids are preserved)");
   }
-  if (durable_) {
-    // A bulk load is one logical commit: log the whole dictionary and every
-    // sequence, then force a sync at the boundary.
-    for (EventId id = 0; id < db.dictionary().size(); ++id) {
-      serve::EncodeInternRecord(id, db.dictionary().Name(id),
-                                &scratch_payload_);
-      GSGROW_RETURN_NOT_OK(
-          LogWalRecordLocked(serve::LogRecordType::kIntern, scratch_payload_));
-    }
-    for (SeqId seq = 0; seq < db.size(); ++seq) {
-      serve::EncodeSequenceRecord(seq, {}, db.sequences()[seq].events(),
-                                  &scratch_payload_);
-      GSGROW_RETURN_NOT_OK(LogWalRecordLocked(
-          serve::LogRecordType::kAddSequence, scratch_payload_));
-    }
-  }
+  const Result<EventId> alphabet_size = CheckCorpus(db);
+  if (!alphabet_size.ok()) return alphabet_size.status();
+  if (durable_) GSGROW_RETURN_NOT_OK(LogIngestLocked(db));
   MutableDictionaryLocked() = db.dictionary();
-  for (const Sequence& s : db.sequences()) {
-    index_.AddSequence(s.events());
-  }
+  index_.AddCorpus(db.sequences(), *alphabet_size);
   snapshot_cache_.reset();
   appends_ += db.size();
   return MaybeSyncWalLocked(/*force=*/true);
+}
+
+Status MiningService::LogIngestLocked(const SequenceDatabase& db) {
+  // A bulk load is one logical commit: an intern record per name, then a
+  // sequence record per sequence, each byte-identical to the record written
+  // alone. They are framed into one buffer, written whenever it reaches
+  // kChunkBytes; the caller forces a sync after.
+  constexpr size_t kChunkBytes = size_t{1} << 20;
+  const EventDictionary& dictionary = db.dictionary();
+  const size_t total = dictionary.size() + db.size();
+  std::string chunk;
+  uint64_t records = 0;
+  for (size_t r = 0; r < total; ++r) {
+    serve::LogRecordType type = serve::LogRecordType::kIntern;
+    if (r < dictionary.size()) {
+      const EventId id = static_cast<EventId>(r);
+      serve::EncodeInternRecord(id, dictionary.Name(id), &scratch_payload_);
+    } else {
+      const SeqId seq = static_cast<SeqId>(r - dictionary.size());
+      type = serve::LogRecordType::kAddSequence;
+      serve::EncodeSequenceRecord(seq, {}, db[seq].events(),
+                                  &scratch_payload_);
+    }
+    persist::FrameWalRecord(static_cast<uint8_t>(type), scratch_payload_,
+                            &chunk);
+    ++records;
+    if (chunk.size() >= kChunkBytes || r + 1 == total) {
+      GSGROW_RETURN_NOT_OK(WriteWalLocked(chunk, records));
+      chunk.clear();
+      records = 0;
+    }
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<const ServiceSnapshot> MiningService::Snapshot() {

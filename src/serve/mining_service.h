@@ -32,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/event_dictionary.h"
@@ -54,11 +55,6 @@ namespace gsgrow {
 
 /// Empty (one index encoding); kept because e2ebench/ still passes it.
 struct IndexBuildOptions {};
-
-/// Longest event name Append/AppendTo accept, in bytes. A longer name is
-/// InvalidArgument before anything is logged or interned. WAL replay and
-/// Ingest are not capped: they load what the service or a parser produced.
-inline constexpr size_t kMaxEventNameBytes = 4096;
 
 /// How a durable service is opened (DESIGN.md §10).
 struct DurabilityOptions {
@@ -123,7 +119,8 @@ class MiningService {
       const ResultCacheOptions& cache_options = {});
 
   /// Appends a new sequence of event names; returns its id. Bad input
-  /// (position-space exhaustion, a name over kMaxEventNameBytes) and WAL
+  /// (position-space exhaustion, a name over kMaxEventNameBytes, which
+  /// core/event_dictionary.h defines) and WAL
   /// failures come back as a Status — client data never fires an invariant
   /// check. A non-null `trace` receives the mutation's WAL log+sync span
   /// (obs::Stage::kWalSync).
@@ -149,7 +146,14 @@ class MiningService {
       GSGROW_EXCLUDES(mutex_);
 
   /// Bulk ingestion of a parsed database into an EMPTY service — the one
-  /// load path shared by mine_cli and serve_cli (--input preloading).
+  /// load path shared by mine_cli and serve_cli (--input preloading). The
+  /// corpus is frozen in one pass (IncrementalInvertedIndex::AddCorpus),
+  /// and a durable service logs it as one commit written in fixed-size
+  /// chunks. A reserved event id or a corpus beyond the id or position
+  /// space is refused before anything is logged. Names are interned as
+  /// given: ParseTextDatabase caps them at kMaxEventNameBytes
+  /// (core/event_dictionary.h), as Append/AppendTo do; WAL replay and
+  /// checkpoint load are not capped.
   Status Ingest(const SequenceDatabase& db) GSGROW_EXCLUDES(mutex_);
 
   /// Takes a consistent snapshot of the current corpus: O(delta) index
@@ -238,6 +242,11 @@ class MiningService {
   Status LogWalRecordLocked(serve::LogRecordType type,
                             const std::string& payload)
       GSGROW_REQUIRES(mutex_);
+  // Writes `records` records framed by persist::FrameWalRecord in one call.
+  Status WriteWalLocked(std::string_view framed, uint64_t records)
+      GSGROW_REQUIRES(mutex_);
+  // Logs Ingest's intern and sequence records as one chunked write run.
+  Status LogIngestLocked(const SequenceDatabase& db) GSGROW_REQUIRES(mutex_);
   Status SyncWalLocked() GSGROW_REQUIRES(mutex_);
   Status MaybeSyncWalLocked(bool force) GSGROW_REQUIRES(mutex_);
   // Resolves names to ids without interning; new names get the ids they
@@ -305,8 +314,9 @@ class MiningService {
   // with the original error instead of diverging memory from the log.
   Status wal_status_ GSGROW_GUARDED_BY(mutex_);
   RecoveryInfo recovery_;
-  // Reused record-encoding buffer.
+  // Reused record-encoding and record-framing buffers.
   std::string scratch_payload_ GSGROW_GUARDED_BY(mutex_);
+  std::string scratch_frame_ GSGROW_GUARDED_BY(mutex_);
 
   // Recent-request ring + slow-query log; internally synchronized.
   obs::TraceRecorder traces_;

@@ -129,6 +129,34 @@ TEST(TextFormat, MissingFileIsIOError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
+// A directory opens but fails its first read (EISDIR): an IOError naming
+// the path, not an empty database.
+TEST(TextFormat, DirectoryIsIOError) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  Result<SequenceDatabase> r = ReadTextDatabaseFile(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find(dir), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(TextFormat, EventNameCapIsInclusive) {
+  const std::string at_cap(kMaxEventNameBytes, 'x');
+  Result<SequenceDatabase> ok = ParseTextDatabase("a " + at_cap + " b\n");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->dictionary().Lookup(at_cap), 1u);
+
+  const std::string over_cap(kMaxEventNameBytes + 1, 'y');
+  Result<SequenceDatabase> over =
+      ParseTextDatabase("a b\n# " + over_cap + "\n\nc " + over_cap + "\n");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("line 4:"), std::string::npos)
+      << over.status().ToString();
+  EXPECT_NE(over.status().message().find("4097 bytes"), std::string::npos)
+      << over.status().ToString();
+}
+
 TEST(SpmfFormat, ParseBasic) {
   Result<SequenceDatabase> db =
       ParseSpmfDatabase("1 -1 2 -1 3 -1 -2\n2 -1 1 -1 -2\n");
@@ -189,6 +217,22 @@ TEST(SpmfFormat, FileRoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)[0], original[0]);
   std::remove(path.c_str());
+}
+
+TEST(SpmfFormat, DirectoryIsIOError) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  Result<SequenceDatabase> r = ReadSpmfDatabaseFile(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find(dir), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(SpmfFormat, MissingFileIsIOError) {
+  Result<SequenceDatabase> r =
+      ReadSpmfDatabaseFile("/nonexistent/gsgrow/db.spmf");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 TEST(DatasetStats, LineFormat) {

@@ -3,8 +3,12 @@
 // never UB, silent truncation, or a crash. The randomized inputs use a
 // fixed-seed xorshift generator so failures reproduce.
 
+#include <cctype>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -12,6 +16,7 @@
 #include "core/gsgrow.h"
 #include "io/spmf_format.h"
 #include "io/text_format.h"
+#include "test_util.h"
 
 namespace gsgrow {
 namespace {
@@ -176,6 +181,118 @@ TEST(TextRobustness, MiningEmptyParsedDatabaseIsSafe) {
   MinerOptions options;
   options.min_support = 1;
   EXPECT_TRUE(MineClosedFrequent(*db, options).patterns.empty());
+}
+
+// The text format spelled out the plain way: split at '\n', trim each line
+// of isspace() bytes, skip blank and '#' lines, split the rest at runs of
+// ' ' and '\t', and number names in first-seen order. ParseTextDatabase
+// must agree with it on every input without an over-long token.
+struct ReferenceParse {
+  std::vector<std::string> names;
+  std::vector<std::vector<EventId>> sequences;
+};
+
+ReferenceParse ReferenceTokenize(const std::string& text) {
+  ReferenceParse out;
+  std::unordered_map<std::string, EventId> ids;
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t stop = text.find('\n', start);
+    if (stop == std::string::npos) stop = text.size();
+    std::string line = text.substr(start, stop - start);
+    start = stop + 1;
+    while (!line.empty() && is_space(line.back())) line.pop_back();
+    size_t first = 0;
+    while (first < line.size() && is_space(line[first])) ++first;
+    line.erase(0, first);
+    if (line.empty() || line[0] == '#') continue;
+    std::vector<EventId>& sequence = out.sequences.emplace_back();
+    std::string token;
+    for (size_t i = 0; i <= line.size(); ++i) {
+      if (i < line.size() && line[i] != ' ' && line[i] != '\t') {
+        token.push_back(line[i]);
+        continue;
+      }
+      if (token.empty()) continue;
+      auto [it, fresh] =
+          ids.emplace(token, static_cast<EventId>(out.names.size()));
+      if (fresh) out.names.push_back(token);
+      sequence.push_back(it->second);
+      token.clear();
+    }
+  }
+  return out;
+}
+
+// Seeded corpora mixing printable and raw bytes: CR, tabs, vertical tabs,
+// NUL bytes, comments, blank and whitespace-only lines, and names of 15,
+// 16, 17 and 4096 bytes (the short-string and hash-word boundaries, and the
+// length cap itself).
+std::string DifferentialCorpus(uint64_t seed) {
+  FuzzBytes fuzz(seed);
+  const bool binary = seed % 2 == 0;
+  static const char kSeparators[] = {' ', '\t', ' ', ' '};
+  static const size_t kLongNames[] = {15, 16, 17, 4096};
+  std::string text;
+  const size_t lines = 20 + fuzz.Next() % 40;
+  for (size_t l = 0; l < lines; ++l) {
+    switch (fuzz.Next() % 8) {
+      case 0:
+        text += "# comment " + fuzz.String(fuzz.Next() % 20, true);
+        break;
+      case 1:
+        text += std::string(fuzz.Next() % 3, ' ') + "\v\f";
+        break;
+      default: {
+        const size_t tokens = fuzz.Next() % 12;
+        if (fuzz.Next() % 4 == 0) text += " \t";
+        for (size_t t = 0; t < tokens; ++t) {
+          if (t > 0) {
+            text.append(1 + fuzz.Next() % 2,
+                        kSeparators[fuzz.Next() % sizeof(kSeparators)]);
+          }
+          std::string name;
+          if (fuzz.Next() % 6 == 0) {
+            const size_t length = kLongNames[fuzz.Next() % 4];
+            name.assign(length, static_cast<char>('a' + fuzz.Next() % 3));
+            name[length / 2] = static_cast<char>('0' + fuzz.Next() % 2);
+          } else {
+            name = binary ? fuzz.String(1 + fuzz.Next() % 6, false)
+                          : testing::NumberedName("e", fuzz.Next() % 30);
+            if (fuzz.Next() % 5 == 0) name.push_back('\0');
+          }
+          text += name;
+        }
+        if (fuzz.Next() % 3 == 0) text += "\r";
+      }
+    }
+    if (l + 1 < lines || fuzz.Next() % 2 == 0) text += "\n";
+  }
+  return text;
+}
+
+TEST(TextRobustness, ParserMatchesReferenceTokenizer) {
+  for (uint64_t seed = 901; seed <= 1100; ++seed) {
+    const std::string text = DifferentialCorpus(seed);
+    const ReferenceParse want = ReferenceTokenize(text);
+    Result<SequenceDatabase> got = ParseTextDatabase(text);
+    // A binary token can hold '\n' or a space and so split differently from
+    // how it was generated, but never grows past the 4096-byte cap.
+    ASSERT_TRUE(got.ok()) << "seed=" << seed << " " << got.status().ToString();
+    ASSERT_EQ(got->dictionary().size(), want.names.size()) << "seed=" << seed;
+    for (EventId id = 0; id < want.names.size(); ++id) {
+      ASSERT_EQ(got->dictionary().Name(id), want.names[id])
+          << "seed=" << seed << " id=" << id;
+    }
+    ASSERT_EQ(got->size(), want.sequences.size()) << "seed=" << seed;
+    for (SeqId i = 0; i < want.sequences.size(); ++i) {
+      ASSERT_EQ((*got)[i].events(), want.sequences[i])
+          << "seed=" << seed << " seq=" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,8 @@
 #include "serve/durability.h"
 #include "serve/incremental_index.h"
 #include "serve/mining_service.h"
+#include "util/rng.h"
+#include "test_util.h"
 
 namespace gsgrow {
 namespace {
@@ -234,6 +236,135 @@ TEST_F(DurableServiceTest, IngestIsLoggedAsOneCommit) {
   EXPECT_EQ(reopened->Stats().num_sequences, 2u);
   EXPECT_EQ(reopened->Stats().alphabet_size, 2u);
   EXPECT_EQ(reopened->Snapshot()->db->dictionary().Lookup("y"), 1u);
+}
+
+// A snapshot of the empty service logs an epoch advance, and a reopen
+// replays it: the service is empty at epoch 1 (serve_cli answering `mine`
+// on an empty durable service, then restarted with --input). Ingest into
+// it loads, and it and a reopen of it hold what an in-memory service with
+// the same empty snapshot and one Append per sequence holds.
+TEST_F(DurableServiceTest, IngestAfterAnEmptySnapshotSurvivesReopen) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"a", "b", "a", "c"}, {}, {"c", "b", "b"}, {"a", "c", "a", "b"}};
+  SequenceDatabaseBuilder builder;
+  MiningService reference;
+  EXPECT_EQ(reference.Snapshot()->epoch, 1u);
+  for (const std::vector<std::string>& names : rows) {
+    builder.AddSequence(names);
+    ASSERT_TRUE(reference.Append(names).ok());
+  }
+  const SequenceDatabase db = builder.Build();
+  {
+    std::unique_ptr<MiningService> service = Open();
+    ASSERT_NE(service, nullptr);
+    EXPECT_EQ(service->Snapshot()->epoch, 1u);
+  }
+
+  MineRequest request;
+  request.miner = MineRequest::Miner::kClosed;
+  request.options.min_support = 2;
+  const MineResponse want = reference.Execute(request);
+  ASSERT_TRUE(want.status.ok());
+  const auto expect_reference = [&](MiningService& service) {
+    const std::shared_ptr<const ServiceSnapshot> snapshot = service.Snapshot();
+    EXPECT_EQ(snapshot->epoch, 2u);
+    const ServiceStats a = reference.Stats();
+    const ServiceStats b = service.Stats();
+    EXPECT_EQ(a.num_sequences, b.num_sequences);
+    EXPECT_EQ(a.alphabet_size, b.alphabet_size);
+    EXPECT_EQ(a.total_events, b.total_events);
+    EXPECT_EQ(a.epoch, b.epoch);
+    const EventDictionary& names = snapshot->db->dictionary();
+    ASSERT_EQ(names.size(), db.dictionary().size());
+    for (EventId id = 0; id < names.size(); ++id) {
+      EXPECT_EQ(names.Name(id), db.dictionary().Name(id));
+    }
+    const MineResponse got = service.Execute(request);
+    ASSERT_TRUE(got.status.ok());
+    EXPECT_EQ(got.patterns, want.patterns);
+  };
+  {
+    std::unique_ptr<MiningService> service = Open();
+    ASSERT_NE(service, nullptr);
+    EXPECT_EQ(service->Stats().epoch, 1u);
+    ASSERT_TRUE(service->Ingest(db).ok());
+    SCOPED_TRACE("after the load");
+    expect_reference(*service);
+  }
+  std::unique_ptr<MiningService> reopened = Open();
+  ASSERT_NE(reopened, nullptr);
+  SCOPED_TRACE("after a reopen");
+  expect_reference(*reopened);
+}
+
+// A bulk load is written as chunked runs of framed records, but the bytes
+// on disk are exactly the per-record log: one intern record per name, then
+// one sequence record per sequence, each framed as WalWriter::Append frames
+// it. The corpus logs more than one 1 MiB chunk. A reopen replays it to the
+// same stats.
+TEST_F(DurableServiceTest, BulkIngestLogIsThePerRecordLog) {
+  Rng rng(99);
+  SequenceDatabaseBuilder builder;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<std::string> names(rng.UniformInt(200));
+    for (std::string& name : names) {
+      name = testing::NumberedName("w", rng.UniformInt(5000));
+    }
+    builder.AddSequence(names);
+  }
+  const SequenceDatabase db = builder.Build();
+
+  ServiceStats before;
+  {
+    std::unique_ptr<MiningService> service = Open();
+    ASSERT_NE(service, nullptr);
+    ASSERT_TRUE(service->Ingest(db).ok());
+    before = service->Stats();
+  }
+  const std::string reference_path = dir_ + "/reference.log";
+  {
+    Result<persist::WalWriter> wal = persist::WalWriter::Open(reference_path);
+    ASSERT_TRUE(wal.ok());
+    std::string payload;
+    for (EventId id = 0; id < db.dictionary().size(); ++id) {
+      serve::EncodeInternRecord(id, db.dictionary().Name(id), &payload);
+      ASSERT_TRUE(
+          wal->Append(static_cast<uint8_t>(serve::LogRecordType::kIntern),
+                      payload)
+              .ok());
+    }
+    for (SeqId seq = 0; seq < db.size(); ++seq) {
+      serve::EncodeSequenceRecord(seq, {}, db[seq].events(), &payload);
+      ASSERT_TRUE(wal->Append(
+                         static_cast<uint8_t>(
+                             serve::LogRecordType::kAddSequence),
+                         payload)
+                      .ok());
+    }
+    ASSERT_TRUE(wal->Close().ok());
+  }
+  Result<std::string> logged =
+      persist::ReadFileToString(serve::WalSegmentPath(dir_, 0));
+  Result<std::string> reference = persist::ReadFileToString(reference_path);
+  ASSERT_TRUE(logged.ok());
+  ASSERT_TRUE(reference.ok());
+  EXPECT_GT(logged->size(), size_t{1} << 20);
+  EXPECT_TRUE(*logged == *reference)
+      << logged->size() << " vs " << reference->size() << " bytes";
+  ASSERT_TRUE(persist::RemoveFileIfExists(reference_path).ok());
+
+  std::unique_ptr<MiningService> reopened = Open();
+  ASSERT_NE(reopened, nullptr);
+  const ServiceStats after = reopened->Stats();
+  EXPECT_EQ(after.num_sequences, before.num_sequences);
+  EXPECT_EQ(after.alphabet_size, before.alphabet_size);
+  EXPECT_EQ(after.total_events, before.total_events);
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.appends, before.appends);
+  EXPECT_EQ(after.wal_segments, before.wal_segments);
+  EXPECT_EQ(after.wal_live_bytes, before.wal_live_bytes);
+  EXPECT_EQ(after.wal_replay_records,
+            db.dictionary().size() + db.size());
 }
 
 // A crash in the middle of a bulk load can recover its dictionary records

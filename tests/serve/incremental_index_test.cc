@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -20,6 +21,7 @@
 #include "serve/mining_service.h"
 #include "util/arena.h"
 #include "util/rng.h"
+#include "test_util.h"
 
 namespace gsgrow {
 namespace {
@@ -415,6 +417,231 @@ TEST(IncrementalIndex, SmallDeltaSnapshotAllocatesOnlyTheDelta) {
             block.Footprint() + gained * Arena::ArrayFootprint<SeqId>(1));
   EXPECT_LT(incremental.reserved_bytes() - before, size_t{2048});
   ExpectSameIndex(BatchIndex(mirror), view);
+}
+
+void ExpectSameDelta(const EpochDelta& want, const EpochDelta& got) {
+  EXPECT_EQ(want.epoch, got.epoch);
+  EXPECT_EQ(want.advanced, got.advanced);
+  EXPECT_EQ(want.events, got.events);
+  EXPECT_EQ(want.appended_seqs, got.appended_seqs);
+  EXPECT_EQ(want.new_sequences, got.new_sequences);
+}
+
+// The bulk load (AddCorpus) is the same index as one AddSequence per
+// sequence: the same blocks, postings, totals and present events, the same
+// epoch and first EpochDelta, and the same arena bytes (both freeze the
+// corpus into one exactly sized arena). Then 200 seeded epochs of new
+// sequences and extensions keep the two identical while the extensions
+// supersede most bulk-frozen blocks, so survivors are relocated out of the
+// bulk arena on the way; reserved bytes stay within twice the live bytes.
+TEST(IncrementalIndex, AddCorpusMatchesPerSequenceAdds) {
+  Rng rng(424242);
+  const auto random_events = [&rng](size_t max_len) {
+    std::vector<EventId> events(rng.UniformInt(max_len + 1));
+    // Odd ids only below 80: the even ids stay absent from the alphabet.
+    for (EventId& e : events) {
+      e = static_cast<EventId>(2 * rng.UniformInt(40) + 1);
+    }
+    return events;
+  };
+  std::vector<std::vector<EventId>> mirror;
+  std::vector<Sequence> corpus;
+  for (int i = 0; i < 150; ++i) {
+    mirror.push_back(random_events(i % 10 == 0 ? 0 : 30));
+    corpus.emplace_back(mirror.back());
+  }
+  IncrementalInvertedIndex bulk;
+  IncrementalInvertedIndex single;
+  bulk.AddCorpus(corpus, SequenceDatabase(corpus).AlphabetSize());
+  for (const Sequence& s : corpus) single.AddSequence(s.events());
+  EXPECT_EQ(bulk.num_sequences(), single.num_sequences());
+  EXPECT_EQ(bulk.alphabet_size(), single.alphabet_size());
+  EXPECT_EQ(bulk.total_events(), single.total_events());
+  EXPECT_EQ(bulk.dirty_events(), single.dirty_events());
+  EXPECT_EQ(bulk.dirty_sequences(), 0u);
+  EXPECT_TRUE(bulk.pending_epoch_advance());
+  for (SeqId i = 0; i < corpus.size(); ++i) {
+    std::vector<EventId> events;
+    bulk.SequenceEvents(i, &events);
+    EXPECT_EQ(events, mirror[i]) << "seq " << i;
+    EXPECT_EQ(bulk.SequenceLength(i), single.SequenceLength(i));
+  }
+
+  EpochDelta bulk_delta;
+  EpochDelta single_delta;
+  InvertedIndex bulk_view = bulk.Snapshot(&bulk_delta);
+  InvertedIndex single_view = single.Snapshot(&single_delta);
+  ExpectSameDelta(single_delta, bulk_delta);
+  EXPECT_EQ(bulk_delta.new_sequences, corpus.size());
+  EXPECT_EQ(bulk_delta.events, bulk_view.present_events());
+  EXPECT_TRUE(bulk_delta.appended_seqs.empty());
+  EXPECT_EQ(bulk.epoch(), single.epoch());
+  ExpectSameIndex(single_view, bulk_view);
+  ExpectSameIndex(BatchIndex(mirror), bulk_view);
+  EXPECT_EQ(bulk.live_bytes(), single.live_bytes());
+  EXPECT_EQ(bulk.reserved_bytes(), single.reserved_bytes());
+  EXPECT_EQ(bulk_view.MemoryUsage(), single_view.MemoryUsage());
+  for (SeqId i = 0; i < corpus.size(); ++i) {
+    if (mirror[i].empty()) {
+      EXPECT_EQ(bulk_view.seq_block(i), nullptr);
+      continue;
+    }
+    EXPECT_EQ(bulk_view.seq_block(i)->Footprint(),
+              single_view.seq_block(i)->Footprint());
+  }
+
+  for (int epoch = 0; epoch < 200; ++epoch) {
+    const std::vector<EventId> added = random_events(12);
+    bulk.AddSequence(added);
+    single.AddSequence(added);
+    mirror.push_back(added);
+    const SeqId target = static_cast<SeqId>(rng.UniformInt(mirror.size()));
+    const std::vector<EventId> extension = random_events(4);
+    bulk.AppendToSequence(target, extension);
+    single.AppendToSequence(target, extension);
+    mirror[target].insert(mirror[target].end(), extension.begin(),
+                          extension.end());
+    bulk_view = bulk.Snapshot(&bulk_delta);
+    single_view = single.Snapshot(&single_delta);
+    ExpectSameDelta(single_delta, bulk_delta);
+    ExpectSameIndex(single_view, bulk_view);
+    ASSERT_EQ(bulk.live_bytes(), single.live_bytes()) << "epoch " << epoch;
+    ASSERT_EQ(bulk.reserved_bytes(), single.reserved_bytes())
+        << "epoch " << epoch;
+    ASSERT_LE(bulk.reserved_bytes(), 2 * bulk.live_bytes())
+        << "epoch " << epoch;
+  }
+  ExpectSameIndex(BatchIndex(mirror), bulk_view);
+}
+
+TEST(IncrementalIndex, AddCorpusOfEmptySequencesHasNoArena) {
+  IncrementalInvertedIndex bulk;
+  bulk.AddCorpus(std::vector<Sequence>(3), 0);
+  EXPECT_EQ(bulk.num_sequences(), 3u);
+  EXPECT_EQ(bulk.reserved_bytes(), 0u);
+  EpochDelta delta;
+  const InvertedIndex view = bulk.Snapshot(&delta);
+  EXPECT_EQ(delta.epoch, 1u);
+  EXPECT_TRUE(delta.advanced);
+  EXPECT_EQ(delta.new_sequences, 3u);
+  EXPECT_TRUE(delta.events.empty());
+  ExpectSameIndex(BatchIndex({{}, {}, {}}), view);
+  bulk.AppendToSequence(1, std::vector<EventId>{4, 4});
+  ExpectSameIndex(BatchIndex({{}, {4, 4}, {}}), bulk.Snapshot());
+}
+
+// The same bulk load after a snapshot of the still-empty index, which has
+// advanced the epoch to 1 already: it still matches one AddSequence per
+// sequence taken after that snapshot.
+TEST(IncrementalIndex, AddCorpusAfterAnEmptySnapshotMatchesPerSequenceAdds) {
+  const std::vector<std::vector<EventId>> rows = {
+      {3, 1, 3}, {}, {1, 5}, {5, 5, 5, 0}};
+  std::vector<Sequence> corpus(rows.begin(), rows.end());
+  IncrementalInvertedIndex bulk;
+  IncrementalInvertedIndex single;
+  EXPECT_EQ(bulk.Snapshot().num_sequences(), 0u);
+  EXPECT_EQ(single.Snapshot().num_sequences(), 0u);
+  ASSERT_EQ(bulk.epoch(), 1u);
+  bulk.AddCorpus(corpus, SequenceDatabase(corpus).AlphabetSize());
+  for (const Sequence& s : corpus) single.AddSequence(s.events());
+  EXPECT_TRUE(bulk.pending_epoch_advance());
+  EpochDelta bulk_delta;
+  EpochDelta single_delta;
+  const InvertedIndex bulk_view = bulk.Snapshot(&bulk_delta);
+  const InvertedIndex single_view = single.Snapshot(&single_delta);
+  ExpectSameDelta(single_delta, bulk_delta);
+  EXPECT_EQ(bulk_delta.epoch, 2u);
+  EXPECT_EQ(bulk_delta.new_sequences, rows.size());
+  ExpectSameIndex(single_view, bulk_view);
+  ExpectSameIndex(BatchIndex(rows), bulk_view);
+  EXPECT_EQ(bulk.live_bytes(), single.live_bytes());
+  EXPECT_EQ(bulk.reserved_bytes(), single.reserved_bytes());
+}
+
+// `want` and `got` hold the same corpus: the same snapshot epoch, index and
+// names, and the same stats (arena bytes included).
+void ExpectSameService(MiningService& want, MiningService& got) {
+  const std::shared_ptr<const ServiceSnapshot> a_snapshot = want.Snapshot();
+  const std::shared_ptr<const ServiceSnapshot> b_snapshot = got.Snapshot();
+  EXPECT_EQ(a_snapshot->epoch, b_snapshot->epoch);
+  ExpectSameIndex(a_snapshot->index, b_snapshot->index);
+  const EventDictionary& want_names = a_snapshot->db->dictionary();
+  const EventDictionary& got_names = b_snapshot->db->dictionary();
+  ASSERT_EQ(want_names.size(), got_names.size());
+  for (EventId id = 0; id < want_names.size(); ++id) {
+    EXPECT_EQ(want_names.Name(id), got_names.Name(id));
+  }
+  const ServiceStats a = want.Stats();
+  const ServiceStats b = got.Stats();
+  EXPECT_EQ(a.num_sequences, b.num_sequences);
+  EXPECT_EQ(a.alphabet_size, b.alphabet_size);
+  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.appends, b.appends);
+  EXPECT_EQ(a.index_live_bytes, b.index_live_bytes);
+  EXPECT_EQ(a.index_reserved_bytes, b.index_reserved_bytes);
+}
+
+// Through the service: Ingest equals one Append per sequence, in the
+// snapshot, the names, and the stats (arena bytes included), and stays
+// equal while both take named appends and extensions.
+TEST(IncrementalIndex, IngestMatchesAppendsThroughTheService) {
+  Rng rng(7);
+  const auto random_names = [&rng](size_t max_len) {
+    std::vector<std::string> names(rng.UniformInt(max_len + 1));
+    for (std::string& name : names) {
+      name = testing::NumberedName("n", rng.UniformInt(60));
+    }
+    return names;
+  };
+  SequenceDatabaseBuilder builder;
+  MiningService single;
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<std::string> names = random_names(25);
+    builder.AddSequence(names);
+    ASSERT_TRUE(single.Append(names).ok());
+  }
+  MiningService bulk;
+  ASSERT_TRUE(bulk.Ingest(builder.Build()).ok());
+
+  {
+    SCOPED_TRACE("after the load");
+    ExpectSameService(single, bulk);
+  }
+  for (int epoch = 0; epoch < 50; ++epoch) {
+    const std::vector<std::string> added = random_names(8);
+    ASSERT_TRUE(single.Append(added).ok());
+    ASSERT_TRUE(bulk.Append(added).ok());
+    const SeqId target = static_cast<SeqId>(rng.UniformInt(200));
+    const std::vector<std::string> extension = {
+        testing::NumberedName("n", rng.UniformInt(70)), "n1"};
+    ASSERT_TRUE(single.AppendTo(target, extension).ok());
+    ASSERT_TRUE(bulk.AppendTo(target, extension).ok());
+    SCOPED_TRACE("after an epoch");
+    ExpectSameService(single, bulk);
+  }
+}
+
+// A snapshot of the empty service advances its epoch before anything is
+// loaded; Ingest after it is still the per-sequence Appends.
+TEST(IncrementalIndex, IngestAfterAnEmptySnapshotMatchesAppends) {
+  MiningService single;
+  MiningService bulk;
+  EXPECT_EQ(single.Snapshot()->epoch, 1u);
+  EXPECT_EQ(bulk.Snapshot()->epoch, 1u);
+  SequenceDatabaseBuilder builder;
+  for (const std::vector<std::string>& names :
+       std::vector<std::vector<std::string>>{
+           {"a", "b", "a"}, {}, {"c", "b"}, {"a", "d", "d"}}) {
+    builder.AddSequence(names);
+    ASSERT_TRUE(single.Append(names).ok());
+  }
+  ASSERT_TRUE(bulk.Ingest(builder.Build()).ok());
+  ExpectSameService(single, bulk);
+  EXPECT_EQ(bulk.Snapshot()->epoch, 2u);
+  ASSERT_TRUE(single.AppendTo(1, {"e", "a"}).ok());
+  ASSERT_TRUE(bulk.AppendTo(1, {"e", "a"}).ok());
+  ExpectSameService(single, bulk);
 }
 
 TEST(IncrementalIndex, BulkIngestWithEmptySequencesMatchesBatch) {

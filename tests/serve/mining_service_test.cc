@@ -298,5 +298,21 @@ TEST(MiningService, IngestSharesTheBulkLoadPath) {
             MineClosedFrequent(grown, options).patterns);
 }
 
+// Ingest validates the whole corpus before it loads anything: the reserved
+// id kNoEvent anywhere is InvalidArgument and the service stays empty, so a
+// valid corpus still loads afterwards.
+TEST(MiningService, IngestRefusesReservedIds) {
+  MiningService service;
+  std::vector<Sequence> reserved;
+  reserved.push_back(Sequence({0, 1}));
+  reserved.push_back(Sequence({2, kNoEvent, 3}));
+  EXPECT_EQ(service.Ingest(SequenceDatabase(std::move(reserved))).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Stats().num_sequences, 0u);
+  EXPECT_EQ(service.Stats().alphabet_size, 0u);
+  ASSERT_TRUE(service.Ingest(ExampleDatabase()).ok());
+  EXPECT_EQ(service.Stats().num_sequences, 3u);
+}
+
 }  // namespace
 }  // namespace gsgrow

@@ -88,6 +88,14 @@ inline SequenceDatabase RandomDatabase(Rng* rng, size_t num_seqs,
   return MakeDatabaseFromStrings(rows);
 }
 
+/// "<prefix><n>", built with += : gcc 12's -O3 -Wrestrict misfires on
+/// `"literal" + std::to_string(...)`.
+inline std::string NumberedName(const char* prefix, uint64_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 }  // namespace gsgrow::testing
 
 #endif  // GSGROW_TESTS_TEST_UTIL_H_
