@@ -249,7 +249,7 @@ void RunCaseStudy() {
   bench::Cell all =
       bench::RunAll(index, 18, bench::BudgetSeconds(), "jboss-like(28)");
 
-  std::vector<PatternRecord> report = CaseStudyPipeline(closed.patterns);
+  const PatternTable report = CaseStudyPipeline(closed.patterns);
 
   TextTable table({"quantity", "measured", "paper"});
   const bench::Cell closed_cell = bench::ToCell(closed);
@@ -260,7 +260,7 @@ void RunCaseStudy() {
       {"after density+maximality", std::to_string(report.size()), "94"});
   if (!report.empty()) {
     table.AddRow({"longest pattern length",
-                  std::to_string(report.front().pattern.size()), "66"});
+                  std::to_string(report.events(0).size()), "66"});
   }
 
   MinerOptions two_event;
@@ -268,24 +268,27 @@ void RunCaseStudy() {
   two_event.max_pattern_length = 2;
   two_event.time_budget_seconds = budget;
   MiningResult pairs = MineAllFrequent(index, two_event);
-  const PatternRecord* best = nullptr;
-  for (const PatternRecord& r : pairs.patterns) {
-    if (r.pattern.size() != 2) continue;
-    if (best == nullptr || r.support > best->support) best = &r;
+  const PatternTable& found = pairs.patterns;
+  size_t best = found.size();
+  for (size_t i = 0; i < found.size(); ++i) {
+    if (found.events(i).size() != 2) continue;
+    if (best == found.size() || found.support(i) > found.support(best)) {
+      best = i;
+    }
   }
-  if (best != nullptr) {
+  if (best < found.size()) {
     table.AddRow({"top 2-event pattern",
-                  best->pattern.ToString(db.dictionary()) + " (sup " +
-                      std::to_string(best->support) + ")",
+                  found[best].pattern().ToString(db.dictionary()) +
+                      " (sup " + std::to_string(found.support(best)) + ")",
                   "Lock -> Unlock"});
   }
   std::printf("%s", table.ToString().c_str());
 
   if (!report.empty()) {
-    const Pattern& longest = report.front().pattern;
+    const std::span<const EventId> longest = report.events(0);
     std::printf("\nlongest mined behavior starts: %s ... ends: %s\n",
-                db.dictionary().Name(longest[0]).c_str(),
-                db.dictionary().Name(longest[longest.size() - 1]).c_str());
+                db.dictionary().Name(longest.front()).c_str(),
+                db.dictionary().Name(longest.back()).c_str());
   }
   std::printf("\n");
 }

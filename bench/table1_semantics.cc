@@ -171,8 +171,8 @@ int main() {
       WallTimer posthoc_timer;
       std::vector<SemanticsAnnotations> posthoc;
       posthoc.reserve(plain.patterns.size());
-      for (const PatternRecord& r : plain.patterns) {
-        posthoc.push_back(AnnotatePostHoc(db, r.pattern, config.semantics));
+      for (const PatternRow r : plain.patterns) {
+        posthoc.push_back(AnnotatePostHoc(db, r.pattern(), config.semantics));
       }
       const double posthoc_seconds = posthoc_timer.ElapsedSeconds();
       bench::Cell posthoc_cell = plain_cell;
@@ -200,8 +200,9 @@ int main() {
           all_identical = false;
         } else {
           for (size_t i = 0; i < plain.patterns.size(); ++i) {
-            if (one_pass.patterns[i].pattern != plain.patterns[i].pattern ||
-                one_pass.patterns[i].annotations != posthoc[i]) {
+            const PatternRow row = one_pass.patterns[i];
+            if (!std::ranges::equal(row.events, plain.patterns.events(i)) ||
+                row.annotation_block() != posthoc[i]) {
               identical = "NO (BUG at record " + std::to_string(i) + ")";
               all_identical = false;
               break;

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Post-process. ---
-  std::vector<PatternRecord> patterns = std::move(response.patterns);
+  PatternTable patterns = std::move(response.patterns);
   if (density > 0) patterns = FilterByDensity(patterns, density);
   if (maximal) patterns = FilterMaximal(patterns);
   const std::string floor_spec = flags.GetString("semantics_floor", "");
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(floor_value),
                 patterns.size(), before);
   }
-  patterns = RankByLength(std::move(patterns));
+  patterns = RankByLength(patterns);
 
   // --- Report. ---
   const bool annotated = options.semantics.AnyEnabled();
@@ -206,11 +206,15 @@ int main(int argc, char** argv) {
   if (annotated) header.push_back("semantics");
   TextTable table(header);
   for (size_t k = 0; k < shown; ++k) {
+    const PatternRow pattern = patterns[k];
     std::vector<std::string> row = {
-        patterns[k].pattern.ToString(db.dictionary()),
-        std::to_string(patterns[k].pattern.size()),
-        std::to_string(patterns[k].support)};
-    if (annotated) row.push_back(AnnotationsToString(patterns[k].annotations));
+        pattern.pattern().ToString(db.dictionary()),
+        std::to_string(pattern.events.size()),
+        std::to_string(pattern.support)};
+    if (annotated) {
+      row.emplace_back();
+      AppendAnnotations(pattern.annotations, &row.back());
+    }
     table.AddRow(row);
   }
   std::printf("\n%s", table.ToString().c_str());

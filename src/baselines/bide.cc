@@ -72,7 +72,7 @@ class BideRun {
       const bool backward_closed =
           !HasCommonPeriodEvent(projection, /*use_semi_periods=*/false);
       if (forward_closed && backward_closed) {
-        result_.patterns.push_back(PatternRecord{Pattern(pattern_), support});
+        result_.patterns.Append(pattern_, support);
         result_.stats.patterns_found++;
         if (result_.stats.patterns_found >= options_.max_patterns) {
           Stop("max_patterns");

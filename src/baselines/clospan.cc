@@ -58,20 +58,19 @@ class CloSpanRun {
     if (!pattern_.empty()) {
       const uint64_t support = projection.size();
       const uint64_t size_key = ProjectedSize(projection);
-      Pattern pattern(pattern_);
       // Backward sub-pattern pruning: if an already-explored pattern with
       // the same projected-database size is a proper supersequence, this
       // subtree is entirely dominated.
-      auto& bucket = explored_[size_key];
-      for (const PatternRecord& q : bucket) {
-        if (q.support == support && pattern.size() < q.pattern.size() &&
-            pattern.IsSubsequenceOf(q.pattern)) {
+      PatternTable& bucket = explored_[size_key];
+      for (const PatternRow q : bucket) {
+        if (q.support == support && pattern_.size() < q.events.size() &&
+            IsSubsequence(pattern_, q.events)) {
           result_.stats.lb_pruned_subtrees++;  // reuse the pruning counter
           return;
         }
       }
-      bucket.push_back(PatternRecord{pattern, support});
-      candidates_.push_back(PatternRecord{std::move(pattern), support});
+      bucket.Append(pattern_, support);
+      candidates_.Append(pattern_, support);
       if (candidates_.size() >= options_.max_patterns) {
         Stop("max_patterns");
         return;
@@ -126,8 +125,8 @@ class CloSpanRun {
   const SequentialMinerOptions& options_;
   TimeBudget budget_;
   MiningResult result_;
-  std::vector<PatternRecord> candidates_;
-  std::unordered_map<uint64_t, std::vector<PatternRecord>> explored_;
+  PatternTable candidates_;
+  std::unordered_map<uint64_t, PatternTable> explored_;
   std::vector<EventId> pattern_;
   bool stopped_ = false;
 };

@@ -72,7 +72,7 @@ class PrefixSpanRun {
         }
       }
       pattern_.push_back(e);
-      result_.patterns.push_back(PatternRecord{Pattern(pattern_), count});
+      result_.patterns.Append(pattern_, count);
       result_.stats.patterns_found++;
       result_.stats.max_depth =
           std::max(result_.stats.max_depth, pattern_.size());

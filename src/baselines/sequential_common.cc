@@ -52,35 +52,38 @@ std::vector<Position> LastInstance(const Sequence& sequence,
   return {};
 }
 
-std::vector<PatternRecord> FilterClosedSequential(
-    const std::vector<PatternRecord>& records) {
-  // Group by support: a closure witness must have identical support.
-  std::map<uint64_t, std::vector<const PatternRecord*>> by_support;
-  for (const PatternRecord& r : records) {
-    by_support[r.support].push_back(&r);
+PatternTable FilterClosedSequential(const PatternTable& records) {
+  // Group row indexes by support: a closure witness must have identical
+  // support.
+  std::map<uint64_t, std::vector<size_t>> by_support;
+  for (size_t i = 0; i < records.size(); ++i) {
+    by_support[records.support(i)].push_back(i);
   }
-  std::vector<PatternRecord> closed;
-  for (auto& [support, group] : by_support) {
-    for (const PatternRecord* p : group) {
+  std::vector<size_t> closed;
+  for (const auto& [support, group] : by_support) {
+    for (const size_t p : group) {
+      const std::span<const EventId> events = records.events(p);
       bool is_closed = true;
-      for (const PatternRecord* q : group) {
-        if (q->pattern.size() <= p->pattern.size()) continue;
-        if (p->pattern.IsSubsequenceOf(q->pattern)) {
+      for (const size_t q : group) {
+        if (records.events(q).size() <= events.size()) continue;
+        if (IsSubsequence(events, records.events(q))) {
           is_closed = false;
           break;
         }
       }
-      if (is_closed) closed.push_back(*p);
+      if (is_closed) closed.push_back(p);
     }
   }
-  std::sort(closed.begin(), closed.end(),
-            [](const PatternRecord& a, const PatternRecord& b) {
-              if (a.pattern.size() != b.pattern.size()) {
-                return a.pattern.size() < b.pattern.size();
-              }
-              return a.pattern < b.pattern;
-            });
-  return closed;
+  std::sort(closed.begin(), closed.end(), [&](size_t a, size_t b) {
+    const std::span<const EventId> ea = records.events(a);
+    const std::span<const EventId> eb = records.events(b);
+    if (ea.size() != eb.size()) return ea.size() < eb.size();
+    return std::lexicographical_compare(ea.begin(), ea.end(), eb.begin(),
+                                        eb.end());
+  });
+  PatternTable out;
+  for (const size_t row : closed) out.AppendRows(records, row, row + 1);
+  return out;
 }
 
 }  // namespace gsgrow

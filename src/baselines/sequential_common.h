@@ -58,8 +58,7 @@ std::vector<Position> LastInstance(const Sequence& sequence,
 /// Removes non-closed records (same support, proper super-pattern exists in
 /// `records`) grouping by support to limit comparisons. Input must be the
 /// complete frequent set for its threshold.
-std::vector<PatternRecord> FilterClosedSequential(
-    const std::vector<PatternRecord>& records);
+PatternTable FilterClosedSequential(const PatternTable& records);
 
 }  // namespace gsgrow
 

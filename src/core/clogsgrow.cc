@@ -22,7 +22,7 @@ MiningResult MineClosedFrequent(const InvertedIndex& index,
                               ClosurePruning(index, options), make_sink(),
                               options, &state);
         },
-        MergeCollectedPatterns);
+        CommitChunks);
   });
 }
 

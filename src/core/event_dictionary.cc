@@ -1,6 +1,7 @@
 #include "core/event_dictionary.h"
 
 #include <bit>
+#include <charconv>
 #include <cstring>
 
 namespace gsgrow {
@@ -92,11 +93,20 @@ EventId EventDictionary::Lookup(std::string_view name) const {
 
 std::string EventDictionary::Name(EventId id) const {
   if (id < names_.size()) return names_[id];
-  // Built with += : gcc 12's -O3 -Wrestrict misfires on
-  // `"literal" + std::to_string(...)`.
-  std::string name = "e";
-  name += std::to_string(id);
+  std::string name;
+  AppendName(id, &name);
   return name;
+}
+
+void EventDictionary::AppendName(EventId id, std::string* out) const {
+  if (id < names_.size()) {
+    *out += names_[id];
+    return;
+  }
+  char digits[16];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+  out->push_back('e');
+  out->append(digits, static_cast<size_t>(end - digits));
 }
 
 }  // namespace gsgrow

@@ -44,6 +44,10 @@ class EventDictionary {
   /// (used by databases constructed from raw ids).
   std::string Name(EventId id) const;
 
+  /// Appends Name(id) to `out` without building a temporary string: the
+  /// response writers format every event of every row through it.
+  void AppendName(EventId id, std::string* out) const;
+
   /// True if `id` was interned (has a real name).
   bool Contains(EventId id) const { return id < names_.size(); }
 

@@ -109,7 +109,7 @@ MiningResult MineAllFrequentGapConstrained(const InvertedIndex& index,
               BoundedGapExtension(index, gap, options.min_support),
               NoPruning(), make_sink(), options, &state);
         },
-        MergeCollectedPatterns);
+        CommitChunks);
   });
 }
 

@@ -190,26 +190,29 @@ void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
 // TopKSink
 // ---------------------------------------------------------------------------
 
-bool TopKSink::Better(const PatternRecord& a, const PatternRecord& b) {
+bool TopKSink::Better(const PatternRow& a, const PatternRow& b) {
   if (a.support != b.support) return a.support > b.support;
-  return a.pattern < b.pattern;
+  return std::lexicographical_compare(a.events.begin(), a.events.end(),
+                                      b.events.begin(), b.events.end());
 }
 
 void TopKSink::EmitAnnotated(const std::vector<EventId>& events,
                              uint64_t support,
                              const SemanticsAnnotations& annotations) {
-  if (events.size() < min_length_) return;
-  PatternRecord record{Pattern(events), support, annotations};
+  if (!WouldKeep(events, support)) return;
   if (heap_.size() < k_) {
-    heap_.push_back(std::move(record));
-    std::push_heap(heap_.begin(), heap_.end(), Better);
+    heap_.push_back(Entry{events, support, annotations});
+    std::push_heap(heap_.begin(), heap_.end(), EntryBetter);
     if (heap_.size() == k_) PublishFloor();
     return;
   }
-  if (!Better(record, heap_.front())) return;
-  std::pop_heap(heap_.begin(), heap_.end(), Better);
-  heap_.back() = std::move(record);
-  std::push_heap(heap_.begin(), heap_.end(), Better);
+  // Replace the weakest entry, reusing its buffers.
+  std::pop_heap(heap_.begin(), heap_.end(), EntryBetter);
+  Entry& slot = heap_.back();
+  slot.events.assign(events.begin(), events.end());
+  slot.support = support;
+  slot.annotations.values = annotations.values;
+  std::push_heap(heap_.begin(), heap_.end(), EntryBetter);
   PublishFloor();
 }
 
@@ -226,9 +229,12 @@ void TopKSink::PublishFloor() {
   }
 }
 
-std::vector<PatternRecord> TopKSink::Take() {
-  std::sort(heap_.begin(), heap_.end(), Better);
-  return std::move(heap_);
+PatternTable TopKSink::Take() {
+  std::sort(heap_.begin(), heap_.end(), EntryBetter);
+  PatternTable out;
+  for (const Entry& entry : heap_) out.Append(entry.row());
+  heap_.clear();
+  return out;
 }
 
 }  // namespace gsgrow

@@ -25,7 +25,7 @@
 //    subtrees that provably contain no closed pattern are cut.
 //
 //  * EmissionSink — what happens to an emitted pattern. CollectSink
-//    materializes PatternRecords, CountSink only lets the engine count,
+//    appends it to a PatternTable, CountSink only lets the engine count,
 //    TopKSink keeps a bounded best-K heap whose rising support floor
 //    feeds back into the engine as an extra pruning threshold.
 //
@@ -337,56 +337,57 @@ class ClosurePruning {
 // Emission sinks
 // ---------------------------------------------------------------------------
 //
-// The engine-facing protocol is Emit(events, support, support_set) /
-// SupportFloor() / Take(). The support-set argument is the emitted node's
+// The engine-facing protocol is BeginRoot(root) / Emit(events, support,
+// support_set) / SupportFloor() / Take(). BeginRoot announces that the
+// emissions that follow belong to the subtree of the root at that index of
+// the root list. The support-set argument is the emitted node's
 // already-materialized (unconstrained leftmost) support set; the base sinks
 // ignore it, while AnnotatingSink (core/semantics_sink.h) replays Table-I
 // measures from it at emission time. EmitAnnotated is the decorator-facing
-// entry that attaches a computed annotation block to the produced record.
+// entry that attaches a computed annotation block to the produced row.
 
-/// Materializes every emitted pattern (MiningResult::patterns).
+/// Appends every emitted pattern to a PatternTable (MiningResult::patterns),
+/// one chunk per root. A root's subtree is emitted in DFS pre-order, which
+/// is canonical (prefixes precede extensions, siblings ascend), and a
+/// worker claims roots in ascending order, so the table is canonical as it
+/// stands; sharded runs commit the workers' chunks in root order
+/// (CommitChunks, DESIGN.md §6). Nothing is sorted.
 class CollectSink {
  public:
+  void BeginRoot(size_t root) { table_.BeginChunk(root); }
   void Emit(const std::vector<EventId>& events, uint64_t support,
             const SupportSet& /*support_set*/) {
-    patterns_.push_back(PatternRecord{Pattern(events), support});
+    table_.Append(events, support);
   }
   void EmitAnnotated(const std::vector<EventId>& events, uint64_t support,
                      const SemanticsAnnotations& annotations) {
-    patterns_.push_back(PatternRecord{Pattern(events), support, annotations});
+    table_.Append(events, support, annotations);
   }
   uint64_t SupportFloor() const { return 0; }
 
-  /// The collected patterns in canonical order (CanonicalPatternLess:
-  /// lexicographic on events, then support). A complete single-threaded DFS
-  /// already emits in this order (siblings ascend, prefixes precede
-  /// extensions), so the sort is a near-no-op there; pinning it here makes
-  /// truncated prefixes and parallel shard merges order-stable instead of
-  /// DFS-incidental.
-  std::vector<PatternRecord> Take() {
-    std::sort(patterns_.begin(), patterns_.end(), CanonicalPatternLess);
-    return std::move(patterns_);
-  }
+  PatternTable Take() { return std::move(table_); }
 
  private:
-  std::vector<PatternRecord> patterns_;
+  PatternTable table_;
 };
 
 /// Discards patterns; only MiningStats::patterns_found counts. Benchmarks
 /// mining tens of millions of patterns use this (collect_patterns = false).
 class CountSink {
  public:
+  void BeginRoot(size_t) {}
   void Emit(const std::vector<EventId>&, uint64_t, const SupportSet&) {}
   void EmitAnnotated(const std::vector<EventId>&, uint64_t,
                      const SemanticsAnnotations&) {}
   uint64_t SupportFloor() const { return 0; }
-  std::vector<PatternRecord> Take() { return {}; }
+  PatternTable Take() { return {}; }
 };
 
 /// Bounded best-K heap ordered by (support desc, pattern asc), ignoring
 /// patterns shorter than min_length. Once full, its weakest support becomes
 /// a rising floor the engine uses to prune whole subtrees: extension never
 /// increases support, so a child below the floor cannot reach the heap.
+/// The heap holds at most K entries of its own; Take emits them as a table.
 class TopKSink {
  public:
   /// `shared_floor`, when given, links this sink to the other workers of a
@@ -399,6 +400,7 @@ class TopKSink {
            std::atomic<uint64_t>* shared_floor = nullptr)
       : k_(k), min_length_(min_length), shared_floor_(shared_floor) {}
 
+  void BeginRoot(size_t) {}
   void Emit(const std::vector<EventId>& events, uint64_t support,
             const SupportSet& /*support_set*/) {
     EmitAnnotated(events, support, {});
@@ -414,9 +416,9 @@ class TopKSink {
   bool WouldKeep(const std::vector<EventId>& events, uint64_t support) const {
     if (events.size() < min_length_) return false;
     if (heap_.size() < k_) return true;
-    const PatternRecord& weakest = heap_.front();
+    const Entry& weakest = heap_.front();
     if (support != weakest.support) return support > weakest.support;
-    return events < weakest.pattern.events();
+    return events < weakest.events;
   }
 
   /// 0 while the heap is filling; the weakest kept support once full —
@@ -430,23 +432,35 @@ class TopKSink {
                     shared_floor_->load(std::memory_order_relaxed));
   }
 
-  /// The kept records, best first.
-  std::vector<PatternRecord> Take();
+  /// The kept rows, best first.
+  PatternTable Take();
 
   /// The sink's strict total order: support descending, then pattern
   /// ascending. Total because patterns within one run are distinct, which
   /// is what makes the kept set — and the parallel merge — deterministic
   /// even when many patterns tie at the k-th support.
-  static bool Better(const PatternRecord& a, const PatternRecord& b);
+  static bool Better(const PatternRow& a, const PatternRow& b);
 
  private:
+  struct Entry {
+    std::vector<EventId> events;
+    uint64_t support = 0;
+    SemanticsAnnotations annotations;
+
+    PatternRow row() const {
+      return PatternRow{events, support, annotations.values};
+    }
+  };
+  static bool EntryBetter(const Entry& a, const Entry& b) {
+    return Better(a.row(), b.row());
+  }
   void PublishFloor();
 
   size_t k_;
   size_t min_length_;
   std::atomic<uint64_t>* shared_floor_;
-  // Heap on Better (front = weakest kept record).
-  std::vector<PatternRecord> heap_;
+  // Heap on Better (front = weakest kept entry).
+  std::vector<Entry> heap_;
 };
 
 // ---------------------------------------------------------------------------
@@ -497,6 +511,7 @@ class GrowthEngine {
       if (StopRequested()) break;
       GrownChild root = extension_.Root(roots[i]);
       if (root.support < options_.min_support) continue;
+      sink_.BeginRoot(i);
       Push(roots[i], std::move(root));
       Dfs(roots);
       Pop();

@@ -21,7 +21,7 @@ MiningResult MineAllFrequent(const InvertedIndex& index,
           return GrowthEngine(UnconstrainedExtension(index), NoPruning(),
                               make_sink(), options, &state);
         },
-        MergeCollectedPatterns);
+        CommitChunks);
   });
 }
 

@@ -16,10 +16,10 @@ namespace gsgrow {
 /// Selection of Table-I semantics measures to compute per emitted pattern
 /// (core/semantics_sink.h, DESIGN.md §7). When any measure is enabled and
 /// patterns are collected, every facade wraps its emission sink in an
-/// AnnotatingSink and the resulting PatternRecords carry an annotation
-/// block. Annotation values are a pure function of (pattern, database,
-/// selection), so annotated output stays byte-identical at any thread
-/// count.
+/// AnnotatingSink and every row of the resulting PatternTable carries an
+/// annotation block. Annotation values are a pure function of (pattern,
+/// database, selection), so annotated output stays byte-identical at any
+/// thread count.
 struct SemanticsOptions {
   /// Agrawal & Srikant '95: number of sequences containing the pattern.
   bool sequence_count = false;
@@ -99,7 +99,7 @@ struct MinerOptions {
   /// time (no post-hoc database rescans; see core/semantics_sink.h). The
   /// default selection is empty: no annotation work, no annotation block.
   /// The selection never changes WHICH patterns are mined, only what each
-  /// record carries. With collect_patterns = false the values are computed
+  /// row carries. With collect_patterns = false the values are computed
   /// and discarded (bench harnesses time the annotation layer this way).
   SemanticsOptions semantics;
 

@@ -5,133 +5,10 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
-#include "core/pattern.h"
+#include "core/pattern_table.h"
 
 namespace gsgrow {
-
-// ---------------------------------------------------------------------------
-// Semantics annotations (Table I; DESIGN.md §7)
-// ---------------------------------------------------------------------------
-
-/// The related-work support measures of the paper's Table I that the mining
-/// sinks can compute per emitted pattern (core/semantics_sink.h). Enumerator
-/// order is the canonical annotation order: annotation blocks list their
-/// values ascending by measure, which is what makes serialized output and
-/// cross-thread merges byte-identical.
-enum class SemanticsMeasure : uint8_t {
-  kSequenceCount = 0,   // Agrawal & Srikant '95: sequences containing P
-  kFixedWindow = 1,     // Mannila '97 (i): width-w windows containing P
-  kMinimalWindow = 2,   // Mannila '97 (ii): minimal windows of P
-  kGapOccurrences = 3,  // Zhang '05: landmarks with gaps in [min, max]
-  kInteraction = 4,     // El-Ramly '02: endpoint-matched substrings
-  kIterative = 5,       // Lo '07: QRE occurrences (MSC/LSC semantics)
-};
-
-inline constexpr size_t kNumSemanticsMeasures = 6;
-
-/// Stable snake-case name used by pattern_io, mine_cli and the bench JSON.
-constexpr std::string_view SemanticsMeasureName(SemanticsMeasure m) {
-  switch (m) {
-    case SemanticsMeasure::kSequenceCount: return "sequence_count";
-    case SemanticsMeasure::kFixedWindow: return "fixed_window";
-    case SemanticsMeasure::kMinimalWindow: return "minimal_window";
-    case SemanticsMeasure::kGapOccurrences: return "gap_occurrences";
-    case SemanticsMeasure::kInteraction: return "interaction";
-    case SemanticsMeasure::kIterative: return "iterative";
-  }
-  return "unknown";
-}
-
-/// Inverse of SemanticsMeasureName; false when `name` is not a measure.
-inline bool SemanticsMeasureFromName(std::string_view name,
-                                     SemanticsMeasure* out) {
-  for (size_t i = 0; i < kNumSemanticsMeasures; ++i) {
-    const SemanticsMeasure m = static_cast<SemanticsMeasure>(i);
-    if (SemanticsMeasureName(m) == name) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// One computed measure value.
-struct SemanticsValue {
-  SemanticsMeasure measure = SemanticsMeasure::kSequenceCount;
-  uint64_t value = 0;
-
-  friend bool operator==(const SemanticsValue& a,
-                         const SemanticsValue& b) = default;
-};
-
-/// The annotation block of a mined pattern: the selected Table-I measures,
-/// in canonical (enumerator) order. Values are database-wide totals and a
-/// pure function of (pattern, database, selection) — which is why annotated
-/// output merges deterministically across worker threads.
-struct SemanticsAnnotations {
-  std::vector<SemanticsValue> values;
-
-  bool empty() const { return values.empty(); }
-
-  /// Looks up `measure`; false when the block does not carry it.
-  bool Get(SemanticsMeasure measure, uint64_t* value) const {
-    for (const SemanticsValue& v : values) {
-      if (v.measure == measure) {
-        *value = v.value;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  friend bool operator==(const SemanticsAnnotations& a,
-                         const SemanticsAnnotations& b) = default;
-};
-
-/// "name=value name=value" in canonical order; "" for an empty block.
-inline std::string AnnotationsToString(const SemanticsAnnotations& ann) {
-  std::string out;
-  for (const SemanticsValue& v : ann.values) {
-    if (!out.empty()) out.push_back(' ');
-    out += SemanticsMeasureName(v.measure);
-    out.push_back('=');
-    out += std::to_string(v.value);
-  }
-  return out;
-}
-
-/// A mined pattern with its repetitive support and (when mined with a
-/// semantics selection) its Table-I annotation block.
-struct PatternRecord {
-  Pattern pattern;
-  uint64_t support = 0;
-  SemanticsAnnotations annotations;
-
-  PatternRecord() = default;
-  PatternRecord(Pattern pattern, uint64_t support,
-                SemanticsAnnotations annotations = {})
-      : pattern(std::move(pattern)),
-        support(support),
-        annotations(std::move(annotations)) {}
-
-  friend bool operator==(const PatternRecord& a,
-                         const PatternRecord& b) = default;
-};
-
-/// Canonical order of collected mining output: lexicographic on the event
-/// sequence, then ascending support. MiningResult::patterns from the
-/// all-frequent and closed miners is pinned to this order regardless of
-/// thread count or truncation; within one run the support is a function of
-/// the pattern, so the tie-break only matters for merged/synthetic lists.
-inline bool CanonicalPatternLess(const PatternRecord& a,
-                                 const PatternRecord& b) {
-  if (a.pattern != b.pattern) return a.pattern < b.pattern;
-  return a.support < b.support;
-}
 
 /// Counters and outcome flags of one mining run.
 struct MiningStats {
@@ -203,7 +80,7 @@ inline DfsCounters ExtractDfsCounters(const MiningStats& stats) {
 
 /// Patterns plus run statistics.
 struct MiningResult {
-  std::vector<PatternRecord> patterns;
+  PatternTable patterns;
   MiningStats stats;
 };
 

@@ -22,39 +22,18 @@ void AccumulateStats(const MiningStats& worker, MiningStats* total) {
   total->nonclosed_suppressed += worker.nonclosed_suppressed;
 }
 
-namespace {
-
-std::vector<PatternRecord> Concatenate(
-    std::vector<std::vector<PatternRecord>> shards) {
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<PatternRecord> merged;
-  merged.reserve(total);
-  for (auto& shard : shards) {
-    std::move(shard.begin(), shard.end(), std::back_inserter(merged));
-  }
-  return merged;
-}
-
-}  // namespace
-
-std::vector<PatternRecord> MergeCollectedPatterns(
-    std::vector<std::vector<PatternRecord>> shards) {
-  // One shard — the default single-threaded path — is already in canonical
-  // order (CollectSink::Take); don't pay a second sort for it.
-  if (shards.size() == 1) return std::move(shards[0]);
-  std::vector<PatternRecord> merged = Concatenate(std::move(shards));
-  std::sort(merged.begin(), merged.end(), CanonicalPatternLess);
-  return merged;
-}
-
-std::vector<PatternRecord> MergeTopKPatterns(
-    std::vector<std::vector<PatternRecord>> shards, size_t k) {
+PatternTable MergeTopKPatterns(std::vector<PatternTable> shards, size_t k) {
   // One shard is already best-first (TopKSink::Take) and K-bounded.
   if (shards.size() == 1) return std::move(shards[0]);
-  std::vector<PatternRecord> merged = Concatenate(std::move(shards));
-  std::sort(merged.begin(), merged.end(), TopKSink::Better);
-  if (merged.size() > k) merged.resize(k);
+  std::vector<PatternRow> rows;
+  for (const PatternTable& shard : shards) {
+    rows.insert(rows.end(), shard.begin(), shard.end());
+  }
+  const size_t kept = std::min(k, rows.size());
+  std::partial_sort(rows.begin(), rows.begin() + kept, rows.end(),
+                    TopKSink::Better);
+  PatternTable merged;
+  for (size_t i = 0; i < kept; ++i) merged.Append(rows[i]);
   return merged;
 }
 

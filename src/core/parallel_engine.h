@@ -9,9 +9,12 @@
 // MiningResults:
 //
 //  * patterns — each root's subtree is explored by exactly one worker, so
-//    shard outputs are disjoint; concatenation plus the sink's canonical
-//    order (CanonicalPatternLess for collected output, TopKSink::Better for
-//    top-K) makes the merged list byte-identical at any thread count;
+//    shard outputs are disjoint. A collecting worker's table holds one chunk
+//    per root it claimed, each already in canonical order (CollectSink), so
+//    committing the chunks in root order (CommitChunks) yields the
+//    canonical answer with no sort; top-K heaps merge under
+//    TopKSink::Better. Either way the merged table is byte-identical at any
+//    thread count;
 //  * stats — per-subtree counters are independent of the worker that ran
 //    them, so the sums are thread-count invariant too (max_depth maxes,
 //    elapsed_seconds is the parallel wall-clock, not the sum);
@@ -58,12 +61,6 @@ size_t ResolveNumThreads(size_t requested);
 /// merging caller and left untouched.
 void AccumulateStats(const MiningStats& worker, MiningStats* total);
 
-/// Restores the canonical collected order over concatenated shard outputs.
-/// Shards are disjoint (each root belongs to exactly one worker), so this
-/// loses nothing and duplicates nothing.
-std::vector<PatternRecord> MergeCollectedPatterns(
-    std::vector<std::vector<PatternRecord>> shards);
-
 /// Best-K selection over the union of per-worker top-K heaps, under
 /// TopKSink::Better (support desc, pattern asc). Exact: a pattern of the
 /// true global top-K has fewer than K better patterns globally, hence fewer
@@ -72,12 +69,12 @@ std::vector<PatternRecord> MergeCollectedPatterns(
 /// the best K of the union yields exactly the global top-K. Ties at the
 /// k-th support resolve by the canonical pattern order — never by heap
 /// insertion or worker finish order.
-std::vector<PatternRecord> MergeTopKPatterns(
-    std::vector<std::vector<PatternRecord>> shards, size_t k);
+PatternTable MergeTopKPatterns(std::vector<PatternTable> shards, size_t k);
 
 /// Runs `make_engine(state)` once per worker (options.num_threads workers,
 /// resolved via ResolveNumThreads) against one SharedRunState, then merges
-/// patterns with `merge_patterns(shards)` and stats as described above.
+/// the workers' tables with `merge_patterns(shards)` (CommitChunks for
+/// collected output) and stats as described above.
 /// Worker 0 is the calling thread and only the others are spawned, so with
 /// one worker the engine runs inline, making num_threads=1 exactly the
 /// classic single-threaded behavior. A worker the host cannot spawn ends
@@ -111,7 +108,7 @@ MiningResult MineSharded(const MinerOptions& options,
   for (std::thread& helper : helpers) helper.join();
 
   MiningResult merged;
-  std::vector<std::vector<PatternRecord>> shards;
+  std::vector<PatternTable> shards;
   shards.reserve(results.size());
   for (MiningResult& r : results) {
     AccumulateStats(r.stats, &merged.stats);

@@ -20,12 +20,17 @@ Pattern Pattern::InsertAt(size_t gap, EventId e) const {
   return Pattern(std::move(grown));
 }
 
-bool Pattern::IsSubsequenceOf(const Pattern& other) const {
+bool IsSubsequence(std::span<const EventId> needle,
+                   std::span<const EventId> haystack) {
   size_t i = 0;
-  for (size_t j = 0; j < other.size() && i < size(); ++j) {
-    if (events_[i] == other[j]) ++i;
+  for (size_t j = 0; j < haystack.size() && i < needle.size(); ++j) {
+    if (needle[i] == haystack[j]) ++i;
   }
-  return i == size();
+  return i == needle.size();
+}
+
+bool Pattern::IsSubsequenceOf(const Pattern& other) const {
+  return IsSubsequence(events_, other.events_);
 }
 
 std::string Pattern::ToString(const EventDictionary& dict) const {

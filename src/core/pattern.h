@@ -4,6 +4,7 @@
 #define GSGROW_CORE_PATTERN_H_
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,11 @@
 #include "core/types.h"
 
 namespace gsgrow {
+
+/// True iff `needle` is a (not necessarily proper) subsequence of
+/// `haystack` (Definition 2.1 applied to event lists).
+bool IsSubsequence(std::span<const EventId> needle,
+                   std::span<const EventId> haystack);
 
 /// An ordered list of events; value type with cheap comparison so patterns
 /// can key maps and be sorted in reports.

@@ -158,11 +158,11 @@ uint64_t ReferenceSupport(const SequenceDatabase& db, const Pattern& pattern,
   return total;
 }
 
-std::vector<PatternRecord> ReferenceMineAll(const SequenceDatabase& db,
-                                            uint64_t min_support,
-                                            size_t max_length) {
+PatternTable ReferenceMineAll(const SequenceDatabase& db,
+                              uint64_t min_support, size_t max_length) {
   GSGROW_CHECK(min_support >= 1);
-  std::vector<PatternRecord> out;
+  // (pattern, support) in generation order; the table is built sorted.
+  std::vector<std::pair<Pattern, uint64_t>> found;
   // Frequent single events.
   std::map<EventId, uint64_t> event_counts;
   for (const Sequence& s : db.sequences()) {
@@ -172,7 +172,7 @@ std::vector<PatternRecord> ReferenceMineAll(const SequenceDatabase& db,
   for (const auto& [e, count] : event_counts) {
     if (count >= min_support) {
       frontier.push_back(Pattern({e}));
-      out.push_back(PatternRecord{frontier.back(), count});
+      found.emplace_back(frontier.back(), count);
     }
   }
   std::vector<EventId> alphabet;
@@ -189,36 +189,38 @@ std::vector<PatternRecord> ReferenceMineAll(const SequenceDatabase& db,
         Pattern grown = p.Grow(e);
         uint64_t support = ReferenceSupport(db, grown);
         if (support >= min_support) {
-          out.push_back(PatternRecord{grown, support});
+          found.emplace_back(grown, support);
           next_frontier.push_back(std::move(grown));
         }
       }
     }
     frontier = std::move(next_frontier);
   }
-  std::sort(out.begin(), out.end(),
-            [](const PatternRecord& a, const PatternRecord& b) {
-              if (a.pattern.size() != b.pattern.size()) {
-                return a.pattern.size() < b.pattern.size();
-              }
-              return a.pattern < b.pattern;
-            });
+  std::sort(found.begin(), found.end(), [](const auto& a, const auto& b) {
+    if (a.first.size() != b.first.size()) {
+      return a.first.size() < b.first.size();
+    }
+    return a.first < b.first;
+  });
+  PatternTable out;
+  for (const auto& [pattern, support] : found) {
+    out.Append(pattern.events(), support);
+  }
   return out;
 }
 
-std::vector<PatternRecord> FilterClosed(
-    const std::vector<PatternRecord>& all) {
-  std::vector<PatternRecord> closed;
-  for (const PatternRecord& p : all) {
+PatternTable FilterClosed(const PatternTable& all) {
+  PatternTable closed;
+  for (const PatternRow p : all) {
     bool is_closed = true;
-    for (const PatternRecord& q : all) {
-      if (q.pattern.size() <= p.pattern.size()) continue;
-      if (q.support == p.support && p.pattern.IsSubsequenceOf(q.pattern)) {
+    for (const PatternRow q : all) {
+      if (q.events.size() <= p.events.size()) continue;
+      if (q.support == p.support && IsSubsequence(p.events, q.events)) {
         is_closed = false;
         break;
       }
     }
-    if (is_closed) closed.push_back(p);
+    if (is_closed) closed.Append(p.events, p.support, p.annotations);
   }
   return closed;
 }

@@ -75,13 +75,12 @@ uint64_t ReferenceSupport(const SequenceDatabase& db, const Pattern& pattern,
 /// All frequent patterns by breadth-first growth with ReferenceSupport.
 /// Only suitable for small databases (tests). Results are sorted by
 /// (length, events).
-std::vector<PatternRecord> ReferenceMineAll(const SequenceDatabase& db,
-                                            uint64_t min_support,
-                                            size_t max_length = 16);
+PatternTable ReferenceMineAll(const SequenceDatabase& db,
+                              uint64_t min_support, size_t max_length = 16);
 
 /// Filters `all` (a complete frequent-pattern set) down to closed patterns
 /// by pairwise sub-pattern/support comparison (Definition 2.6).
-std::vector<PatternRecord> FilterClosed(const std::vector<PatternRecord>& all);
+PatternTable FilterClosed(const PatternTable& all);
 
 }  // namespace gsgrow
 

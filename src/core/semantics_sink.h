@@ -15,8 +15,8 @@
 //
 //  * AnnotatingSink<Inner> is a decorator over any EmissionSink
 //    (Collect / Count / TopK): it annotates each emission and forwards the
-//    block to the inner sink, which attaches it to the PatternRecord it
-//    materializes. Annotation values are a pure function of
+//    block to the inner sink, which stores it in its table's annotation
+//    column. Annotation values are a pure function of
 //    (pattern, database, selection), so annotated output merges
 //    deterministically across worker shards (parallel_engine.h) and stays
 //    byte-identical at any thread count.
@@ -101,11 +101,11 @@ static_assert(SemanticsAnnotator<TableIAnnotator>);
 
 /// Decorator over an EmissionSink: annotates every emission and forwards it
 /// through the inner sink's EmitAnnotated. The engine-facing surface
-/// (Emit / SupportFloor / Take) is unchanged, so any policy combination
-/// can be annotated. When the inner sink exposes WouldKeep (TopKSink), an
-/// emission it would reject skips the annotation work entirely — the
-/// reject decision never depends on the annotation block, so the kept set
-/// is unchanged.
+/// (BeginRoot / Emit / SupportFloor / Take) is unchanged, so any policy
+/// combination can be annotated. When the inner sink exposes WouldKeep
+/// (TopKSink), an emission it would reject skips the annotation work
+/// entirely — the reject decision never depends on the annotation block,
+/// so the kept set is unchanged.
 template <typename Inner, SemanticsAnnotator Annotator = TableIAnnotator>
 class AnnotatingSink {
  public:
@@ -124,9 +124,11 @@ class AnnotatingSink {
     inner_.EmitAnnotated(events, support, scratch_);
   }
 
+  void BeginRoot(size_t root) { inner_.BeginRoot(root); }
+
   uint64_t SupportFloor() const { return inner_.SupportFloor(); }
 
-  std::vector<PatternRecord> Take() { return inner_.Take(); }
+  PatternTable Take() { return inner_.Take(); }
 
  private:
   Annotator annotator_;

@@ -12,8 +12,8 @@
 
 namespace gsgrow {
 
-std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
-                                          const MinerOptions& options) {
+PatternTable MineTopKClosed(const SequenceDatabase& db,
+                            const MinerOptions& options) {
   InvertedIndex index(db);
   return std::move(MineTopKClosed(index, options).patterns);
 }
@@ -67,7 +67,7 @@ MiningResult MineTopKClosed(const InvertedIndex& index,
                                 ClosurePruning(index, miner_options),
                                 make_sink(state), miner_options, &state);
           },
-          [&](std::vector<std::vector<PatternRecord>> shards) {
+          [&](std::vector<PatternTable> shards) {
             return MergeTopKPatterns(std::move(shards), options.k);
           });
     };

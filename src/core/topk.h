@@ -14,8 +14,6 @@
 #ifndef GSGROW_CORE_TOPK_H_
 #define GSGROW_CORE_TOPK_H_
 
-#include <vector>
-
 #include "core/inverted_index.h"
 #include "core/miner_options.h"
 #include "core/mining_result.h"
@@ -37,8 +35,8 @@ namespace gsgrow {
 /// emissions the K-heap keeps (TopKSink::WouldKeep) and never change WHICH
 /// patterns win. collect_patterns is ignored: the answer is always the
 /// K-heap's records.
-std::vector<PatternRecord> MineTopKClosed(const SequenceDatabase& db,
-                                          const MinerOptions& options);
+PatternTable MineTopKClosed(const SequenceDatabase& db,
+                            const MinerOptions& options);
 
 /// Same over a prebuilt index: the serving path (serve/mining_service.h)
 /// answers many top-K queries against one long-lived snapshot without

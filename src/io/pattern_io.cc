@@ -1,36 +1,45 @@
 #include "io/pattern_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "util/string_util.h"
 
 namespace gsgrow {
 
-void AppendPatternLine(const PatternRecord& record,
+void AppendPatternLine(const PatternRow& row,
                        const EventDictionary& dictionary, std::string* out) {
-  *out += std::to_string(record.support);
+  char digits[24];
+  const char* end =
+      std::to_chars(digits, digits + sizeof(digits), row.support).ptr;
+  out->append(digits, static_cast<size_t>(end - digits));
   out->push_back('\t');
-  *out += record.pattern.ToString(dictionary);
-  if (!record.annotations.empty()) {
+  for (size_t i = 0; i < row.events.size(); ++i) {
+    if (i > 0) out->push_back(' ');
+    dictionary.AppendName(row.events[i], out);
+  }
+  if (!row.annotations.empty()) {
     *out += "\t|\t";
-    *out += AnnotationsToString(record.annotations);
+    AppendAnnotations(row.annotations, out);
   }
 }
 
-std::string WritePatterns(const std::vector<PatternRecord>& records,
+std::string WritePatterns(const PatternTable& rows,
                           const EventDictionary& dictionary) {
   std::string out = "# support\tpattern\n";
-  for (const PatternRecord& r : records) {
-    AppendPatternLine(r, dictionary, &out);
+  for (const PatternRow row : rows) {
+    AppendPatternLine(row, dictionary, &out);
     out.push_back('\n');
   }
   return out;
 }
 
-Result<std::vector<PatternRecord>> ParsePatterns(
-    const std::string& content, EventDictionary* dictionary) {
-  std::vector<PatternRecord> records;
+Result<PatternTable> ParsePatterns(const std::string& content,
+                                   EventDictionary* dictionary) {
+  PatternTable rows;
+  std::vector<EventId> events;
   std::istringstream in(content);
   std::string line;
   size_t line_number = 0;
@@ -72,7 +81,7 @@ Result<std::vector<PatternRecord>> ParsePatterns(
       return Status::Corruption("line " + std::to_string(line_number) +
                                 ": pattern with no events before '|'");
     }
-    std::vector<EventId> events;
+    events.clear();
     for (size_t i = 1; i < separator; ++i) {
       events.push_back(dictionary->Intern(tokens[i]));
     }
@@ -91,25 +100,23 @@ Result<std::vector<PatternRecord>> ParsePatterns(
       }
       annotations.values.push_back({measure, value});
     }
-    records.push_back(PatternRecord{Pattern(std::move(events)),
-                                    static_cast<uint64_t>(support),
-                                    std::move(annotations)});
+    rows.Append(events, static_cast<uint64_t>(support), annotations);
   }
-  return records;
+  return rows;
 }
 
-Status WritePatternsFile(const std::vector<PatternRecord>& records,
+Status WritePatternsFile(const PatternTable& rows,
                          const EventDictionary& dictionary,
                          const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << WritePatterns(records, dictionary);
+  out << WritePatterns(rows, dictionary);
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
 }
 
-Result<std::vector<PatternRecord>> ReadPatternsFile(
-    const std::string& path, EventDictionary* dictionary) {
+Result<PatternTable> ReadPatternsFile(const std::string& path,
+                                      EventDictionary* dictionary) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
   std::ostringstream buffer;

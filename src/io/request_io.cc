@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ostream>
 
 #include "core/semantics_sink.h"
 #include "io/pattern_io.h"
@@ -321,26 +322,65 @@ ResultCacheKey CanonicalRequestKey(const MineRequest& request) {
   return ResultCacheKey(std::move(key));
 }
 
+namespace {
+
+// Appends a mine/topk response's text to `out` (FormatMineResponse's
+// contract). After each row, `spill(out)` may hand the text on and clear
+// it, so both response functions share every byte of the formatting.
+template <typename Spill>
+void AppendMineResponse(const MineResponse& response,
+                        const EventDictionary& dictionary, size_t limit,
+                        std::string* out, Spill spill) {
+  if (!response.status.ok()) {
+    *out += "error ";
+    *out += response.status.ToString();
+    out->push_back('\n');
+    return;
+  }
+  *out += "result patterns=";
+  *out += std::to_string(response.patterns.size());
+  *out += " epoch=";
+  *out += std::to_string(response.epoch);
+  if (response.stats.truncated) {
+    *out += " truncated=";
+    *out += response.stats.truncated_reason;
+  }
+  out->push_back('\n');
+  const size_t n = std::min(limit, response.patterns.size());
+  for (size_t i = 0; i < n; ++i) {
+    AppendPatternLine(response.patterns[i], dictionary, out);
+    out->push_back('\n');
+    spill(out);
+  }
+}
+
+// WriteMineResponse hands the stream this much text at a time.
+constexpr size_t kWriteChunkBytes = 64 << 10;
+
+}  // namespace
+
 std::string FormatMineResponse(const MineResponse& response,
                                const EventDictionary& dictionary,
                                size_t limit) {
-  if (!response.status.ok()) {
-    return "error " + response.status.ToString() + "\n";
-  }
-  std::string out = "result patterns=" +
-                    std::to_string(response.patterns.size()) +
-                    " epoch=" + std::to_string(response.epoch);
-  if (response.stats.truncated) {
-    out += " truncated=";
-    out += response.stats.truncated_reason;
-  }
-  out.push_back('\n');
-  const size_t n = std::min(limit, response.patterns.size());
-  for (size_t i = 0; i < n; ++i) {
-    AppendPatternLine(response.patterns[i], dictionary, &out);
-    out.push_back('\n');
-  }
+  std::string out;
+  AppendMineResponse(response, dictionary, limit, &out, [](std::string*) {});
   return out;
+}
+
+void WriteMineResponse(const MineResponse& response,
+                       const EventDictionary& dictionary, size_t limit,
+                       std::ostream& out) {
+  const auto write = [&out](const std::string& text) {
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  };
+  std::string buffer;
+  AppendMineResponse(response, dictionary, limit, &buffer,
+                     [&](std::string* text) {
+                       if (text->size() < kWriteChunkBytes) return;
+                       write(*text);
+                       text->clear();
+                     });
+  write(buffer);
 }
 
 std::string FormatServiceStats(const ServiceStats& stats) {

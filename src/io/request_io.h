@@ -39,6 +39,7 @@
 #define GSGROW_IO_REQUEST_IO_H_
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,13 @@ Result<ServeCommand> ParseServeCommand(std::string_view line);
 std::string FormatMineResponse(const MineResponse& response,
                                const EventDictionary& dictionary,
                                size_t limit);
+
+/// Writes exactly FormatMineResponse's text to `out`, formatting the rows
+/// straight from the response's table and handing the stream one bounded
+/// chunk at a time, so a large answer is never held as text in whole.
+void WriteMineResponse(const MineResponse& response,
+                       const EventDictionary& dictionary, size_t limit,
+                       std::ostream& out);
 
 /// Formats the stats verb response (one line, no newline).
 std::string FormatServiceStats(const ServiceStats& stats);

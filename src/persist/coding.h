@@ -13,8 +13,11 @@
 #ifndef GSGROW_PERSIST_CODING_H_
 #define GSGROW_PERSIST_CODING_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -30,6 +33,22 @@ inline void PutFixed32(std::string* dst, uint32_t v) {
 inline void PutFixed64(std::string* dst, uint64_t v) {
   PutFixed32(dst, static_cast<uint32_t>(v & 0xFFFFFFFFu));
   PutFixed32(dst, static_cast<uint32_t>(v >> 32));
+}
+
+/// Stores `values` as consecutive fixed-width little-endian words at `dst`,
+/// which must have room for values.size() * 4 bytes.
+inline void EncodeFixed32Array(std::span<const uint32_t> values, char* dst) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!values.empty()) std::memcpy(dst, values.data(), values.size_bytes());
+  } else {
+    for (const uint32_t v : values) {
+      dst[0] = static_cast<char>(v & 0xFF);
+      dst[1] = static_cast<char>((v >> 8) & 0xFF);
+      dst[2] = static_cast<char>((v >> 16) & 0xFF);
+      dst[3] = static_cast<char>((v >> 24) & 0xFF);
+      dst += 4;
+    }
+  }
 }
 
 /// u32 length prefix + raw bytes.

@@ -10,6 +10,7 @@ namespace gsgrow::serve {
 
 namespace {
 
+using persist::EncodeFixed32Array;
 using persist::GetFixed32;
 using persist::GetFixed64;
 using persist::GetLengthPrefixed;
@@ -91,7 +92,11 @@ void EncodeSequenceRecord(
     PutLengthPrefixed(out, *name);
   }
   PutFixed32(out, static_cast<uint32_t>(events.size()));
-  for (const EventId e : events) PutFixed32(out, e);
+  // The events are the bulk of the record: size the string once and store
+  // them as fixed-width little-endian words in one pass.
+  const size_t base = out->size();
+  out->resize(base + events.size() * sizeof(uint32_t));
+  EncodeFixed32Array(events, out->data() + base);
 }
 
 void EncodeEpochRecord(uint64_t epoch, std::string* out) {

@@ -43,22 +43,24 @@ CacheMetrics& Metrics() {
   return metrics;
 }
 
-// Approximate deep size of one cached entry: the vectors dominate, so the
-// estimate is container payloads plus per-record struct overhead. Exactness
-// does not matter — the budget is a memory-pressure bound, not an
-// accounting ledger — but the estimate is deterministic, so eviction order
-// is reproducible across runs.
-size_t ApproxEntryBytes(const std::string& key, const MineResponse& response,
-                        const std::vector<EventId>& alphabet) {
-  size_t bytes = 256;       // entry + map-node overhead, coarse
+// What one cached entry charges against the byte budget. The table's
+// arrays are counted element by element: each event and annotation value
+// at its size, and each row at kRowChargeBytes, which over-covers a row's
+// own end and support (16 bytes). The charge is deterministic, so eviction
+// order is reproducible across runs.
+constexpr size_t kEntryChargeBytes = 256;  // entry + map-node overhead
+constexpr size_t kRowChargeBytes = 56;
+
+size_t EntryBytes(const std::string& key, const MineResponse& response,
+                  const std::vector<EventId>& alphabet) {
+  size_t bytes = kEntryChargeBytes;
   bytes += key.size() * 2;  // entry copy + map key copy
   bytes += response.stats.truncated_reason.size();
   bytes += alphabet.size() * sizeof(EventId);
-  for (const PatternRecord& record : response.patterns) {
-    bytes += sizeof(PatternRecord);
-    bytes += record.pattern.size() * sizeof(EventId);
-    bytes += record.annotations.values.size() * sizeof(SemanticsValue);
-  }
+  const PatternTable& table = response.patterns;
+  bytes += table.size() * kRowChargeBytes;
+  bytes += table.total_events() * sizeof(EventId);
+  bytes += table.total_annotations() * sizeof(SemanticsValue);
   return bytes;
 }
 
@@ -171,7 +173,7 @@ CacheLookup ResultCache::Lookup(const ResultCacheKey& key,
     const size_t k = request.options.k;
     if (request.miner == MineRequest::Miner::kTopK && k > 0 &&
         entry.response.patterns.size() >= k) {
-      out.warm_support_floor = entry.response.patterns[k - 1].support;
+      out.warm_support_floor = entry.response.patterns.support(k - 1);
     }
     Metrics().lookup_miss_us->Record(timer.ElapsedMicros());
     return out;
@@ -192,8 +194,6 @@ void ResultCache::Insert(const ResultCacheKey& key, const MineRequest& request,
   // needs serialization.
   Entry fresh;
   fresh.key = key.text();
-  fresh.response = response;
-  fresh.epoch = response.epoch;
   std::vector<EventId> resolved;
   if (ResolveRequestAlphabet(request, snapshot.db->dictionary(), &resolved)) {
     SortDedup(&resolved);
@@ -201,13 +201,15 @@ void ResultCache::Insert(const ResultCacheKey& key, const MineRequest& request,
   } else {
     fresh.filter_matched_nothing = true;
   }
+  fresh.bytes = EntryBytes(fresh.key, response, fresh.alphabet);
+  // An entry bigger than the whole budget would evict everything and then
+  // be evicted itself on the next insert; never admit it (nor copy it).
+  if (fresh.bytes > options_.max_bytes) return;
+  fresh.response = response;
+  fresh.epoch = response.epoch;
   fresh.needs_host_check =
       request.options.semantics.AnyEnabled() ||
       request.miner == MineRequest::Miner::kGapConstrained;
-  fresh.bytes = ApproxEntryBytes(fresh.key, fresh.response, fresh.alphabet);
-  // An entry bigger than the whole budget would evict everything and then
-  // be evicted itself on the next insert; never admit it.
-  if (fresh.bytes > options_.max_bytes) return;
 
   MutexLock lock(&mutex_);
   const auto it = map_.find(fresh.key);

@@ -175,8 +175,8 @@ int RunServeSession(MiningService& service, std::istream& in,
         {
           obs::StageTimer serialize_span(&trace, obs::Stage::kSerialize,
                                          Metrics().serialize_us);
-          out << FormatMineResponse(response, snapshot->db->dictionary(),
-                                    command.limit);
+          WriteMineResponse(response, snapshot->db->dictionary(),
+                            command.limit, out);
         }
         if (!response.status.ok()) {
           RejectedCounter(response.status)->Increment();
@@ -205,9 +205,9 @@ int RunServeSession(MiningService& service, std::istream& in,
             service.ExecuteBatch(batch, command.run_threads, &snapshot);
         out << "batch results=" << responses.size() << "\n";
         for (size_t i = 0; i < responses.size(); ++i) {
-          out << "request " << i << "\n"
-              << FormatMineResponse(responses[i], snapshot->db->dictionary(),
-                                    batch_limits[i]);
+          out << "request " << i << "\n";
+          WriteMineResponse(responses[i], snapshot->db->dictionary(),
+                            batch_limits[i], out);
           if (!responses[i].status.ok()) {
             RejectedCounter(responses[i].status)->Increment();
             ++errors;

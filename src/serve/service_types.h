@@ -60,7 +60,7 @@ struct MineResponse {
   /// max_pattern_length = 0, k = 0);
   /// patterns/stats are empty then.
   Status status;
-  std::vector<PatternRecord> patterns;
+  PatternTable patterns;
   MiningStats stats;
   /// Epoch of the snapshot the query ran against. A cache hit re-stamps
   /// this to the served epoch; patterns stay byte-identical to a cold mine

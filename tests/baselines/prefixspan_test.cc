@@ -12,10 +12,10 @@ using testing::MakePattern;
 
 // Exhaustive oracle: enumerate all patterns up to a length bound by BFS and
 // keep the frequent ones under sequence-count support.
-std::vector<PatternRecord> BruteSequentialMineAll(const SequenceDatabase& db,
+PatternTable BruteSequentialMineAll(const SequenceDatabase& db,
                                                   uint64_t min_sup,
                                                   size_t max_len = 8) {
-  std::vector<PatternRecord> out;
+  PatternTable out;
   std::vector<Pattern> frontier = {Pattern()};
   std::vector<EventId> alphabet;
   for (EventId e = 0; e < db.AlphabetSize(); ++e) alphabet.push_back(e);
@@ -26,7 +26,7 @@ std::vector<PatternRecord> BruteSequentialMineAll(const SequenceDatabase& db,
         Pattern grown = p.Grow(e);
         uint64_t sup = SequenceCountSupport(db, grown);
         if (sup >= min_sup) {
-          out.push_back({grown, sup});
+          out.Append(grown.events(), sup);
           next.push_back(std::move(grown));
         }
       }
@@ -52,7 +52,7 @@ TEST(PrefixSpan, RepetitionsWithinSequenceDoNotCount) {
   SequentialMinerOptions options;
   options.min_support = 1;
   MiningResult result = MinePrefixSpan(db, options);
-  for (const PatternRecord& r : result.patterns) {
+  for (const PatternRow r : result.patterns) {
     EXPECT_LE(r.support, db.size());
   }
 }
@@ -85,8 +85,8 @@ TEST(PrefixSpan, MaxLengthCap) {
   options.min_support = 2;
   options.max_pattern_length = 2;
   MiningResult result = MinePrefixSpan(db, options);
-  for (const PatternRecord& r : result.patterns) {
-    EXPECT_LE(r.pattern.size(), 2u);
+  for (const PatternRow r : result.patterns) {
+    EXPECT_LE(r.events.size(), 2u);
   }
 }
 

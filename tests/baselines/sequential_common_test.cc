@@ -68,12 +68,12 @@ TEST(FirstLastInstance, InterleaveOrdering) {
 
 TEST(FilterClosedSequential, DropsDominatedPatterns) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABC", "ABC", "AB"});
-  std::vector<PatternRecord> records = {
+  PatternTable records = testing::MakeTable({
       {MakePattern(db, "A"), 3},  {MakePattern(db, "AB"), 3},
       {MakePattern(db, "B"), 3},  {MakePattern(db, "ABC"), 2},
       {MakePattern(db, "AC"), 2}, {MakePattern(db, "C"), 2},
-  };
-  std::vector<PatternRecord> closed = FilterClosedSequential(records);
+  });
+  PatternTable closed = FilterClosedSequential(records);
   auto set = testing::AsSet(db, closed);
   EXPECT_TRUE(set.count({"AB", 3}));
   EXPECT_FALSE(set.count({"A", 3}));
@@ -85,11 +85,11 @@ TEST(FilterClosedSequential, DropsDominatedPatterns) {
 
 TEST(FilterClosedSequential, DifferentSupportsNotCompared) {
   SequenceDatabase db = MakeDatabaseFromStrings({"AB", "A"});
-  std::vector<PatternRecord> records = {
+  PatternTable records = testing::MakeTable({
       {MakePattern(db, "A"), 2},
       {MakePattern(db, "AB"), 1},
-  };
-  std::vector<PatternRecord> closed = FilterClosedSequential(records);
+  });
+  PatternTable closed = FilterClosedSequential(records);
   EXPECT_EQ(closed.size(), 2u);
 }
 

@@ -29,7 +29,7 @@ TEST(CloGSgrow, EqualsClosureFilteredReference) {
     MinerOptions options;
     options.min_support = min_sup;
     MiningResult closed = MineClosedFrequent(db, options);
-    std::vector<PatternRecord> expected =
+    PatternTable expected =
         FilterClosed(ReferenceMineAll(db, min_sup));
     EXPECT_EQ(AsSet(db, closed.patterns), AsSet(db, expected))
         << "min_sup=" << min_sup;
@@ -102,13 +102,13 @@ TEST(CloGSgrow, EveryEmittedPatternIsActuallyClosed) {
   MinerOptions options;
   options.min_support = 2;
   MiningResult closed = MineClosedFrequent(db, options);
-  for (const PatternRecord& r : closed.patterns) {
+  for (const PatternRow r : closed.patterns) {
     // Check all single-event extensions keep strictly smaller support.
-    for (size_t gap = 0; gap <= r.pattern.size(); ++gap) {
+    for (size_t gap = 0; gap <= r.events.size(); ++gap) {
       for (EventId e = 0; e < db.AlphabetSize(); ++e) {
-        Pattern ext = r.pattern.InsertAt(gap, e);
+        Pattern ext = r.pattern().InsertAt(gap, e);
         EXPECT_LT(ComputeSupport(index, ext), r.support)
-            << r.pattern.ToCompactString(db.dictionary()) << " + "
+            << r.pattern().ToCompactString(db.dictionary()) << " + "
             << db.dictionary().Name(e) << " at " << gap;
       }
     }

@@ -51,9 +51,9 @@ TEST_P(MiningProperty, SupportMatchesFlowOracle) {
   MinerOptions options;
   options.min_support = GetParam().min_sup;
   MiningResult all = MineAllFrequent(index, options);
-  for (const PatternRecord& r : all.patterns) {
-    EXPECT_EQ(r.support, ReferenceSupport(db, r.pattern))
-        << r.pattern.ToCompactString(db.dictionary());
+  for (const PatternRow r : all.patterns) {
+    EXPECT_EQ(r.support, ReferenceSupport(db, r.pattern()))
+        << r.pattern().ToCompactString(db.dictionary());
   }
   // Also probe random patterns (frequent or not).
   Rng rng(GetParam().seed ^ 0xabcdef);
@@ -99,11 +99,11 @@ TEST_P(MiningProperty, AprioriMonotonicity) {
   MinerOptions options;
   options.min_support = GetParam().min_sup;
   MiningResult all = MineAllFrequent(index, options);
-  for (const PatternRecord& r : all.patterns) {
-    if (r.pattern.size() > 3) continue;  // bound the work
-    for (size_t gap = 0; gap <= r.pattern.size(); ++gap) {
+  for (const PatternRow r : all.patterns) {
+    if (r.events.size() > 3) continue;  // bound the work
+    for (size_t gap = 0; gap <= r.events.size(); ++gap) {
       for (EventId e = 0; e < GetParam().alphabet; ++e) {
-        Pattern super = r.pattern.InsertAt(gap, e);
+        Pattern super = r.pattern().InsertAt(gap, e);
         EXPECT_LE(ComputeSupport(index, super), r.support);
       }
     }
@@ -118,15 +118,15 @@ TEST_P(MiningProperty, SupportSetsAreNonRedundant) {
   MinerOptions options;
   options.min_support = GetParam().min_sup;
   MiningResult all = MineAllFrequent(index, options);
-  for (const PatternRecord& r : all.patterns) {
-    std::vector<FullInstance> set = ComputeFullSupportSet(index, r.pattern);
+  for (const PatternRow r : all.patterns) {
+    std::vector<FullInstance> set = ComputeFullSupportSet(index, r.pattern());
     ASSERT_EQ(set.size(), r.support);
     for (size_t a = 0; a < set.size(); ++a) {
       for (size_t b = a + 1; b < set.size(); ++b) {
         if (set[a].seq != set[b].seq) continue;
         for (size_t j = 0; j < set[a].landmark.size(); ++j) {
           EXPECT_NE(set[a].landmark[j], set[b].landmark[j])
-              << r.pattern.ToCompactString(db.dictionary());
+              << r.pattern().ToCompactString(db.dictionary());
         }
       }
     }
@@ -144,8 +144,8 @@ TEST_P(MiningProperty, SupportSetsSortedRightShift) {
   MinerOptions options;
   options.min_support = GetParam().min_sup;
   MiningResult all = MineAllFrequent(index, options);
-  for (const PatternRecord& r : all.patterns) {
-    SupportSet set = ComputeSupportSet(index, r.pattern);
+  for (const PatternRow r : all.patterns) {
+    SupportSet set = ComputeSupportSet(index, r.pattern());
     EXPECT_TRUE(IsRightShiftSorted(set));
   }
 }
@@ -158,11 +158,11 @@ TEST_P(MiningProperty, PerSequenceDecomposition) {
   MinerOptions options;
   options.min_support = GetParam().min_sup;
   MiningResult all = MineAllFrequent(index, options);
-  for (const PatternRecord& r : all.patterns) {
-    if (r.pattern.size() > 3) continue;
-    std::vector<uint32_t> per_seq = PerSequenceSupport(index, r.pattern);
+  for (const PatternRow r : all.patterns) {
+    if (r.events.size() > 3) continue;
+    std::vector<uint32_t> per_seq = PerSequenceSupport(index, r.pattern());
     for (SeqId i = 0; i < db.size(); ++i) {
-      EXPECT_EQ(per_seq[i], ReferenceSequenceSupport(db[i], r.pattern));
+      EXPECT_EQ(per_seq[i], ReferenceSequenceSupport(db[i], r.pattern()));
     }
   }
 }

@@ -25,6 +25,8 @@ namespace gsgrow {
 namespace {
 
 using testing::AsSet;
+using testing::FirstRows;
+using testing::SortedRows;
 
 // Small randomized corpora with heavy event reuse so patterns actually
 // repeat (both across sequences and within one sequence).
@@ -99,10 +101,10 @@ TEST(EngineParity, SupportsAgreeWithFromScratchComputeSupportSet) {
     options.max_pattern_length = 5;
     MiningResult result = RunEngineAllFrequent(index, options);
     ASSERT_FALSE(result.stats.truncated);
-    for (const PatternRecord& r : result.patterns) {
-      EXPECT_EQ(ComputeSupportSet(index, r.pattern).size(), r.support)
+    for (const PatternRow r : result.patterns) {
+      EXPECT_EQ(ComputeSupportSet(index, r.pattern()).size(), r.support)
           << "seed=" << seed << " "
-          << r.pattern.ToCompactString(db.dictionary());
+          << r.pattern().ToCompactString(db.dictionary());
     }
   }
 }
@@ -119,7 +121,7 @@ TEST(EngineParity, MatchesBreadthFirstEnumeration) {
     options.max_pattern_length = 4;
     MiningResult result = RunEngineAllFrequent(index, options);
 
-    std::vector<PatternRecord> expected;
+    PatternTable expected;
     std::vector<Pattern> frontier = {Pattern()};
     for (size_t len = 0; len < 4; ++len) {
       std::vector<Pattern> next;
@@ -128,7 +130,7 @@ TEST(EngineParity, MatchesBreadthFirstEnumeration) {
           Pattern grown = p.Grow(e);
           uint64_t support = ComputeSupportSet(index, grown).size();
           if (support >= options.min_support) {
-            expected.push_back({grown, support});
+            expected.Append(grown.events(), support);
             next.push_back(std::move(grown));
           }
         }
@@ -155,11 +157,7 @@ TEST(EngineParity, TopKSinkEqualsSortedClosedPrefix) {
     ClosurePruning closure_full(index, options);
     MiningResult closed =
         GrowthEngine(extension, closure_full, CollectSink(), options).Run();
-    std::sort(closed.patterns.begin(), closed.patterns.end(),
-              [](const PatternRecord& a, const PatternRecord& b) {
-                if (a.support != b.support) return a.support > b.support;
-                return a.pattern < b.pattern;
-              });
+    closed.patterns = SortedRows(closed.patterns, TopKSink::Better);
 
     for (size_t k : {1u, 3u, 7u}) {
       ClosurePruning closure(index, options);
@@ -190,7 +188,7 @@ TEST(EngineParity, ClosedMiningMatchesFilteredAllFrequent) {
     MinerOptions options;
     options.min_support = 4 + seed % 3;
     const MiningResult all = MineAllFrequent(index, options);
-    const std::vector<PatternRecord> oracle = FilterClosed(all.patterns);
+    const PatternTable oracle = FilterClosed(all.patterns);
     for (bool lb_pruning : {true, false}) {
       options.use_landmark_border_pruning = lb_pruning;
       MiningResult closed = MineClosedFrequent(index, options);
@@ -272,19 +270,20 @@ TEST(EngineParity, OccurrenceBoundKeepsAnswersOnWideAlphabet) {
 // TopKSink that also records every emission, kept by the heap or not.
 class RecordingTopKSink {
  public:
-  RecordingTopKSink(size_t k, std::vector<PatternRecord>* emitted)
+  RecordingTopKSink(size_t k, PatternTable* emitted)
       : heap_(k, 1), emitted_(emitted) {}
+  void BeginRoot(size_t root) { heap_.BeginRoot(root); }
   void Emit(const std::vector<EventId>& events, uint64_t support,
             const SupportSet& support_set) {
-    emitted_->push_back(PatternRecord{Pattern(events), support});
+    emitted_->Append(events, support);
     heap_.Emit(events, support, support_set);
   }
   uint64_t SupportFloor() const { return heap_.SupportFloor(); }
-  std::vector<PatternRecord> Take() { return heap_.Take(); }
+  PatternTable Take() { return heap_.Take(); }
 
  private:
   TopKSink heap_;
-  std::vector<PatternRecord>* emitted_;
+  PatternTable* emitted_;
 };
 
 // Top-K raises the floor as the heap fills, so later roots start below it.
@@ -299,39 +298,37 @@ TEST(EngineParity, TopKOccurrenceBoundKeepsClosureBelowTheFloor) {
     MinerOptions options;
     options.min_support = 2;
     options.use_candidate_list = false;
-    std::vector<PatternRecord> closed =
-        FilterClosed(MineAllFrequent(index, options).patterns);
-    std::sort(closed.begin(), closed.end(), TopKSink::Better);
+    const PatternTable closed = SortedRows(
+        FilterClosed(MineAllFrequent(index, options).patterns),
+        TopKSink::Better);
     std::set<std::pair<Pattern, uint64_t>> closed_set;
-    for (const PatternRecord& r : closed) {
-      closed_set.emplace(r.pattern, r.support);
+    for (const PatternRow r : closed) {
+      closed_set.emplace(r.pattern(), r.support);
     }
     for (size_t k : {1u, 4u, 16u}) {
       const std::string label =
           "seed=" + std::to_string(seed) + " k=" + std::to_string(k);
       ASSERT_GE(closed.size(), k) << label;
-      std::vector<PatternRecord> emitted;
+      PatternTable emitted;
       UnconstrainedExtension extension(index);
       ClosurePruning closure(index, options);
       MiningResult topk =
           GrowthEngine(extension, closure, RecordingTopKSink(k, &emitted),
                        options)
               .Run();
-      for (const PatternRecord& r : emitted) {
-        EXPECT_TRUE(closed_set.count({r.pattern, r.support}))
-            << label << " " << r.pattern.ToCompactString(db.dictionary());
+      for (const PatternRow r : emitted) {
+        EXPECT_TRUE(closed_set.count({r.pattern(), r.support}))
+            << label << " " << r.pattern().ToCompactString(db.dictionary());
       }
-      EXPECT_EQ(topk.patterns,
-                std::vector<PatternRecord>(closed.begin(), closed.begin() + k))
-          << label;
+      EXPECT_EQ(topk.patterns, FirstRows(closed, k)) << label;
     }
     MinerOptions facade;
     facade.k = 8;
     facade.min_length = 2;
-    std::vector<PatternRecord> expected;
-    for (const PatternRecord& r : closed) {
-      if (r.pattern.size() >= 2 && expected.size() < facade.k) {
-        expected.push_back(r);
+    PatternTable expected;
+    for (const PatternRow r : closed) {
+      if (r.events.size() >= 2 && expected.size() < facade.k) {
+        expected.Append(r);
       }
     }
     ASSERT_EQ(expected.size(), facade.k) << "seed=" << seed;
@@ -349,14 +346,14 @@ TEST(EngineParity, FacadesAgreeOnQuestData) {
   auto all = AsSet(db, MineAllFrequent(db, options).patterns);
   MiningResult closed = MineClosedFrequent(db, options);
   std::map<Pattern, uint64_t> closed_by_pattern;
-  for (const PatternRecord& r : closed.patterns) {
-    EXPECT_TRUE(all.count({r.pattern.ToCompactString(db.dictionary()),
+  for (const PatternRow r : closed.patterns) {
+    EXPECT_TRUE(all.count({r.pattern().ToCompactString(db.dictionary()),
                            r.support}));
-    closed_by_pattern[r.pattern] = r.support;
+    closed_by_pattern[r.pattern()] = r.support;
   }
   options.k = 5;
-  for (const PatternRecord& r : MineTopKClosed(db, options)) {
-    auto it = closed_by_pattern.find(r.pattern);
+  for (const PatternRow r : MineTopKClosed(db, options)) {
+    auto it = closed_by_pattern.find(r.pattern());
     if (it != closed_by_pattern.end()) {
       EXPECT_EQ(it->second, r.support);
     }

@@ -140,7 +140,7 @@ TEST(MineAllFrequentGapConstrained, MatchesBruteForceEnumeration) {
     MiningResult mined = MineAllFrequentGapConstrained(db, options, gap);
     // Oracle: enumerate all patterns up to length 4 by BFS with exact
     // supports (prefix-Apriori growth is complete; see header).
-    std::vector<PatternRecord> expected;
+    PatternTable expected;
     std::vector<Pattern> frontier = {Pattern()};
     for (size_t len = 0; len < 4; ++len) {
       std::vector<Pattern> next;
@@ -149,7 +149,7 @@ TEST(MineAllFrequentGapConstrained, MatchesBruteForceEnumeration) {
           Pattern grown = p.Grow(e);
           uint64_t support = ExactGapConstrainedSupport(db, grown, gap);
           if (support >= 2) {
-            expected.push_back({grown, support});
+            expected.Append(grown.events(), support);
             next.push_back(std::move(grown));
           }
         }

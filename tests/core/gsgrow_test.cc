@@ -29,9 +29,9 @@ TEST(GSgrow, SupportsAreCorrectOnPaperDatabase) {
   MinerOptions options;
   options.min_support = 3;
   MiningResult result = MineAllFrequent(db, options);
-  for (const PatternRecord& r : result.patterns) {
-    EXPECT_EQ(r.support, ReferenceSupport(db, r.pattern))
-        << r.pattern.ToCompactString(db.dictionary());
+  for (const PatternRow r : result.patterns) {
+    EXPECT_EQ(r.support, ReferenceSupport(db, r.pattern()))
+        << r.pattern().ToCompactString(db.dictionary());
     EXPECT_GE(r.support, 3u);
   }
 }
@@ -42,7 +42,7 @@ TEST(GSgrow, MatchesReferenceEnumerationOnPaperDatabase) {
     MinerOptions options;
     options.min_support = min_sup;
     MiningResult result = MineAllFrequent(db, options);
-    std::vector<PatternRecord> ref = ReferenceMineAll(db, min_sup);
+    PatternTable ref = ReferenceMineAll(db, min_sup);
     EXPECT_EQ(AsSet(db, result.patterns), AsSet(db, ref))
         << "min_sup=" << min_sup;
   }
@@ -71,8 +71,8 @@ TEST(GSgrow, MaxPatternLengthCapsDepth) {
   options.min_support = 2;
   options.max_pattern_length = 2;
   MiningResult result = MineAllFrequent(db, options);
-  for (const PatternRecord& r : result.patterns) {
-    EXPECT_LE(r.pattern.size(), 2u);
+  for (const PatternRow r : result.patterns) {
+    EXPECT_LE(r.events.size(), 2u);
   }
   EXPECT_EQ(result.stats.max_depth, 2u);
 }
@@ -143,13 +143,12 @@ TEST(GSgrow, PrefixSupportMonotone) {
   options.min_support = 2;
   MiningResult result = MineAllFrequent(db, options);
   std::map<Pattern, uint64_t> by_pattern;
-  for (const PatternRecord& r : result.patterns) {
-    by_pattern[r.pattern] = r.support;
+  for (const PatternRow r : result.patterns) {
+    by_pattern[r.pattern()] = r.support;
   }
-  for (const PatternRecord& r : result.patterns) {
-    if (r.pattern.size() < 2) continue;
-    std::vector<EventId> prefix_events(r.pattern.events().begin(),
-                                       r.pattern.events().end() - 1);
+  for (const PatternRow r : result.patterns) {
+    if (r.events.size() < 2) continue;
+    std::vector<EventId> prefix_events(r.events.begin(), r.events.end() - 1);
     Pattern prefix(prefix_events);
     ASSERT_TRUE(by_pattern.count(prefix));
     EXPECT_GE(by_pattern[prefix], r.support);

@@ -247,8 +247,8 @@ TEST_F(TableIIIDb, NoClosedPatternHasAAPrefix) {
   MinerOptions options;
   options.min_support = 3;
   MiningResult closed = MineClosedFrequent(db_, options);
-  for (const PatternRecord& r : closed.patterns) {
-    std::string s = r.pattern.ToCompactString(db_.dictionary());
+  for (const PatternRow r : closed.patterns) {
+    std::string s = r.pattern().ToCompactString(db_.dictionary());
     EXPECT_FALSE(s.rfind("AA", 0) == 0) << "closed pattern with AA prefix: "
                                         << s;
   }
@@ -273,7 +273,7 @@ TEST_F(TableIIIDb, AllMinersAgreeWithReferenceAtMinSup3) {
   MinerOptions options;
   options.min_support = 3;
   MiningResult all = MineAllFrequent(db_, options);
-  std::vector<PatternRecord> ref = ReferenceMineAll(db_, 3);
+  PatternTable ref = ReferenceMineAll(db_, 3);
   EXPECT_EQ(AsSet(db_, all.patterns), AsSet(db_, ref));
   EXPECT_EQ(all.patterns.size(), 23u);
 

@@ -118,7 +118,7 @@ TEST(ParallelEngine, TopKParityAcrossThreadCounts) {
     options.k = 7;
     options.min_length = 2;
     options.max_pattern_length = 5;
-    std::vector<PatternRecord> baseline = MineTopKClosed(db, options);
+    PatternTable baseline = MineTopKClosed(db, options);
     for (size_t threads : {2u, 8u}) {
       options.num_threads = threads;
       EXPECT_EQ(baseline, MineTopKClosed(db, options))
@@ -128,8 +128,8 @@ TEST(ParallelEngine, TopKParityAcrossThreadCounts) {
 }
 
 // Acceptance criterion of the annotation layer (DESIGN.md §7): ANNOTATED
-// output — records including their Table-I annotation blocks, which
-// PatternRecord equality covers — is byte-identical at 1, 2, and 8 workers.
+// output — rows including their Table-I annotation blocks, which
+// PatternTable equality covers — is byte-identical at 1, 2, and 8 workers.
 // Annotations are a pure function of (pattern, database, selection), so the
 // canonical merge needs no annotation-specific logic; this pins that.
 TEST(ParallelEngine, AnnotatedParityAcrossThreadCounts) {
@@ -144,7 +144,7 @@ TEST(ParallelEngine, AnnotatedParityAcrossThreadCounts) {
     MiningResult closed_baseline = MineClosedFrequent(index, options);
     MiningResult all_baseline = MineAllFrequent(index, options);
     ASSERT_FALSE(closed_baseline.stats.truncated);
-    for (const PatternRecord& r : closed_baseline.patterns) {
+    for (const PatternRow r : closed_baseline.patterns) {
       ASSERT_FALSE(r.annotations.empty());
     }
     for (size_t threads : {2u, 8u}) {
@@ -170,10 +170,10 @@ TEST(ParallelEngine, AnnotatedTopKParityAcrossThreadCounts) {
   options.max_pattern_length = 5;
   options.semantics.sequence_count = true;
   options.semantics.iterative = true;
-  std::vector<PatternRecord> baseline = MineTopKClosed(db, options);
+  PatternTable baseline = MineTopKClosed(db, options);
   ASSERT_FALSE(baseline.empty());
-  for (const PatternRecord& r : baseline) {
-    EXPECT_EQ(r.annotations.values.size(), 2u);
+  for (const PatternRow r : baseline) {
+    EXPECT_EQ(r.annotations.size(), 2u);
   }
   for (size_t threads : {2u, 8u}) {
     options.num_threads = threads;
@@ -210,10 +210,11 @@ TEST(ParallelEngine, PatternsAreInCanonicalOrder) {
       MiningResult all = MineAllFrequent(db, options);
       MiningResult closed = MineClosedFrequent(db, options);
       EXPECT_TRUE(std::is_sorted(all.patterns.begin(), all.patterns.end(),
-                                 CanonicalPatternLess))
+                                 testing::CanonicalRowLess))
           << "threads=" << threads << " truncate=" << truncate;
       EXPECT_TRUE(std::is_sorted(closed.patterns.begin(),
-                                 closed.patterns.end(), CanonicalPatternLess))
+                                 closed.patterns.end(),
+                                 testing::CanonicalRowLess))
           << "threads=" << threads << " truncate=" << truncate;
     }
   }
@@ -292,11 +293,11 @@ TEST(ParallelEngine, TopKTieBreakAtSupportFloorIsCanonical) {
   options.k = 4;
   for (size_t threads : {1u, 2u, 8u}) {
     options.num_threads = threads;
-    std::vector<PatternRecord> top = MineTopKClosed(db, options);
+    PatternTable top = MineTopKClosed(db, options);
     ASSERT_EQ(top.size(), 4u) << "threads=" << threads;
     const char* expected[] = {"A", "B", "C", "D"};
     for (size_t i = 0; i < top.size(); ++i) {
-      EXPECT_EQ(top[i].pattern.ToCompactString(db.dictionary()), expected[i])
+      EXPECT_EQ(top[i].pattern().ToCompactString(db.dictionary()), expected[i])
           << "threads=" << threads << " i=" << i;
       EXPECT_EQ(top[i].support, 3u) << "threads=" << threads << " i=" << i;
     }

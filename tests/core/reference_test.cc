@@ -69,7 +69,7 @@ TEST(ReferenceSupport, PaperExampleValues) {
 
 TEST(ReferenceMineAll, TinyDatabase) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABAB"});
-  std::vector<PatternRecord> all = ReferenceMineAll(db, 2);
+  PatternTable all = ReferenceMineAll(db, 2);
   auto set = testing::AsSet(db, all);
   std::set<std::pair<std::string, uint64_t>> expected = {
       {"A", 2}, {"B", 2}, {"AB", 2}};
@@ -78,15 +78,15 @@ TEST(ReferenceMineAll, TinyDatabase) {
 
 TEST(ReferenceMineAll, RespectsMaxLength) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCABCABC"});
-  for (const PatternRecord& r : ReferenceMineAll(db, 1, 3)) {
-    EXPECT_LE(r.pattern.size(), 3u);
+  for (const PatternRow r : ReferenceMineAll(db, 1, 3)) {
+    EXPECT_LE(r.events.size(), 3u);
   }
 }
 
 TEST(FilterClosed, DropsNonClosedOnly) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCABC", "ABC"});
-  std::vector<PatternRecord> all = ReferenceMineAll(db, 3);
-  std::vector<PatternRecord> closed = FilterClosed(all);
+  PatternTable all = ReferenceMineAll(db, 3);
+  PatternTable closed = FilterClosed(all);
   auto closed_set = testing::AsSet(db, closed);
   // sup(A)=sup(AB)=sup(ABC)=3: only ABC survives.
   EXPECT_FALSE(closed_set.count({"A", 3}));
@@ -96,7 +96,7 @@ TEST(FilterClosed, DropsNonClosedOnly) {
 
 TEST(FilterClosed, KeepsPatternsWithUniqueSupport) {
   SequenceDatabase db = MakeDatabaseFromStrings({"AABC"});
-  std::vector<PatternRecord> all = ReferenceMineAll(db, 1);
+  PatternTable all = ReferenceMineAll(db, 1);
   auto closed_set = testing::AsSet(db, FilterClosed(all));
   EXPECT_TRUE(closed_set.count({"A", 2}));   // sup(A)=2 > any super-pattern
   EXPECT_TRUE(closed_set.count({"AABC", 1}));

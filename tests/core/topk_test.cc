@@ -16,7 +16,7 @@ TEST(TopK, ReturnsHighestSupportClosedPatterns) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCACBDDB", "ACDBACADD"});
   MinerOptions options;
   options.k = 3;
-  std::vector<PatternRecord> top = MineTopKClosed(db, options);
+  PatternTable top = MineTopKClosed(db, options);
   ASSERT_EQ(top.size(), 3u);
   // Sorted by support descending.
   EXPECT_GE(top[0].support, top[1].support);
@@ -27,7 +27,7 @@ TEST(TopK, ReturnsHighestSupportClosedPatterns) {
   full.min_support = 1;
   MiningResult closed = MineClosedFrequent(db, full);
   uint64_t best = 0;
-  for (const PatternRecord& r : closed.patterns) {
+  for (const PatternRow r : closed.patterns) {
     best = std::max(best, r.support);
   }
   EXPECT_EQ(top[0].support, best);
@@ -37,15 +37,11 @@ TEST(TopK, MatchesFullMiningPrefix) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABCABCABC", "CABCAB"});
   MinerOptions options;
   options.k = 5;
-  std::vector<PatternRecord> top = MineTopKClosed(db, options);
+  PatternTable top = MineTopKClosed(db, options);
   MinerOptions full;
   full.min_support = 1;
   MiningResult closed = MineClosedFrequent(db, full);
-  std::sort(closed.patterns.begin(), closed.patterns.end(),
-            [](const PatternRecord& a, const PatternRecord& b) {
-              if (a.support != b.support) return a.support > b.support;
-              return a.pattern < b.pattern;
-            });
+  closed.patterns = testing::SortedRows(closed.patterns, TopKSink::Better);
   ASSERT_LE(top.size(), closed.patterns.size());
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].support, closed.patterns[i].support) << i;
@@ -77,7 +73,7 @@ TEST(TopK, StatsSumEveryDescentStep) {
     const MiningResult closed = MineClosedFrequent(index, step);
     const size_t qualifying = static_cast<size_t>(std::count_if(
         closed.patterns.begin(), closed.patterns.end(),
-        [](const PatternRecord& r) { return r.pattern.size() >= 2; }));
+        [](const PatternRow& r) { return r.events.size() >= 2; }));
     if (qualifying >= options.k || threshold == 1) break;
     AccumulateStats(closed.stats, &earlier);
     threshold = std::max<uint64_t>(1, threshold / 2);
@@ -108,10 +104,10 @@ TEST(TopK, MinLengthFiltersSingleEvents) {
   MinerOptions options;
   options.k = 2;
   options.min_length = 2;
-  std::vector<PatternRecord> top = MineTopKClosed(db, options);
+  PatternTable top = MineTopKClosed(db, options);
   ASSERT_FALSE(top.empty());
-  for (const PatternRecord& r : top) {
-    EXPECT_GE(r.pattern.size(), 2u);
+  for (const PatternRow r : top) {
+    EXPECT_GE(r.events.size(), 2u);
   }
 }
 
@@ -119,11 +115,11 @@ TEST(TopK, KLargerThanPatternCount) {
   SequenceDatabase db = MakeDatabaseFromStrings({"AB"});
   MinerOptions options;
   options.k = 100;
-  std::vector<PatternRecord> top = MineTopKClosed(db, options);
+  PatternTable top = MineTopKClosed(db, options);
   // Only closed patterns exist: A, B, AB all with support 1 -> AB closed,
   // A and B non-closed. Exactly one pattern.
   ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].pattern.size(), 2u);
+  EXPECT_EQ(top[0].events.size(), 2u);
 }
 
 TEST(TopK, EmptyDatabase) {
@@ -139,9 +135,9 @@ TEST(TopK, JBossStyleTopPatternIsLockUnlockHeavy) {
   MinerOptions options;
   options.k = 1;
   options.min_length = 2;
-  std::vector<PatternRecord> top = MineTopKClosed(db, options);
+  PatternTable top = MineTopKClosed(db, options);
   ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].pattern.ToCompactString(db.dictionary()), "LU");
+  EXPECT_EQ(top[0].pattern().ToCompactString(db.dictionary()), "LU");
   EXPECT_EQ(top[0].support, 9u);
 }
 

@@ -61,8 +61,8 @@ TEST(QuestGenerator, EmbeddedPatternsRepeat) {
   options.max_pattern_length = 3;
   MiningResult result = MineAllFrequent(db, options);
   bool found_multi_event = false;
-  for (const PatternRecord& r : result.patterns) {
-    if (r.pattern.size() >= 2) found_multi_event = true;
+  for (const PatternRow r : result.patterns) {
+    if (r.events.size() >= 2) found_multi_event = true;
   }
   EXPECT_TRUE(found_multi_event);
 }

@@ -67,7 +67,7 @@ TEST(EndToEnd, SpmfRoundTripPreservesMiningResults) {
   // SPMF keeps raw ids, so pattern sets match exactly by id.
   ASSERT_EQ(a.patterns.size(), b.patterns.size());
   for (size_t i = 0; i < a.patterns.size(); ++i) {
-    EXPECT_EQ(a.patterns[i].pattern.events(), b.patterns[i].pattern.events());
+    EXPECT_EQ(a.patterns[i].pattern(), b.patterns[i].pattern());
     EXPECT_EQ(a.patterns[i].support, b.patterns[i].support);
   }
 }
@@ -81,22 +81,22 @@ TEST(EndToEnd, TraceMiningPipeline) {
   MiningResult closed = MineClosedFrequent(db, options);
   ASSERT_FALSE(closed.patterns.empty());
 
-  std::vector<PatternRecord> report = CaseStudyPipeline(closed.patterns);
+  PatternTable report = CaseStudyPipeline(closed.patterns);
   ASSERT_FALSE(report.empty());
   // Ranking: lengths non-increasing.
   for (size_t i = 1; i < report.size(); ++i) {
-    EXPECT_LE(report[i].pattern.size(), report[i - 1].pattern.size());
+    EXPECT_LE(report[i].events.size(), report[i - 1].events.size());
   }
   // Density filter respected.
-  for (const PatternRecord& r : report) {
-    EXPECT_GT(PatternDensity(r.pattern), 0.4);
+  for (const PatternRow r : report) {
+    EXPECT_GT(PatternDensity(r.events), 0.4);
   }
   // Maximality: no report pattern is a sub-pattern of another.
   for (size_t i = 0; i < report.size(); ++i) {
     for (size_t j = 0; j < report.size(); ++j) {
       if (i == j) continue;
-      if (report[i].pattern.size() < report[j].pattern.size()) {
-        EXPECT_FALSE(report[i].pattern.IsSubsequenceOf(report[j].pattern));
+      if (report[i].events.size() < report[j].events.size()) {
+        EXPECT_FALSE(IsSubsequence(report[i].events, report[j].events));
       }
     }
   }
@@ -109,14 +109,14 @@ TEST(EndToEnd, FeaturePipelineOnMinedPatterns) {
   topk.min_length = 2;
   topk.max_pattern_length = 4;
   topk.time_budget_seconds = 20.0;
-  std::vector<PatternRecord> top = MineTopKClosed(db, topk);
+  PatternTable top = MineTopKClosed(db, topk);
   ASSERT_FALSE(top.empty());
 
   // The paper's per-sequence feature values (§V) of each top-K pattern sum
   // to its total repetitive support.
   InvertedIndex index(db);
-  for (const PatternRecord& r : top) {
-    std::vector<uint32_t> features = PerSequenceSupport(index, r.pattern);
+  for (const PatternRow r : top) {
+    std::vector<uint32_t> features = PerSequenceSupport(index, r.pattern());
     ASSERT_EQ(features.size(), db.size());
     uint64_t total = 0;
     for (uint32_t value : features) total += value;

@@ -18,7 +18,7 @@ TEST(PatternIo, WriteFormat) {
   EventDictionary dict;
   dict.Intern("lock");
   dict.Intern("unlock");
-  std::vector<PatternRecord> records = {{Pattern({0, 1}), 321}};
+  PatternTable records = testing::MakeTable({{Pattern({0, 1}), 321}});
   std::string text = WritePatterns(records, dict);
   EXPECT_NE(text.find("321\tlock unlock"), std::string::npos);
 }
@@ -31,13 +31,13 @@ TEST(PatternIo, RoundTrip) {
   std::string text = WritePatterns(closed.patterns, db.dictionary());
 
   EventDictionary dict;
-  Result<std::vector<PatternRecord>> restored = ParsePatterns(text, &dict);
+  Result<PatternTable> restored = ParsePatterns(text, &dict);
   ASSERT_TRUE(restored.ok());
   ASSERT_EQ(restored->size(), closed.patterns.size());
   for (size_t i = 0; i < restored->size(); ++i) {
     EXPECT_EQ((*restored)[i].support, closed.patterns[i].support);
-    EXPECT_EQ((*restored)[i].pattern.ToString(dict),
-              closed.patterns[i].pattern.ToString(db.dictionary()));
+    EXPECT_EQ((*restored)[i].pattern().ToString(dict),
+              closed.patterns[i].pattern().ToString(db.dictionary()));
   }
 }
 
@@ -50,11 +50,11 @@ TEST(PatternIo, ReloadedPatternsEvaluateOnDatabase) {
   MiningResult closed = MineClosedFrequent(db, options);
   std::string text = WritePatterns(closed.patterns, db.dictionary());
   EventDictionary* dict = db.mutable_dictionary();
-  Result<std::vector<PatternRecord>> restored = ParsePatterns(text, dict);
+  Result<PatternTable> restored = ParsePatterns(text, dict);
   ASSERT_TRUE(restored.ok());
   InvertedIndex index(db);
-  for (const PatternRecord& r : *restored) {
-    EXPECT_EQ(ComputeSupport(index, r.pattern), r.support);
+  for (const PatternRow r : *restored) {
+    EXPECT_EQ(ComputeSupport(index, r.pattern()), r.support);
   }
 }
 
@@ -65,7 +65,7 @@ TEST(PatternIo, WritesAnnotationBlock) {
   SemanticsAnnotations ann;
   ann.values.push_back({SemanticsMeasure::kFixedWindow, 4});
   ann.values.push_back({SemanticsMeasure::kIterative, 3});
-  std::vector<PatternRecord> records = {{Pattern({0, 1}), 7, ann}};
+  PatternTable records = testing::MakeTable({{Pattern({0, 1}), 7, ann}});
   std::string text = WritePatterns(records, dict);
   EXPECT_NE(text.find("7\ta b\t|\tfixed_window=4 iterative=3"),
             std::string::npos);
@@ -82,29 +82,29 @@ TEST(PatternIo, AnnotatedRoundTripIsExact) {
                                             /*min_gap=*/0, /*max_gap=*/3);
   MiningResult mined = MineClosedFrequent(db, options);
   ASSERT_FALSE(mined.patterns.empty());
-  ASSERT_FALSE(mined.patterns[0].annotations.empty());
+  ASSERT_TRUE(mined.patterns.annotated());
   std::string text = WritePatterns(mined.patterns, db.dictionary());
 
   EventDictionary* dict = db.mutable_dictionary();
-  Result<std::vector<PatternRecord>> restored = ParsePatterns(text, dict);
+  Result<PatternTable> restored = ParsePatterns(text, dict);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, mined.patterns);
 }
 
 TEST(PatternIo, MixedAnnotatedAndPlainLines) {
   EventDictionary dict;
-  Result<std::vector<PatternRecord>> r = ParsePatterns(
+  Result<PatternTable> r = ParsePatterns(
       "5\ta b\n3\tb a\t|\tsequence_count=2 iterative=1\n", &dict);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->size(), 2u);
   EXPECT_TRUE((*r)[0].annotations.empty());
-  ASSERT_EQ((*r)[1].annotations.values.size(), 2u);
-  EXPECT_EQ((*r)[1].annotations.values[0].measure,
+  ASSERT_EQ((*r)[1].annotations.size(), 2u);
+  EXPECT_EQ((*r)[1].annotations[0].measure,
             SemanticsMeasure::kSequenceCount);
-  EXPECT_EQ((*r)[1].annotations.values[0].value, 2u);
-  EXPECT_EQ((*r)[1].annotations.values[1].measure,
+  EXPECT_EQ((*r)[1].annotations[0].value, 2u);
+  EXPECT_EQ((*r)[1].annotations[1].measure,
             SemanticsMeasure::kIterative);
-  EXPECT_EQ((*r)[1].annotations.values[1].value, 1u);
+  EXPECT_EQ((*r)[1].annotations[1].value, 1u);
 }
 
 TEST(PatternIo, RejectsMalformedAnnotations) {
@@ -128,8 +128,8 @@ TEST(PatternIo, SaturatedAnnotationValuesRoundTrip) {
   SemanticsAnnotations ann;
   ann.values.push_back(
       {SemanticsMeasure::kGapOccurrences, UINT64_MAX});
-  std::vector<PatternRecord> records = {{Pattern({0}), 2, ann}};
-  Result<std::vector<PatternRecord>> restored =
+  PatternTable records = testing::MakeTable({{Pattern({0}), 2, ann}});
+  Result<PatternTable> restored =
       ParsePatterns(WritePatterns(records, dict), &dict);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, records);
@@ -139,21 +139,21 @@ TEST(PatternIo, PipeEventNamesStayEvents) {
   // "|" is only the annotation separator when followed exclusively by
   // name=value pairs; databases whose alphabet contains "|" keep parsing.
   EventDictionary dict;
-  Result<std::vector<PatternRecord>> r =
+  Result<PatternTable> r =
       ParsePatterns("5\ta | b\n3\t|\n", &dict);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->size(), 2u);
-  EXPECT_EQ((*r)[0].pattern.size(), 3u);
+  EXPECT_EQ((*r)[0].events.size(), 3u);
   EXPECT_TRUE((*r)[0].annotations.empty());
-  EXPECT_EQ((*r)[1].pattern.size(), 1u);
+  EXPECT_EQ((*r)[1].events.size(), 1u);
 
   // And a "|" event WITH annotations round-trips through the writer.
   EventDictionary pipe_dict;
   pipe_dict.Intern("|");
   SemanticsAnnotations ann;
   ann.values.push_back({SemanticsMeasure::kIterative, 4});
-  std::vector<PatternRecord> records = {{Pattern({0}), 4, ann}};
-  Result<std::vector<PatternRecord>> restored =
+  PatternTable records = testing::MakeTable({{Pattern({0}), 4, ann}});
+  Result<PatternTable> restored =
       ParsePatterns(WritePatterns(records, pipe_dict), &pipe_dict);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, records);
@@ -161,12 +161,12 @@ TEST(PatternIo, PipeEventNamesStayEvents) {
 
 TEST(PatternIo, SkipsCommentsAndBlankLines) {
   EventDictionary dict;
-  Result<std::vector<PatternRecord>> r =
+  Result<PatternTable> r =
       ParsePatterns("# header\n\n5\ta b\n", &dict);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0].support, 5u);
-  EXPECT_EQ((*r)[0].pattern.size(), 2u);
+  EXPECT_EQ((*r)[0].events.size(), 2u);
 }
 
 TEST(PatternIo, RejectsMalformedLines) {
@@ -182,10 +182,10 @@ TEST(PatternIo, FileRoundTrip) {
                          .string();
   EventDictionary dict;
   dict.Intern("x");
-  std::vector<PatternRecord> records = {{Pattern({0}), 7}};
+  PatternTable records = testing::MakeTable({{Pattern({0}), 7}});
   ASSERT_TRUE(WritePatternsFile(records, dict, path).ok());
   EventDictionary dict2;
-  Result<std::vector<PatternRecord>> restored =
+  Result<PatternTable> restored =
       ReadPatternsFile(path, &dict2);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)[0].support, 7u);

@@ -1,11 +1,15 @@
 // Parsing and formatting of the serve protocol (io/request_io.h).
 
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
+#include "core/semantics_sink.h"
 #include "core/sequence_database.h"
 #include "io/request_io.h"
 #include "serve/mining_service.h"
@@ -102,9 +106,8 @@ TEST(RequestIo, FormatsResponses) {
   SequenceDatabase db = MakeDatabaseFromStrings({"ABC"});
   MineResponse response;
   response.epoch = 4;
-  response.patterns.push_back(
-      PatternRecord{Pattern({0u, 1u}), 3});
-  response.patterns.push_back(PatternRecord{Pattern({2u}), 2});
+  response.patterns.Append(std::vector<EventId>{0u, 1u}, 3);
+  response.patterns.Append(std::vector<EventId>{2u}, 2);
   EXPECT_EQ(FormatMineResponse(response, db.dictionary(),
                                static_cast<size_t>(-1)),
             "result patterns=2 epoch=4\n3\tA B\n2\tC\n");
@@ -120,6 +123,49 @@ TEST(RequestIo, FormatsResponses) {
   failed.status = Status::InvalidArgument("k must be >= 1");
   EXPECT_EQ(FormatMineResponse(failed, db.dictionary(), 9),
             "error InvalidArgument: k must be >= 1\n");
+}
+
+// The streaming writer and FormatMineResponse must agree byte for byte on
+// every response shape the protocol can produce.
+TEST(RequestIo, StreamingWriterEqualsFormatter) {
+  SequenceDatabase db = MakeDatabaseFromStrings(
+      {"ABCACBDDBACDBACADDABCACBDDBACDBACADD",
+       "ACDBACADDABCACBDDBACDBACADDABCACBDDB"});
+  std::vector<MineResponse> responses;
+  responses.emplace_back();  // an empty answer
+  MineResponse failed;
+  failed.status = Status::InvalidArgument("k must be >= 1");
+  responses.push_back(failed);
+  for (bool annotate : {false, true}) {
+    MineRequest request;
+    request.miner = MineRequest::Miner::kAll;
+    request.options.min_support = 1;
+    request.options.max_pattern_length = 7;
+    if (annotate) {
+      request.options.semantics = SemanticsOptions::All(4, 0, 3);
+    }
+    MineResponse mined = MiningService::ExecuteOn(
+        ServiceSnapshot{InvertedIndex(db),
+                        std::make_shared<SnapshotNames>(db.dictionary()), 7},
+        request);
+    ASSERT_TRUE(mined.status.ok());
+    // Large enough that the writer hands the stream several chunks.
+    ASSERT_GT(FormatMineResponse(mined, db.dictionary(), SIZE_MAX).size(),
+              size_t{128} << 10);
+    responses.push_back(mined);
+    mined.stats.truncated = true;
+    mined.stats.truncated_reason = "max_patterns";
+    responses.push_back(mined);
+  }
+  for (size_t r = 0; r < responses.size(); ++r) {
+    for (size_t limit : {size_t{0}, size_t{1}, size_t{1000}, SIZE_MAX}) {
+      std::ostringstream streamed;
+      WriteMineResponse(responses[r], db.dictionary(), limit, streamed);
+      EXPECT_EQ(streamed.str(),
+                FormatMineResponse(responses[r], db.dictionary(), limit))
+          << "response " << r << " limit=" << limit;
+    }
+  }
 }
 
 TEST(RequestIo, ZeroMaxLenAnswersAnError) {

@@ -74,6 +74,19 @@ TEST(Coding, FixedWidthRoundTrip) {
   EXPECT_EQ(offset, buf.size());
 }
 
+TEST(Coding, ArrayEncodingIsPerWordEncoding) {
+  const std::vector<uint32_t> values = {0u, 1u, 0x01020304u, 0xFFFFFFFFu,
+                                        0x80000000u};
+  std::string per_word;
+  for (const uint32_t v : values) PutFixed32(&per_word, v);
+  std::string array(values.size() * 4, '\0');
+  EncodeFixed32Array(values, array.data());
+  EXPECT_EQ(array, per_word);
+  std::string empty;
+  EncodeFixed32Array({}, empty.data());
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(Coding, ReadersRefuseShortBuffers) {
   std::string buf;
   PutFixed32(&buf, 7);

@@ -46,13 +46,14 @@ SemanticsOptions AllMeasures() {
 }
 
 void ExpectAnnotationsMatchPostHoc(const SequenceDatabase& db,
-                                   const std::vector<PatternRecord>& records,
+                                   const PatternTable& records,
                                    const SemanticsOptions& semantics,
                                    const std::string& label) {
-  for (const PatternRecord& r : records) {
-    EXPECT_EQ(r.annotations, AnnotatePostHoc(db, r.pattern, semantics))
+  for (const PatternRow r : records) {
+    EXPECT_EQ(r.annotation_block(),
+              AnnotatePostHoc(db, r.pattern(), semantics))
         << label << " pattern="
-        << r.pattern.ToCompactString(db.dictionary());
+        << r.pattern().ToCompactString(db.dictionary());
   }
 }
 
@@ -89,7 +90,7 @@ TEST_P(SemanticsSinkProperty, AllFrequentOnePassEqualsPostHoc) {
   for (size_t threads : {2u, 8u}) {
     options.num_threads = threads;
     MiningResult parallel = MineAllFrequent(db, options);
-    // PatternRecord equality covers the annotation block, so this pins
+    // PatternTable equality covers the annotation column, so this pins
     // byte-identical annotated output across worker counts.
     EXPECT_EQ(baseline.patterns, parallel.patterns)
         << "threads=" << threads;
@@ -144,11 +145,11 @@ TEST_P(SemanticsSinkProperty, TopKOnePassEqualsPostHoc) {
   options.min_length = 2;
   options.max_pattern_length = 4;
   options.semantics = AllMeasures();
-  std::vector<PatternRecord> baseline = MineTopKClosed(db, options);
+  PatternTable baseline = MineTopKClosed(db, options);
   ExpectAnnotationsMatchPostHoc(db, baseline, options.semantics, "topk");
   // Every kept record must actually carry the block (WouldKeep only skips
   // records the heap rejects).
-  for (const PatternRecord& r : baseline) {
+  for (const PatternRow r : baseline) {
     EXPECT_FALSE(r.annotations.empty());
   }
   for (size_t threads : {2u, 8u}) {
@@ -181,22 +182,23 @@ TEST(SemanticsSink, PaperExampleAnnotations) {
   MiningResult result = MineClosedFrequent(db, options);
   const Pattern ab = MakePattern(db, "AB");
   bool found = false;
-  for (const PatternRecord& r : result.patterns) {
-    if (r.pattern != ab) continue;
+  for (const PatternRow r : result.patterns) {
+    if (r.pattern() != ab) continue;
     found = true;
     EXPECT_EQ(r.support, 4u);
+    const SemanticsAnnotations block = r.annotation_block();
     uint64_t v = 0;
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kSequenceCount, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kSequenceCount, &v));
     EXPECT_EQ(v, 2u);
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kFixedWindow, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kFixedWindow, &v));
     EXPECT_EQ(v, 5u);  // 4 windows in S1 (paper) + 1 in S2
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kMinimalWindow, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kMinimalWindow, &v));
     EXPECT_EQ(v, 3u);  // 2 in S1 (paper) + 1 in S2
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kGapOccurrences, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kGapOccurrences, &v));
     EXPECT_EQ(v, 5u);  // 4 in S1 (paper) + 1 in S2
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kInteraction, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kInteraction, &v));
     EXPECT_EQ(v, 9u);  // paper: 8 in S1 + 1 in S2
-    ASSERT_TRUE(r.annotations.Get(SemanticsMeasure::kIterative, &v));
+    ASSERT_TRUE(block.Get(SemanticsMeasure::kIterative, &v));
     EXPECT_EQ(v, 3u);  // paper: 2 in S1 + 1 in S2
   }
   EXPECT_TRUE(found);
@@ -210,12 +212,12 @@ TEST(SemanticsSink, SelectionControlsBlockContents) {
   options.semantics.sequence_count = true;
   MiningResult result = MineClosedFrequent(db, options);
   ASSERT_FALSE(result.patterns.empty());
-  for (const PatternRecord& r : result.patterns) {
-    ASSERT_EQ(r.annotations.values.size(), 2u);
+  for (const PatternRow r : result.patterns) {
+    ASSERT_EQ(r.annotations.size(), 2u);
     // Canonical order: sequence_count before iterative.
-    EXPECT_EQ(r.annotations.values[0].measure,
+    EXPECT_EQ(r.annotations[0].measure,
               SemanticsMeasure::kSequenceCount);
-    EXPECT_EQ(r.annotations.values[1].measure, SemanticsMeasure::kIterative);
+    EXPECT_EQ(r.annotations[1].measure, SemanticsMeasure::kIterative);
   }
 }
 
@@ -225,7 +227,7 @@ TEST(SemanticsSink, EmptySelectionYieldsEmptyBlocks) {
   options.min_support = 2;
   MiningResult result = MineClosedFrequent(db, options);
   ASSERT_FALSE(result.patterns.empty());
-  for (const PatternRecord& r : result.patterns) {
+  for (const PatternRow r : result.patterns) {
     EXPECT_TRUE(r.annotations.empty());
   }
 }
@@ -240,7 +242,7 @@ TEST(SemanticsSink, SelectionDoesNotChangeMinedPatterns) {
   MiningResult annotated = MineClosedFrequent(db, annotated_options);
   ASSERT_EQ(plain.patterns.size(), annotated.patterns.size());
   for (size_t i = 0; i < plain.patterns.size(); ++i) {
-    EXPECT_EQ(plain.patterns[i].pattern, annotated.patterns[i].pattern);
+    EXPECT_EQ(plain.patterns[i].pattern(), annotated.patterns[i].pattern());
     EXPECT_EQ(plain.patterns[i].support, annotated.patterns[i].support);
   }
   EXPECT_EQ(plain.stats.nodes_visited, annotated.stats.nodes_visited);

@@ -201,7 +201,7 @@ TEST(ResultCache, HostShapeCheckOnlyBindsAnnotatedQueries) {
   const MineResponse annotated_cold = cold.Execute(annotated);
   EXPECT_EQ(Bytes(warm, plain_warm), Bytes(cold, plain_cold));
   EXPECT_EQ(plain_warm.patterns, plain_cold.patterns);
-  // operator== on PatternRecord covers the annotation block, so a stale
+  // PatternTable equality covers the annotation column, so a stale
   // window count served from cache would fail here.
   EXPECT_EQ(annotated_warm.patterns, annotated_cold.patterns);
 

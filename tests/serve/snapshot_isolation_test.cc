@@ -198,23 +198,36 @@ TEST(ServeSnapshotIsolation, AppendWhileMining) {
 // Every query answer of `index`, as text: positions, postings with
 // per-sequence counts, totals and the present events.
 std::string Surface(const InvertedIndex& index) {
-  std::string out = "alphabet " + std::to_string(index.alphabet_size()) + "\n";
+  // Built with += : gcc 12's -O3 -Wrestrict misfires on
+  // `"literal" + std::to_string(...)`.
+  std::string out = "alphabet ";
+  out += std::to_string(index.alphabet_size());
+  out += "\n";
   for (SeqId i = 0; i < index.num_sequences(); ++i) {
-    out += "seq " + std::to_string(i) + "\n";
+    out += "seq ";
+    out += std::to_string(i);
+    out += "\n";
     for (const EventId e : index.EventsInSequence(i)) {
-      out += " e" + std::to_string(e) + ":";
+      out += " e";
+      out += std::to_string(e);
+      out += ":";
       for (const Position p : index.Positions(i, e)) {
-        out += " " + std::to_string(p);
+        out += " ";
+        out += std::to_string(p);
       }
       out += "\n";
     }
   }
   for (const EventId e : index.present_events()) {
-    out += "post e" + std::to_string(e) + " total " +
-           std::to_string(index.TotalCount(e));
+    out += "post e";
+    out += std::to_string(e);
+    out += " total ";
+    out += std::to_string(index.TotalCount(e));
     for (const SeqId seq : index.Postings(e)) {
-      out += " " + std::to_string(seq) + "x" +
-             std::to_string(index.Count(seq, e));
+      out += " ";
+      out += std::to_string(seq);
+      out += "x";
+      out += std::to_string(index.Count(seq, e));
     }
     out += "\n";
   }

@@ -3,6 +3,8 @@
 #ifndef GSGROW_TESTS_TEST_UTIL_H_
 #define GSGROW_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include "core/instance_growth.h"
 #include "core/mining_result.h"
 #include "core/pattern.h"
+#include "core/pattern_table.h"
 #include "core/sequence_database.h"
 #include "util/rng.h"
 
@@ -51,18 +54,62 @@ inline Instance PaperTriple(SeqId seq_1based, Position first_1based,
 
 /// Mining result as a canonical set of (compact pattern string, support).
 inline std::set<std::pair<std::string, uint64_t>> AsSet(
-    const EventDictionary& dictionary,
-    const std::vector<PatternRecord>& records) {
+    const EventDictionary& dictionary, const PatternTable& rows) {
   std::set<std::pair<std::string, uint64_t>> out;
-  for (const PatternRecord& r : records) {
-    out.emplace(r.pattern.ToCompactString(dictionary), r.support);
+  for (const PatternRow r : rows) {
+    out.emplace(r.pattern().ToCompactString(dictionary), r.support);
   }
   return out;
 }
 
 inline std::set<std::pair<std::string, uint64_t>> AsSet(
-    const SequenceDatabase& db, const std::vector<PatternRecord>& records) {
-  return AsSet(db.dictionary(), records);
+    const SequenceDatabase& db, const PatternTable& rows) {
+  return AsSet(db.dictionary(), rows);
+}
+
+/// One row for MakeTable.
+struct RowSpec {
+  Pattern pattern;
+  uint64_t support = 0;
+  SemanticsAnnotations annotations = {};
+};
+
+/// A table of the given rows, in order.
+inline PatternTable MakeTable(std::initializer_list<RowSpec> rows) {
+  PatternTable table;
+  for (const RowSpec& row : rows) {
+    table.Append(row.pattern.events(), row.support, row.annotations);
+  }
+  return table;
+}
+
+/// The canonical order of a collected answer (DESIGN.md §6): lexicographic
+/// on the events, a proper prefix first, then ascending support.
+inline bool CanonicalRowLess(const PatternRow& a, const PatternRow& b) {
+  const auto [ai, bi] = std::mismatch(a.events.begin(), a.events.end(),
+                                      b.events.begin(), b.events.end());
+  if (ai != a.events.end() && bi != b.events.end()) return *ai < *bi;
+  if (a.events.size() != b.events.size()) {
+    return a.events.size() < b.events.size();
+  }
+  return a.support < b.support;
+}
+
+/// `table`'s rows reordered by `less` (a comparator over PatternRow).
+template <typename Less>
+PatternTable SortedRows(const PatternTable& table, Less less) {
+  std::vector<PatternRow> rows(table.begin(), table.end());
+  std::sort(rows.begin(), rows.end(), less);
+  PatternTable out;
+  for (const PatternRow& row : rows) out.Append(row);
+  return out;
+}
+
+/// The first `n` rows of `table` (all of them when it has fewer).
+inline PatternTable FirstRows(const PatternTable& table, size_t n) {
+  PatternTable out;
+  out.AppendRows(table, 0, std::min(n, table.size()));
+  return out;
 }
 
 /// Random database for property tests: `num_seqs` sequences of length in
