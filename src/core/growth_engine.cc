@@ -84,21 +84,28 @@ uint64_t BoundedGapExtension::Support(const GrowthNode& node, EventId e,
 // ClosurePruning
 // ---------------------------------------------------------------------------
 
-EmitDecision ClosurePruning::Decide(const GrowthNode& node,
-                                    bool equal_support_append) {
-  bool non_closed = equal_support_append;
-  // If LB pruning is off we only need closure information, so the scan can
-  // stop once the pattern is known to be non-closed.
-  bool prune = false;
-  if (!non_closed || options_->use_landmark_border_pruning) {
+bool ClosurePruning::PruneSubtree(const GrowthNode& node) {
+  scanned_ = false;
+  insert_non_closed_ = false;
+  // The prune verdict never depends on the append children, so with LBCheck
+  // on the scan runs before they are grown. Without it the scan only serves
+  // CCheck, and ShouldEmit runs it when no equal-support append decides the
+  // node first.
+  if (!options_->use_landmark_border_pruning) return false;
+  scanned_ = true;
+  node.stats.closure_checks++;
+  // Theorem 5: a prune means no closed pattern has node.pattern as a prefix.
+  return CheckInsertExtensions(node, &insert_non_closed_);
+}
+
+bool ClosurePruning::ShouldEmit(const GrowthNode& node,
+                                bool equal_support_append) {
+  if (equal_support_append) return false;
+  if (!scanned_) {
     node.stats.closure_checks++;
-    prune = CheckInsertExtensions(node, &non_closed);
+    CheckInsertExtensions(node, &insert_non_closed_);
   }
-  if (prune) {
-    // Theorem 5: no closed pattern has node.pattern as a prefix.
-    return EmitDecision{.emit = false, .prune_subtree = true};
-  }
-  return EmitDecision{.emit = !non_closed, .prune_subtree = false};
+  return !insert_non_closed_;
 }
 
 // Scans insert/prepend extensions (CCheck cases 2-3 + LBCheck). Sets
@@ -116,8 +123,9 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
   const std::vector<EventId>& pattern = node.pattern;
 
   BuildNodeTables(node);
+  const std::span<const EventId> candidates = intervals_.candidates();
   for (size_t gap = pattern.size(); gap-- > 0;) {
-    for (EventId e : candidates_) {
+    for (size_t j = 0; j < candidates.size(); ++j) {
       // The (gap, candidate) scan is the engine's longest uninterruptible
       // stretch — poll here so a time budget cannot be overshot by a whole
       // closure check, and so a sibling worker's stop lands mid-node. An
@@ -128,8 +136,8 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
       // the same extension pattern as inserting it one gap to the right
       // (ultimately an append, covered by the DFS children) — skip the
       // duplicate here.
-      if (e == pattern[gap]) continue;
-      if (!intervals_.Admits(gap, e, &stats.next_queries)) continue;
+      if (candidates[j] == pattern[gap]) continue;
+      if (!intervals_.AdmitsCandidate(gap, j, &stats.next_queries)) continue;
       *non_closed = true;
       if (!options_->use_landmark_border_pruning) return false;
       uint64_t steps = 0;
@@ -146,43 +154,34 @@ bool ClosurePruning::CheckInsertExtensions(const GrowthNode& node,
 void ClosurePruning::BuildNodeTables(const GrowthNode& node) {
   const InvertedIndex& index = *index_;
   intervals_.Reset(index, node.pattern, node.prefix_sets);
-  const std::span<const std::pair<SeqId, uint32_t>> runs = intervals_.runs();
   // Candidate events, shared by every (gap, candidate) scan of this node.
   // Closure is checked against extensions WITHIN the restricted alphabet
   // (when one is set), matching the projection semantics of the root
   // filter: an out-of-alphabet equal-support extension must not declare an
   // in-alphabet pattern non-closed.
-  candidates_.clear();
+  //
   // Sound filter: an equal-support extension must preserve every n_i, and
   // each of the n_i non-overlapping instances consumes a distinct
   // occurrence of the inserted event, so count_i(e) >= n_i must hold in
   // every relevant sequence (DESIGN.md §1). Enumerate the events of the
-  // first relevant sequence, reading its counts from the block's slots, and
-  // verify the condition against the rest. The pattern's own events pass
+  // first relevant sequence and let the check verify the condition against
+  // every run, keeping the slots it resolves. The pattern's own events pass
   // without the count loop: the n_i instances hold n_i distinct
   // occurrences of every pattern event.
   own_events_.assign(node.pattern.begin(), node.pattern.end());
   std::sort(own_events_.begin(), own_events_.end());
   auto own = own_events_.begin();
-  const auto& [first_seq, first_need] = runs.front();
-  const InvertedIndex::SeqBlock& first = *index.seq_block(first_seq);
+  const InvertedIndex::SeqBlock& first =
+      *index.seq_block(intervals_.runs().front().first);
   for (size_t k = 0; k < first.num_events(); ++k) {
     const EventId e = first.events[k];
     if (!AlphabetAllows(*options_, e)) continue;
     while (own != own_events_.end() && *own < e) ++own;
     if (own != own_events_.end() && *own == e) {
-      candidates_.push_back(e);
-      continue;
+      intervals_.AddCandidate(e);
+    } else {
+      intervals_.AddCandidateIfCounted(e, static_cast<uint32_t>(k));
     }
-    if (first.offsets[k + 1] - first.offsets[k] < first_need) continue;
-    bool ok = true;
-    for (size_t i = 1; i < runs.size(); ++i) {
-      if (index.Count(runs[i].first, e) < runs[i].second) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) candidates_.push_back(e);
   }
 }
 

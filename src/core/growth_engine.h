@@ -18,11 +18,13 @@
 //    its support measure (kSupportsCandidateList; full Apriori fails under
 //    gap constraints).
 //
-//  * PruningPolicy — per-node emission/pruning decision. NoPruning emits
-//    every frequent node (GSgrow). ClosurePruning implements CCheck
-//    (Theorem 4) and LBCheck (Theorem 5): non-closed patterns are
-//    suppressed but their subtrees still explored (Example 3.5), and
-//    subtrees that provably contain no closed pattern are cut.
+//  * PruningPolicy — per-node pruning and emission verdicts: whether to
+//    abandon the subtree (asked before any child is grown) and whether to
+//    emit the node. NoPruning emits every frequent node (GSgrow).
+//    ClosurePruning implements CCheck (Theorem 4) and LBCheck (Theorem 5):
+//    non-closed patterns are suppressed but their subtrees still explored
+//    (Example 3.5), and subtrees that provably contain no closed pattern
+//    are cut.
 //
 //  * EmissionSink — what happens to an emitted pattern. CollectSink
 //    appends it to a PatternTable, CountSink only lets the engine count,
@@ -276,22 +278,20 @@ class BoundedGapExtension {
 // Pruning / closure policies
 // ---------------------------------------------------------------------------
 
-/// What the pruning policy decided about the current node.
-struct EmitDecision {
-  /// Emit the node to the sink (false = suppress, e.g. non-closed).
-  bool emit = true;
-  /// Abandon the whole DFS subtree (LBCheck, Theorem 5). The node itself is
-  /// neither emitted nor suppressed; the engine counts it as pruned.
-  bool prune_subtree = false;
-};
+// Pruning policies answer two questions per node (DESIGN.md §0): the
+// subtree verdict PruneSubtree, asked at node entry before any append child
+// is grown, and the emit verdict ShouldEmit, asked once the children are
+// grown, with whether one of them keeps the node's support. A pruned node is
+// neither emitted nor suppressed; the engine counts it as pruned.
 
 /// GSgrow: every frequent node is emitted, nothing is pruned.
 class NoPruning {
  public:
   static constexpr bool kNeedsChildren = false;
 
-  EmitDecision Decide(const GrowthNode&, bool /*equal_support_append*/) {
-    return EmitDecision{};
+  bool PruneSubtree(const GrowthNode&) { return false; }
+  bool ShouldEmit(const GrowthNode&, bool /*equal_support_append*/) {
+    return true;
   }
 };
 
@@ -307,6 +307,11 @@ class NoPruning {
 /// (InsertIntervalCheck, DESIGN.md §5). Only pairs that keep the support
 /// regrow, and only their n_i leftmost rows, for LBCheck. The per-node
 /// scratch persists across nodes, so steady-state checks allocate nothing.
+///
+/// With LBCheck on, PruneSubtree runs the whole insert/prepend scan, so a
+/// pruned node grows no child, and keeps the scan's CCheck result for
+/// ShouldEmit. With LBCheck off, the scan waits for ShouldEmit and is
+/// skipped when an equal-support append already decides the node.
 class ClosurePruning {
  public:
   static constexpr bool kNeedsChildren = true;
@@ -314,23 +319,28 @@ class ClosurePruning {
   ClosurePruning(const InvertedIndex& index, const MinerOptions& options)
       : index_(&index), options_(&options) {}
 
-  EmitDecision Decide(const GrowthNode& node, bool equal_support_append);
+  /// True iff LBCheck (Theorem 5) abandons the node's subtree.
+  bool PruneSubtree(const GrowthNode& node);
+  /// True iff the node is closed (CCheck, Theorem 4). Must follow the
+  /// node's PruneSubtree call, with no other node checked in between.
+  bool ShouldEmit(const GrowthNode& node, bool equal_support_append);
 
  private:
   bool CheckInsertExtensions(const GrowthNode& node, bool* non_closed);
 
-  // Starts intervals_ on the current node and fills candidates_.
+  // Starts intervals_ on the current node with its insert candidates.
   void BuildNodeTables(const GrowthNode& node);
 
   const InvertedIndex* index_;
   const MinerOptions* options_;
-  // Landmark columns of the current node (rebuilt lazily per node).
+  // Landmark columns and insert candidates of the current node.
   InsertIntervalCheck intervals_;
-  // Insert/prepend candidate events surviving the per-sequence-count
-  // filter.
-  std::vector<EventId> candidates_;
   // The current pattern's events, sorted: admitted without the count loop.
   std::vector<EventId> own_events_;
+  // Whether PruneSubtree scanned the current node, and whether that scan
+  // found an equal-support insert/prepend extension.
+  bool scanned_ = false;
+  bool insert_non_closed_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -568,6 +578,14 @@ class GrowthEngine {
     }
     scratch.children.clear();
     scratch.child_candidates.clear();
+
+    // The subtree verdict comes before any append growth (DESIGN.md §0): a
+    // subtree LBCheck abandons grows no child.
+    if (pruning_.PruneSubtree(node)) {
+      stats.lb_pruned_subtrees++;
+      return;
+    }
+
     bool equal_support_append = false;
     const bool want_children = PruningPolicy::kNeedsChildren ||
                                pattern_.size() < options_.max_pattern_length;
@@ -599,16 +617,12 @@ class GrowthEngine {
       }
     }
 
-    const EmitDecision decision = pruning_.Decide(node, equal_support_append);
-    if (decision.prune_subtree) {
-      stats.lb_pruned_subtrees++;
-      return;
-    }
     // A stop raised during the closure check (budget expiry mid-scan, or a
     // sibling worker) leaves the decision indeterminate — wind down without
     // emitting rather than report a possibly non-closed pattern as closed.
+    const bool emit = pruning_.ShouldEmit(node, equal_support_append);
     if (StopRequested()) return;
-    if (decision.emit) {
+    if (emit) {
       sink_.Emit(pattern_, support, prefix_sets_.back());
       stats.patterns_found++;
       if (options_.max_patterns != std::numeric_limits<uint64_t>::max()) {

@@ -195,6 +195,7 @@ void InsertIntervalCheck::Reset(const InvertedIndex& index,
   GSGROW_DCHECK(IsRightShiftSorted(support_set));
   support_ = support_set.size();
   runs_.clear();
+  blocks_.clear();
   row_begin_.clear();
   for (size_t row = 0; row < support_; ++row) {
     if (!runs_.empty() && runs_.back().first == support_set[row].seq) {
@@ -202,20 +203,82 @@ void InsertIntervalCheck::Reset(const InvertedIndex& index,
       continue;
     }
     runs_.emplace_back(support_set[row].seq, 1u);
+    // A sequence hosting an instance is non-empty, so its block exists.
+    blocks_.push_back(index.seq_block(support_set[row].seq));
     row_begin_.push_back(static_cast<uint32_t>(row));
   }
   built_from_.assign(runs_.size(), static_cast<uint32_t>(m));
-  // Grow-only: contents are written before they are read (built_from_), so
-  // steady state neither allocates nor clears.
+  candidates_.clear();
+  resolved_.clear();
+  // Grow-only: contents are written before they are read (built_from_,
+  // resolved_), so steady state neither allocates nor clears.
   if (left_row_.size() < m * runs_.size()) left_row_.resize(m * runs_.size());
   if (right_.size() < m * support_) right_.resize(m * support_);
   if (inserted_.size() < support_) inserted_.resize(support_);
 }
 
+uint32_t* InsertIntervalCheck::NextSlotRow() {
+  const size_t end = (candidates_.size() + 1) * runs_.size();
+  if (slots_.size() < end) slots_.resize(end);
+  return slots_.data() + candidates_.size() * runs_.size();
+}
+
+void InsertIntervalCheck::AddCandidate(EventId e) {
+  NextSlotRow();
+  candidates_.push_back(e);
+  resolved_.push_back(0);
+}
+
+bool InsertIntervalCheck::AddCandidateIfCounted(EventId e,
+                                                uint32_t first_slot) {
+  GSGROW_DCHECK(blocks_[0]->events[first_slot] == e);
+  uint32_t* slots = NextSlotRow();
+  for (size_t r = 0; r < runs_.size(); ++r) {
+    const InvertedIndex::SeqBlock& block = *blocks_[r];
+    const size_t k = r == 0 ? first_slot : block.SeekSlot(e);
+    if (block.events[k] != e ||
+        block.offsets[k + 1] - block.offsets[k] < runs_[r].second) {
+      return false;
+    }
+    slots[r] = static_cast<uint32_t>(k);
+  }
+  candidates_.push_back(e);
+  resolved_.push_back(static_cast<uint32_t>(runs_.size()));
+  return true;
+}
+
+namespace {
+
+// First row at or after `from` whose sequence is not below `seq`, found by
+// galloping forward from `from`.
+size_t GallopToSequence(const SupportSet& set, size_t from, SeqId seq) {
+  if (from >= set.size() || set[from].seq >= seq) return from;
+  size_t lo = from;  // set[lo].seq < seq
+  size_t step = 1;
+  while (lo + step < set.size() && set[lo + step].seq < seq) {
+    lo += step;
+    step <<= 1;
+  }
+  const size_t hi = std::min(lo + step, set.size());
+  const Instance* rows = set.data();
+  return static_cast<size_t>(
+      std::lower_bound(rows + lo + 1, rows + hi, seq,
+                       [](const Instance& inst, SeqId s) {
+                         return inst.seq < s;
+                       }) -
+      rows);
+}
+
+}  // namespace
+
 void InsertIntervalCheck::EnsureColumns(size_t r, size_t column,
                                         uint64_t* next_queries) {
   const size_t m = pattern_.size();
+  const size_t num_runs = runs_.size();
   const auto [seq, n] = runs_[r];
+  // Runs reach every column in ascending order: run r - 1 has built every
+  // column run r builds here, so its left rows bound the search below.
+  GSGROW_DCHECK(r == 0 || built_from_[r - 1] <= column);
   for (size_t c = built_from_[r]; c-- > column;) {
     const std::span<const Position> positions =
         index_->Positions(seq, pattern_[c]);
@@ -225,7 +288,7 @@ void InsertIntervalCheck::EnsureColumns(size_t r, size_t column,
       // occurrences of e_m; L's last column is the support set itself.
       GSGROW_DCHECK(positions.size() >= n);
       std::copy(positions.end() - n, positions.end(), right);
-      left_row_[c * runs_.size() + r] = row_begin_[r];
+      left_row_[c * num_runs + r] = row_begin_[r];
     } else {
       // Mirrored INSgrow: row k takes the last occurrence of e_{c+1} before
       // both its own landmark in column c + 1 and row k + 1's pick.
@@ -241,32 +304,48 @@ void InsertIntervalCheck::EnsureColumns(size_t r, size_t column,
     }
     if (c > 0) {
       const SupportSet& prefix = prefix_sets_[c - 1];
-      const auto first = std::lower_bound(
-          prefix.begin(), prefix.end(), seq,
-          [](const Instance& inst, SeqId s) { return inst.seq < s; });
+      // Run r - 1's rows in this prefix set end no later than run r's
+      // begin: gallop forward from there.
+      const size_t from =
+          r == 0 ? 0
+                 : left_row_[(c - 1) * num_runs + r - 1] + runs_[r - 1].second;
+      const size_t first = GallopToSequence(prefix, from, seq);
       // sup_i of a prefix is at least n_i.
-      GSGROW_DCHECK(static_cast<size_t>(prefix.end() - first) >= n &&
-                    (first + n - 1)->seq == seq);
-      left_row_[(c - 1) * runs_.size() + r] =
-          static_cast<uint32_t>(first - prefix.begin());
+      GSGROW_DCHECK(prefix.size() - first >= n &&
+                    prefix[first].seq == seq &&
+                    prefix[first + n - 1].seq == seq);
+      left_row_[(c - 1) * num_runs + r] = static_cast<uint32_t>(first);
     }
   }
   if (built_from_[r] > column) built_from_[r] = static_cast<uint32_t>(column);
 }
 
-bool InsertIntervalCheck::Admits(size_t gap, EventId e,
-                                 uint64_t* next_queries) {
-  GSGROW_DCHECK(gap < pattern_.size());
+bool InsertIntervalCheck::AdmitsCandidate(size_t gap, size_t candidate,
+                                          uint64_t* next_queries) {
+  GSGROW_DCHECK(gap < pattern_.size() && candidate < candidates_.size());
   gap_ = gap;
+  const EventId e = candidates_[candidate];
+  uint32_t* slots = slots_.data() + candidate * runs_.size();
+  uint32_t& resolved = resolved_[candidate];
   uint64_t queries = 0;
   bool admitted = true;
   for (size_t r = 0; r < runs_.size() && admitted; ++r) {
-    const auto [seq, n] = runs_[r];
+    const uint32_t n = runs_[r].second;
     EnsureColumns(r, gap, &queries);
+    const InvertedIndex::SeqBlock& block = *blocks_[r];
+    // Pairs reach the runs in order, so a lazy list is resolved here, once.
+    if (resolved == r) {
+      const size_t k = block.SeekSlot(e);
+      slots[r] = block.events[k] == e ? static_cast<uint32_t>(k) : kAbsent;
+      ++resolved;
+    }
+    GSGROW_DCHECK(resolved > r);
     const Instance* left = gap > 0 ? LeftRows(gap - 1, r) : nullptr;
     const Position* right = RightRows(gap, r);
     Position* inserted = inserted_.data() + row_begin_[r];
-    PositionCursor cursor = index_->Cursor(seq, e);
+    PositionCursor cursor = slots[r] == kAbsent
+                                ? PositionCursor()
+                                : PositionCursor(block.Slot(slots[r]));
     Position floor = 0;
     for (uint32_t k = 0; k < n; ++k) {
       if (left != nullptr) floor = std::max(floor, left[k].last + 1);

@@ -148,26 +148,46 @@ class AppendOccurrenceBound {
 /// instance of every prefix set (DESIGN.md §2). R is built right to left
 /// with PositionCursor::PrevBefore. Both are built lazily per (sequence,
 /// column): a pair dying in its first sequence pays only for that
-/// sequence's columns. Buffers persist across nodes.
+/// sequence's columns.
+///
+/// The events asked about are the node's insert candidates, added after
+/// Reset. Each (candidate, sequence) position list is resolved at most once
+/// per node: AddCandidateIfCounted keeps the slots its count filter
+/// resolves, and AddCandidate's lists are resolved on first use. Buffers
+/// persist across nodes.
 class InsertIntervalCheck {
  public:
-  /// Starts a node. `prefix_sets[j]` must be the leftmost support set of
-  /// e_1..e_{j+1}, for j < |pattern|; the index and both spans must stay
-  /// valid while the node is checked.
+  /// Starts a node with no candidates. `prefix_sets[j]` must be the
+  /// leftmost support set of e_1..e_{j+1}, for j < |pattern|; the index and
+  /// both spans must stay valid while the node is checked.
   void Reset(const InvertedIndex& index, std::span<const EventId> pattern,
              std::span<const SupportSet> prefix_sets);
 
   /// (sequence, n_i) runs of the node's support set, ascending by sequence.
   std::span<const std::pair<SeqId, uint32_t>> runs() const { return runs_; }
 
-  /// True iff inserting `e` at `gap` (0 = prepend, gap < |pattern|) keeps
-  /// every n_i, i.e. sup(P') == sup(P). Any event may be asked about. Each
-  /// position probe adds one to `*next_queries`, and so does each probe of
-  /// a rightmost column built on the way.
-  bool Admits(size_t gap, EventId e, uint64_t* next_queries);
+  /// Adds `e` as a candidate with no filter. Its position list in each
+  /// sequence is resolved on first use, in run order. Any event may be
+  /// added, once per node.
+  void AddCandidate(EventId e);
 
-  /// LBCheck for the pair the last Admits call admitted: true iff the
-  /// leftmost support set of P' ends at the same last landmarks as P's
+  /// Adds `e` as a candidate iff count_i(e) >= n_i in every run (the count
+  /// filter, DESIGN.md §1), keeping the slot it resolves in each run.
+  /// `first_slot` must be e's slot in the block of the first run's
+  /// sequence. Returns whether `e` was added.
+  bool AddCandidateIfCounted(EventId e, uint32_t first_slot);
+
+  /// The node's candidates, in the order they were added.
+  std::span<const EventId> candidates() const { return candidates_; }
+
+  /// True iff inserting candidates()[candidate] at `gap` (0 = prepend,
+  /// gap < |pattern|) keeps every n_i, i.e. sup(P') == sup(P). Each position
+  /// probe adds one to `*next_queries`, and so does each probe of a
+  /// rightmost column built on the way.
+  bool AdmitsCandidate(size_t gap, size_t candidate, uint64_t* next_queries);
+
+  /// LBCheck for the pair the last AdmitsCandidate call admitted: true iff
+  /// the leftmost support set of P' ends at the same last landmarks as P's
   /// (Theorem 5 (ii); they are never to the left). Regrows only the n_i
   /// leftmost rows from the greedy e column, one pattern column at a time,
   /// and stops a sequence as soon as a regrown column equals L's: from
@@ -176,9 +196,16 @@ class InsertIntervalCheck {
   bool LastLandmarksMatch(uint64_t* next_queries, uint64_t* regrow_steps);
 
  private:
+  // Slot of a lazily resolved event absent from a run's sequence.
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
   // Builds R column `column` and resolves L column `column - 1` for run
-  // `r`, together with every column above them not yet built.
+  // `r`, together with every column above them not yet built. Runs reach
+  // every column in ascending order.
   void EnsureColumns(size_t r, size_t column, uint64_t* next_queries);
+
+  // Room for one more candidate's row of slots.
+  uint32_t* NextSlotRow();
 
   // Run r's rows of L column `column`: their `last` fields (resolved by
   // EnsureColumns).
@@ -195,6 +222,8 @@ class InsertIntervalCheck {
   std::span<const SupportSet> prefix_sets_;
   size_t support_ = 0;
   std::vector<std::pair<SeqId, uint32_t>> runs_;
+  // Block of run r's sequence.
+  std::vector<const InvertedIndex::SeqBlock*> blocks_;
   // First row of run r in the node's support set.
   std::vector<uint32_t> row_begin_;
   // Lowest column built for run r (|pattern| = none yet).
@@ -204,6 +233,11 @@ class InsertIntervalCheck {
   std::vector<uint32_t> left_row_;
   // right_[column * support + row]: R, column-major.
   std::vector<Position> right_;
+  std::vector<EventId> candidates_;
+  // slots_[j * |runs| + r]: slot of candidate j in run r's block (kAbsent
+  // if it does not occur there), valid for r < resolved_[j].
+  std::vector<uint32_t> slots_;
+  std::vector<uint32_t> resolved_;
   // The greedy e column of the last admitted pair (regrown in place by
   // LastLandmarksMatch), and its gap.
   std::vector<Position> inserted_;

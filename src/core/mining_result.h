@@ -31,8 +31,10 @@ struct MiningStats {
   /// does not count, nor do append candidates rejected by the occurrence
   /// bound, which issue no query.
   uint64_t next_queries = 0;
-  /// CloGSgrow: closure checks performed (one per ClosurePruning::Decide
-  /// that scans insert/prepend extensions).
+  /// CloGSgrow: closure checks performed, one per node whose insert/prepend
+  /// extensions are scanned: every node with LBCheck on (the scan is the
+  /// subtree verdict), and without it every node that no equal-support
+  /// append already makes non-closed.
   uint64_t closure_checks = 0;
   /// CloGSgrow: LBCheck column-regrow steps, one per (sequence, pattern
   /// column) regrown for an insert/prepend pair that keeps the support.

@@ -263,8 +263,18 @@ Result<CheckpointState> ReadServeCheckpoint(const std::string& dir) {
     }
   }
 
-  state.names.reserve(dict_size);
-  state.sequences.reserve(num_sequences);
+  // The meta page's counts are only claims until the section pages bear
+  // them out. Every name and every sequence takes at least its 4-byte
+  // length word, so reserve no more entries than the pages could encode.
+  size_t dict_bytes = 0;
+  size_t sequence_bytes = 0;
+  for (size_t p = 1; p < pages->size(); ++p) {
+    const persist::CheckpointPage& cp = (*pages)[p];
+    (cp.type == kDictPage ? dict_bytes : sequence_bytes) += cp.payload.size();
+  }
+  state.names.reserve(std::min<uint64_t>(dict_size, dict_bytes / 4));
+  state.sequences.reserve(
+      std::min<uint64_t>(num_sequences, sequence_bytes / 4));
   uint64_t decoded_events = 0;
   for (size_t p = 1; p < pages->size(); ++p) {
     const persist::CheckpointPage& cp = (*pages)[p];

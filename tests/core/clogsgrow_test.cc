@@ -1,5 +1,10 @@
 #include "core/clogsgrow.h"
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 
 #include "core/gsgrow.h"
@@ -94,6 +99,70 @@ TEST(CloGSgrow, LBCheckActuallyPrunes) {
   MiningResult without_lb = MineClosedFrequent(db, options);
   EXPECT_GT(with_lb.stats.lb_pruned_subtrees, 0u);
   EXPECT_LT(with_lb.stats.nodes_visited, without_lb.stats.nodes_visited);
+}
+
+// Two sequences "AB" at min_sup 2: prepending A keeps root B's support and
+// its last landmarks, so LBCheck prunes B's subtree. The subtree verdict
+// comes before the append pass, so B grows no child. Counted by hand:
+//  * A:  the prepend scan probes B once; the append pass grows AA and AB
+//        (2 growths, 4 probes); AB keeps the support, so A is suppressed.
+//  * AB: the insert scan builds one rightmost column (1 probe) and probes
+//        two pairs (2 probes); the append pass grows ABB (1 growth, 2
+//        probes); AB is emitted.
+//  * B:  prepending A is admitted (2 probes) and regrown (2 steps, 2
+//        probes): pruned. Growing BA and BB first would add 2 growths and
+//        4 probes.
+TEST(CloGSgrow, LBPrunedNodeGrowsNoAppendChild) {
+  SequenceDatabase db = MakeDatabaseFromStrings({"AB", "AB"});
+  MinerOptions options;
+  options.min_support = 2;
+  const MiningResult result = MineClosedFrequent(db, options);
+  const std::set<std::pair<std::string, uint64_t>> expected = {{"AB", 2}};
+  EXPECT_EQ(AsSet(db, result.patterns), expected);
+  EXPECT_EQ(result.stats.nodes_visited, 3u);
+  EXPECT_EQ(result.stats.lb_pruned_subtrees, 1u);
+  EXPECT_EQ(result.stats.nonclosed_suppressed, 1u);
+  EXPECT_EQ(result.stats.closure_checks, 3u);
+  EXPECT_EQ(result.stats.closure_regrow_events, 2u);
+  EXPECT_EQ(result.stats.insgrow_calls, 2u + 1u + 2u);
+  EXPECT_EQ(result.stats.next_queries, 5u + 5u + 4u);
+}
+
+// With LBCheck off the subtree verdict is a no-op and the scan follows the
+// append pass, skipped where an equal-support append already decides the
+// node, so the counters are those of one check after the children. Same
+// answers as with LBCheck.
+TEST(CloGSgrow, WithoutLBCheckTheScanFollowsTheChildren) {
+  struct Case {
+    std::vector<std::string> rows;
+    uint64_t min_support;
+    uint64_t nodes, insgrow, next_queries, checks, suppressed;
+  };
+  // "AB","AB": A and B both grow their append children (2 growths, 4
+  // probes each); A's equal-support append skips its scan, B's scan stops
+  // at the admitted prepend (2 probes), AB's scans 3 probes after growing
+  // ABB (1 growth, 2 probes).
+  const std::vector<Case> cases = {
+      {{"AB", "AB"}, 2, 3, 5, 15, 2, 2},
+      // Example 3.6's database.
+      {{"ABCACBDDB", "ACDBACADD"}, 3, 23, 56, 374, 16, 16},
+  };
+  for (const Case& c : cases) {
+    SequenceDatabase db = MakeDatabaseFromStrings(c.rows);
+    MinerOptions options;
+    options.min_support = c.min_support;
+    const MiningResult with_lb = MineClosedFrequent(db, options);
+    options.use_landmark_border_pruning = false;
+    const MiningResult result = MineClosedFrequent(db, options);
+    EXPECT_EQ(AsSet(db, result.patterns), AsSet(db, with_lb.patterns));
+    EXPECT_EQ(result.stats.nodes_visited, c.nodes);
+    EXPECT_EQ(result.stats.insgrow_calls, c.insgrow);
+    EXPECT_EQ(result.stats.next_queries, c.next_queries);
+    EXPECT_EQ(result.stats.closure_checks, c.checks);
+    EXPECT_EQ(result.stats.nonclosed_suppressed, c.suppressed);
+    EXPECT_EQ(result.stats.lb_pruned_subtrees, 0u);
+    EXPECT_EQ(result.stats.closure_regrow_events, 0u);
+  }
 }
 
 TEST(CloGSgrow, EveryEmittedPatternIsActuallyClosed) {

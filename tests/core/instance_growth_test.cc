@@ -458,16 +458,22 @@ TEST(AppendOccurrenceBound, GrowMatchesInsgrowOnBothIntersections) {
 // events and inserted events often equal a neighbour. Every (gap, event)
 // verdict is checked against growing P' from scratch: admitted iff
 // sup(P') == sup(P), and for admitted pairs, the LBCheck verdict iff the
-// last landmarks of P''s leftmost support set equal P's. Gaps are visited in
-// a shuffled order, so the lazy columns are built in every order.
+// last landmarks of P''s leftmost support set equal P's. Each event enters
+// as a candidate either through the count filter, which keeps the slots it
+// resolves (an event it rejects must keep no support at any gap), or with
+// its lists resolved on first use, absent events included. Gaps are
+// visited in a shuffled order, so the lazy columns are built in every
+// order, and the left rows are found past prefix-set sequences the node's
+// support set has lost.
 TEST(InsertIntervalCheck, MatchesRegrowthOnRandomDatabases) {
   Rng rng(31337);
   InsertIntervalCheck check;  // one scratch across all rounds
   uint64_t admitted = 0, rejected = 0, matched = 0, shifted = 0;
-  uint64_t neighbour_admitted = 0;
+  uint64_t neighbour_admitted = 0, counted_admitted = 0, lazy_admitted = 0;
+  uint64_t filtered_out = 0, absent_lazy = 0, stepped_over = 0;
   for (int round = 0; round < 40; ++round) {
     const size_t alphabet = 2 + static_cast<size_t>(rng.UniformInt(3));
-    SequenceDatabase db = testing::RandomDatabase(&rng, 4, 1, 20, alphabet);
+    SequenceDatabase db = testing::RandomDatabase(&rng, 6, 1, 20, alphabet);
     InvertedIndex idx(db);
     std::vector<std::vector<EventId>> stack;
     for (EventId e = 0; e < db.AlphabetSize(); ++e) stack.push_back({e});
@@ -490,6 +496,39 @@ TEST(InsertIntervalCheck, MatchesRegrowthOnRandomDatabases) {
         }
       }
       check.Reset(idx, pattern, prefix_sets);
+      // A prefix set holding a sequence below the node's last run that the
+      // node's support set lost: the left-row search must step over it.
+      bool skips_sequence = false;
+      for (size_t c = 0; c + 1 < pattern.size(); ++c) {
+        for (const Instance& inst : prefix_sets[c]) {
+          skips_sequence =
+              skips_sequence ||
+              (inst.seq < set.back().seq &&
+               std::none_of(set.begin(), set.end(), [&](const Instance& i) {
+                 return i.seq == inst.seq;
+               }));
+        }
+      }
+      // candidate_of[e]: e's index in check.candidates(), or -1 when the
+      // count filter rejected it.
+      std::vector<int> candidate_of(db.AlphabetSize(), -1);
+      std::vector<bool> counted(db.AlphabetSize(), false);
+      const InvertedIndex::SeqBlock& first =
+          *idx.seq_block(check.runs().front().first);
+      for (EventId e = 0; e < db.AlphabetSize(); ++e) {
+        const size_t k = first.SeekSlot(e);
+        const int next = static_cast<int>(check.candidates().size());
+        if (first.events[k] == e && rng.UniformInt(2) == 0) {
+          counted[e] = true;
+          if (check.AddCandidateIfCounted(e, static_cast<uint32_t>(k))) {
+            candidate_of[e] = next;
+          }
+        } else {
+          check.AddCandidate(e);
+          candidate_of[e] = next;
+          if (first.events[k] != e) ++absent_lazy;
+        }
+      }
       std::vector<size_t> gaps(pattern.size());
       for (size_t g = 0; g < gaps.size(); ++g) gaps[g] = g;
       for (size_t g = gaps.size(); g > 1; --g) {
@@ -502,14 +541,24 @@ TEST(InsertIntervalCheck, MatchesRegrowthOnRandomDatabases) {
           std::string where = "round=" + std::to_string(round) + " pattern=";
           for (EventId p : pattern) where += std::to_string(p) + ",";
           where += " gap=" + std::to_string(gap) + " e=" + std::to_string(e);
+          if (candidate_of[e] < 0) {
+            // The count filter is sound: a rejected event keeps no support.
+            ASSERT_LT(grown.size(), set.size()) << where;
+            ++filtered_out;
+            continue;
+          }
+          const size_t j = static_cast<size_t>(candidate_of[e]);
+          ASSERT_EQ(check.candidates()[j], e) << where;
           uint64_t queries = 0, steps = 0;
-          const bool admits = check.Admits(gap, e, &queries);
+          const bool admits = check.AdmitsCandidate(gap, j, &queries);
           ASSERT_EQ(admits, grown.size() == set.size()) << where;
           if (!admits) {
             ++rejected;
             continue;
           }
           ++admitted;
+          (counted[e] ? counted_admitted : lazy_admitted)++;
+          if (skips_sequence && gap > 0) ++stepped_over;
           const bool neighbour =
               e == pattern[gap] || (gap > 0 && e == pattern[gap - 1]);
           if (neighbour) ++neighbour_admitted;
@@ -532,6 +581,11 @@ TEST(InsertIntervalCheck, MatchesRegrowthOnRandomDatabases) {
   EXPECT_GT(matched, 0u);
   EXPECT_GT(shifted, 0u);
   EXPECT_GT(neighbour_admitted, 0u);
+  EXPECT_GT(counted_admitted, 0u);
+  EXPECT_GT(lazy_admitted, 0u);
+  EXPECT_GT(filtered_out, 0u);
+  EXPECT_GT(absent_lazy, 0u);
+  EXPECT_GT(stepped_over, 0u);
 }
 
 TEST(ComputeSupportSet, EmptyPattern) {

@@ -16,6 +16,7 @@
 #include "core/gap_constrained.h"
 #include "core/gsgrow.h"
 #include "core/topk.h"
+#include "datagen/models.h"
 #include "datagen/quest_generator.h"
 #include "test_util.h"
 
@@ -87,6 +88,25 @@ TEST(ParallelEngine, CloGSgrowParityAcrossThreadCounts) {
                              "seed=" + std::to_string(seed) +
                                  " threads=" + std::to_string(threads));
     }
+  }
+}
+
+// Deep JBoss-like traces, where most nodes are LB-pruned before they grow
+// a child: the summed counters of every worker equal the single-threaded
+// run's at 2 and 4 threads.
+TEST(ParallelEngine, CloGSgrowParityOnJBossLikeTraces) {
+  SequenceDatabase db = GenerateJBossTraces(6, 3);
+  InvertedIndex index(db);
+  MinerOptions options;
+  options.min_support = 5;
+  options.max_pattern_length = 5;
+  MiningResult baseline = MineClosedFrequent(index, options);
+  ASSERT_FALSE(baseline.stats.truncated);
+  EXPECT_GT(baseline.stats.lb_pruned_subtrees, 0u);
+  for (size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    ExpectIdenticalResults(baseline, MineClosedFrequent(index, options),
+                           "threads=" + std::to_string(threads));
   }
 }
 

@@ -12,6 +12,8 @@
 #include "gtest/gtest.h"
 
 #include "io/text_format.h"
+#include "persist/checkpoint.h"
+#include "persist/coding.h"
 #include "persist/file_io.h"
 #include "persist/wal.h"
 #include "serve/durability.h"
@@ -563,6 +565,44 @@ TEST_F(DurableServiceTest, CheckpointSpillsUnfrozenTailsExactly) {
   EXPECT_EQ(state->names, (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(state->sequences, expected);
   EXPECT_EQ(state->total_events, 13u);
+}
+
+// A checksum-valid CHECKPOINT made of one meta page whose counts claim far
+// more entries than any section page holds: recovery reports Corruption
+// instead of reserving what the claim asks for. A count of 0 still
+// recovers. (tests/serve/testdata/hostile_checkpoint holds the 2^61-sequence
+// file for the serve_cli exit-code test.)
+TEST_F(DurableServiceTest, HostileCheckpointCountIsCorruption) {
+  const auto write_meta_only = [&](uint64_t num_sequences,
+                                   uint64_t dict_size) {
+    fs::remove_all(dir_);
+    ASSERT_TRUE(persist::CreateDirIfMissing(dir_).ok());
+    std::string page;
+    persist::PutFixed32(&page, 1);  // format version
+    persist::PutFixed64(&page, 0);  // epoch
+    persist::PutFixed64(&page, 0);  // WAL segment
+    persist::PutFixed64(&page, num_sequences);
+    persist::PutFixed64(&page, dict_size);
+    persist::PutFixed64(&page, 0);  // total events
+    persist::CheckpointWriter writer;
+    writer.AddPage(/*meta page=*/1, page);
+    ASSERT_TRUE(writer.WriteTo(serve::CheckpointPath(dir_)).ok());
+  };
+  const uint64_t hostile = uint64_t{1} << 61;
+  for (const auto& [num_sequences, dict_size] :
+       {std::pair{hostile, uint64_t{0}}, std::pair{uint64_t{0}, hostile}}) {
+    write_meta_only(num_sequences, dict_size);
+    EXPECT_EQ(serve::ReadServeCheckpoint(dir_).status().code(),
+              StatusCode::kCorruption);
+    DurabilityOptions options;
+    options.dir = dir_;
+    EXPECT_EQ(MiningService::OpenDurable(options).status().code(),
+              StatusCode::kCorruption);
+  }
+  write_meta_only(0, 0);
+  std::unique_ptr<MiningService> service = Open();
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->Stats().num_sequences, 0u);
 }
 
 TEST(MiningServiceValidation, ReservedEventIdIsInvalidArgument) {
