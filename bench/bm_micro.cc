@@ -8,14 +8,17 @@
 // MiningService::Ingest in memory and durable, first Snapshot) on the Quest
 // D5C20N10S20 corpus, next to the batch index build of the same database.
 // SnapshotSmallDelta times one small-delta snapshot publish on the serving
-// corpus.
+// corpus. ParseServeCommand and ServeCacheHit split the serving front end:
+// the protocol parse alone, and a whole cache hit (parse, Execute, format).
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/growth_engine.h"
 #include "core/instance_growth.h"
@@ -23,6 +26,7 @@
 #include "core/miner_options.h"
 #include "datagen/models.h"
 #include "datagen/quest_generator.h"
+#include "io/request_io.h"
 #include "io/text_format.h"
 #include "serve/incremental_index.h"
 #include "serve/mining_service.h"
@@ -288,6 +292,20 @@ const AppendNode& QuestRootNode() {
   return *node;
 }
 
+// The serving corpus: Quest D5C20N2S8, generator seed 42, 5,000 sequences.
+const SequenceDatabase& ServingDb() {
+  static SequenceDatabase* db = [] {
+    QuestParams params;
+    params.num_sequences = 5000;
+    params.avg_sequence_length = 20;
+    params.num_events = 2000;
+    params.avg_pattern_length = 8;
+    params.seed = 42;
+    return new SequenceDatabase(GenerateQuest(params));
+  }();
+  return *db;
+}
+
 // A root of the serving corpus (Quest D5C20N2S8, generator seed 42, 5,000
 // sequences): its most frequent event, with the frequent roots at the query
 // pool's rank-8 floor (min_sup = the count of the ninth most frequent
@@ -297,14 +315,7 @@ const AppendNode& QuestRootNode() {
 // factor, it binary-searched each candidate in them.
 const AppendNode& ServeRootNode() {
   static const AppendNode* node = [] {
-    QuestParams params;
-    params.num_sequences = 5000;
-    params.avg_sequence_length = 20;
-    params.num_events = 2000;
-    params.avg_pattern_length = 8;
-    params.seed = 42;
-    const auto* index =
-        new InvertedIndex(*new SequenceDatabase(GenerateQuest(params)));
+    const auto* index = new InvertedIndex(ServingDb());
     const std::vector<EventId> top = TopEvents(*index, 9);
     const uint64_t min_support = index->TotalCount(top.back());
     auto* n = new AppendNode;
@@ -611,13 +622,7 @@ BENCHMARK(BM_SetupBatchIndex)->Unit(benchmark::kMillisecond);
 // of the previous view. Counters: the writer's reserved and live arena
 // bytes at the end.
 void BM_SnapshotSmallDelta(benchmark::State& state) {
-  QuestParams params;
-  params.num_sequences = 5000;
-  params.avg_sequence_length = 20;
-  params.num_events = 2000;
-  params.avg_pattern_length = 8;
-  params.seed = 42;
-  const SequenceDatabase db = GenerateQuest(params);
+  const SequenceDatabase& db = ServingDb();
   IncrementalInvertedIndex index;
   for (const Sequence& s : db.sequences()) index.AddSequence(s.events());
   InvertedIndex view = index.Snapshot();
@@ -641,6 +646,88 @@ void BM_SnapshotSmallDelta(benchmark::State& state) {
   state.counters["live_bytes"] = static_cast<double>(index.live_bytes());
 }
 BENCHMARK(BM_SnapshotSmallDelta)->Unit(benchmark::kMicrosecond);
+
+// Protocol lines of the shapes in e2ebench's serve_read query pool, on the
+// serving corpus: closed, all, top-K, gap and annotated queries, name
+// filters of 8 and 12 events, and print limits. Floors are the counts of
+// frequency-ranked events, and filters name the most frequent events.
+const std::vector<std::string>& ServeQueryLines() {
+  static const std::vector<std::string>* lines = [] {
+    const InvertedIndex index(ServingDb());
+    const std::vector<EventId> top = TopEvents(index, 16);
+    const auto sup = [&](size_t rank) {
+      return std::to_string(std::max<uint64_t>(2, index.TotalCount(top[rank])));
+    };
+    const auto events = [&](size_t from, size_t to) {
+      std::string list = " events=";
+      for (size_t r = from; r < to; ++r) {
+        if (r > from) list += ',';
+        list += ServingDb().dictionary().Name(top[r]);
+      }
+      return list;
+    };
+    const std::string closed = "mine algo=closed min_sup=";
+    return new std::vector<std::string>{
+        closed + sup(4),
+        closed + sup(5) + " max_len=3",
+        "topk k=10 min_len=2 max_len=3",
+        closed + sup(11) + events(0, 12),
+        "mine algo=all min_sup=" + sup(3) + " max_len=2",
+        closed + sup(4) + " semantics=window:w=10,seqcount",
+        "mine algo=gap min_sup=" + sup(7) + " min_gap=0 max_gap=1",
+        "topk k=10 min_len=2 max_len=4" + events(0, 12),
+        closed + sup(15) + events(8, 16),
+        closed + sup(12) + " limit=20"};
+  }();
+  return *lines;
+}
+
+// The front end's parse layer: ParseServeCommand over the serve_read line
+// shapes, one line per iteration.
+void BM_ParseServeCommand(benchmark::State& state) {
+  const std::vector<std::string>& lines = ServeQueryLines();
+  size_t next = 0;
+  for (auto _ : state) {
+    Result<ServeCommand> parsed = ParseServeCommand(lines[next]);
+    benchmark::DoNotOptimize(parsed.ok());
+    next = next + 1 < lines.size() ? next + 1 : 0;
+  }
+}
+BENCHMARK(BM_ParseServeCommand);
+
+// A cache hit end to end, as a session serves it: parse, Execute (snapshot,
+// canonicalization, cache probe, copy of the cached answer) and
+// FormatMineResponse, one serve_read line shape per iteration, every line
+// mined once before timing.
+void BM_ServeCacheHit(benchmark::State& state) {
+  const std::vector<std::string>& lines = ServeQueryLines();
+  MiningService service;
+  if (!service.Ingest(ServingDb()).ok()) {
+    state.SkipWithError("ingest failed");
+    return;
+  }
+  for (const std::string& line : lines) {
+    (void)service.Execute(ParseServeCommand(line)->request);
+  }
+  const uint64_t hits_before = service.Stats().cache_hits;
+  size_t next = 0;
+  for (auto _ : state) {
+    const Result<ServeCommand> parsed = ParseServeCommand(lines[next]);
+    std::shared_ptr<const ServiceSnapshot> snapshot;
+    obs::RequestTrace trace;
+    const MineResponse response =
+        service.Execute(parsed->request, &snapshot, &trace);
+    service.RecordRequestTrace(std::move(trace));
+    const std::string text = FormatMineResponse(
+        response, snapshot->db->dictionary(), parsed->limit);
+    benchmark::DoNotOptimize(text.size());
+    next = next + 1 < lines.size() ? next + 1 : 0;
+  }
+  state.counters["hit_ratio"] =
+      static_cast<double>(service.Stats().cache_hits - hits_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ServeCacheHit);
 
 }  // namespace
 }  // namespace gsgrow

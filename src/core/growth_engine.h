@@ -519,6 +519,13 @@ class GrowthEngine {
          i < roots.size();
          i = state_->next_root.fetch_add(1, std::memory_order_relaxed)) {
       if (StopRequested()) break;
+      // No pattern under a root has more support than the root's event
+      // count, so a root below the sink's floor (a full top-K heap) cannot
+      // feed the sink: skip it before building its support set. Ties at
+      // the floor stay, as for children.
+      if (extension_.index().TotalCount(roots[i]) < EffectiveMinSupport()) {
+        continue;
+      }
       GrownChild root = extension_.Root(roots[i]);
       if (root.support < options_.min_support) continue;
       sink_.BeginRoot(i);

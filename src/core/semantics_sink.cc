@@ -157,10 +157,12 @@ Result<SemanticsOptions> ParseSemanticsSpec(std::string_view spec) {
         "empty --semantics spec; valid measures: " +
         std::string(kSpecVocabulary));
   }
-  for (const std::string& item : Split(trimmed, ",")) {
-    const std::vector<std::string> parts = Split(item, ":");
-    if (parts.empty()) continue;
-    const std::string& name = parts[0];
+  size_t item_pos = 0;
+  for (std::string_view item = NextToken(trimmed, ",", &item_pos);
+       !item.empty(); item = NextToken(trimmed, ",", &item_pos)) {
+    size_t part_pos = 0;
+    const std::string_view name = NextToken(item, ":", &part_pos);
+    if (name.empty()) continue;
     // Per-measure key=value parameters.
     bool want_w = false;
     bool want_gap_params = false;
@@ -185,26 +187,31 @@ Result<SemanticsOptions> ParseSemanticsSpec(std::string_view spec) {
       out = SemanticsOptions::All(w, min_gap, max_gap);
       want_w = want_gap_params = true;
     } else {
-      return SpecError(item, "unknown measure '" + name + "'");
+      return SpecError(item, "unknown measure '" + std::string(name) + "'");
     }
-    for (size_t i = 1; i < parts.size(); ++i) {
-      const std::vector<std::string> kv = Split(parts[i], "=");
+    for (std::string_view part = NextToken(item, ":", &part_pos);
+         !part.empty(); part = NextToken(item, ":", &part_pos)) {
+      // Exactly two non-empty '='-separated pieces: key and value.
+      size_t kv_pos = 0;
+      const std::string_view key = NextToken(part, "=", &kv_pos);
+      const std::string_view raw = NextToken(part, "=", &kv_pos);
       int64_t value = 0;
-      if (kv.size() != 2 || !ParseInt64(kv[1], &value) || value < 0) {
+      if (raw.empty() || !NextToken(part, "=", &kv_pos).empty() ||
+          !ParseInt64(raw, &value) || value < 0) {
         return SpecError(item, "expected key=value with a non-negative "
                                "integer, got '" +
-                                   parts[i] + "'");
+                                   std::string(part) + "'");
       }
-      if (kv[0] == "w" && want_w) {
+      if (key == "w" && want_w) {
         if (value == 0) return SpecError(item, "window width must be >= 1");
         out.window_width = static_cast<size_t>(value);
-      } else if (kv[0] == "min" && want_gap_params) {
+      } else if (key == "min" && want_gap_params) {
         out.min_gap = static_cast<size_t>(value);
-      } else if (kv[0] == "max" && want_gap_params) {
+      } else if (key == "max" && want_gap_params) {
         out.max_gap = static_cast<size_t>(value);
       } else {
-        return SpecError(item, "unknown parameter '" + kv[0] + "' for '" +
-                                   name + "'");
+        return SpecError(item, "unknown parameter '" + std::string(key) +
+                                   "' for '" + std::string(name) + "'");
       }
     }
   }
@@ -228,23 +235,29 @@ bool SelectionEnables(const SemanticsOptions& options,
 }
 
 std::string SemanticsSpecToString(const SemanticsOptions& options) {
-  std::vector<std::string> items;
-  if (options.sequence_count) items.push_back("sequence_count");
+  std::string spec;
+  // Starts the next comma-separated item.
+  const auto item = [&spec](std::string_view text) {
+    if (!spec.empty()) spec += ',';
+    spec += text;
+  };
+  if (options.sequence_count) item("sequence_count");
   if (options.fixed_window) {
-    items.push_back("fixed_window:w=" +
-                    std::to_string(options.window_width));
+    item("fixed_window:w=");
+    spec += std::to_string(options.window_width);
   }
-  if (options.minimal_window) items.push_back("minimal_window");
+  if (options.minimal_window) item("minimal_window");
   if (options.gap_occurrences) {
-    std::string item = "gap_occurrences:min=" + std::to_string(options.min_gap);
+    item("gap_occurrences:min=");
+    spec += std::to_string(options.min_gap);
     if (options.max_gap != std::numeric_limits<size_t>::max()) {
-      item += ":max=" + std::to_string(options.max_gap);
+      spec += ":max=";
+      spec += std::to_string(options.max_gap);
     }
-    items.push_back(std::move(item));
   }
-  if (options.interaction) items.push_back("interaction");
-  if (options.iterative) items.push_back("iterative");
-  return Join(items, ",");
+  if (options.interaction) item("interaction");
+  if (options.iterative) item("iterative");
+  return spec;
 }
 
 }  // namespace gsgrow

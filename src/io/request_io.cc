@@ -1,12 +1,13 @@
 #include "io/request_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <ostream>
 
 #include "core/semantics_sink.h"
 #include "io/pattern_io.h"
-#include "util/logging.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace gsgrow {
@@ -19,34 +20,116 @@ void SortDedup(std::vector<T>* values) {
   values->erase(std::unique(values->begin(), values->end()), values->end());
 }
 
-Status BadArg(std::string_view verb, const std::string& token,
+Status BadArg(std::string_view verb, std::string_view token,
               std::string_view expected) {
-  return Status::InvalidArgument(std::string(verb) + ": bad argument '" +
-                                 token + "' (" + std::string(expected) + ")");
+  std::string message(verb);
+  message += ": bad argument '";
+  message += token;
+  message += "' (";
+  message += expected;
+  message += ")";
+  return Status::InvalidArgument(std::move(message));
 }
 
-// Parses the key=value arguments shared by mine and topk into
-// `command->request` / `command->limit`. `verb` names the command in
-// errors; keys not in `allow` are rejected so typos fail loudly instead of
-// silently mining with defaults.
-Status ParseQueryArgs(std::string_view verb,
-                      const std::vector<std::string>& tokens, size_t first,
-                      std::string_view allow, ServeCommand* command) {
+// Protocol tokens are separated by runs of spaces and tabs.
+constexpr std::string_view kBlanks = " \t";
+
+// The verbs a query field belongs to (QueryField::verbs).
+constexpr unsigned kMineVerb = 1;
+constexpr unsigned kTopKVerb = 2;
+
+// How a query field's value is read.
+enum class FieldKind {
+  kAlgo,       // closed|all|gap
+  kCount,      // an unsigned integer in [min, max], stored by `set`
+  kSeconds,    // the budget: a number of seconds > 0 (NaN and 0 fail)
+  kSemantics,  // a ParseSemanticsSpec selection (its errors are its own)
+  kEvents,     // a comma-separated name list with at least one name
+};
+
+// One key=value argument of mine/topk.
+struct QueryField {
+  std::string_view key;
+  unsigned verbs;
+  FieldKind kind;
+  std::string_view shape;  // the accepted form, named in errors
+  uint64_t min = 0;
+  uint64_t max = 0;
+  void (*set)(ServeCommand& command, uint64_t n) = nullptr;
+};
+
+constexpr uint64_t kAnyCount = std::numeric_limits<uint64_t>::max();
+constexpr uint64_t kAnyGap = std::numeric_limits<uint32_t>::max();
+
+// Every mine/topk field. The "accepted keys" error lists a verb's keys in
+// this order.
+constexpr QueryField kQueryFields[] = {
+    {"algo", kMineVerb, FieldKind::kAlgo, "algo=closed|all|gap"},
+    {"min_sup", kMineVerb, FieldKind::kCount, "min_sup=N", 0, kAnyCount,
+     [](ServeCommand& c, uint64_t n) { c.request.options.min_support = n; }},
+    {"k", kTopKVerb, FieldKind::kCount, "k=N", 0, kAnyCount,
+     [](ServeCommand& c, uint64_t n) { c.request.options.k = n; }},
+    {"min_len", kTopKVerb, FieldKind::kCount, "min_len=N", 0, kAnyCount,
+     [](ServeCommand& c, uint64_t n) { c.request.options.min_length = n; }},
+    {"max_len", kMineVerb | kTopKVerb, FieldKind::kCount, "max_len=N", 0,
+     kAnyCount,
+     [](ServeCommand& c, uint64_t n) {
+       c.request.options.max_pattern_length = n;
+     }},
+    {"budget", kMineVerb | kTopKVerb, FieldKind::kSeconds, "budget=SECONDS"},
+    {"threads", kMineVerb | kTopKVerb, FieldKind::kCount, "threads=N", 0,
+     kAnyCount,
+     [](ServeCommand& c, uint64_t n) { c.request.options.num_threads = n; }},
+    {"semantics", kMineVerb | kTopKVerb, FieldKind::kSemantics, ""},
+    {"events", kMineVerb | kTopKVerb, FieldKind::kEvents,
+     "events=name[,name...]"},
+    {"min_gap", kMineVerb, FieldKind::kCount, "min_gap=N", 0, kAnyGap,
+     [](ServeCommand& c, uint64_t n) {
+       c.request.gap.min_gap = static_cast<uint32_t>(n);
+     }},
+    {"max_gap", kMineVerb, FieldKind::kCount, "max_gap=N", 0, kAnyGap,
+     [](ServeCommand& c, uint64_t n) {
+       c.request.gap.max_gap = static_cast<uint32_t>(n);
+     }},
+    {"limit", kMineVerb | kTopKVerb, FieldKind::kCount, "limit=N", 0,
+     kAnyCount, [](ServeCommand& c, uint64_t n) { c.limit = n; }},
+};
+
+const QueryField* FindQueryField(std::string_view key, unsigned verb) {
+  for (const QueryField& field : kQueryFields) {
+    if ((field.verbs & verb) != 0 && field.key == key) return &field;
+  }
+  return nullptr;
+}
+
+// "accepted keys: a,b,...,": every key of `verb`, each followed by a comma.
+std::string AcceptedKeys(unsigned verb) {
+  std::string text = "accepted keys: ";
+  for (const QueryField& field : kQueryFields) {
+    if ((field.verbs & verb) == 0) continue;
+    text += field.key;
+    text += ',';
+  }
+  return text;
+}
+
+// Parses one key=value argument of mine/topk into `command`. The key is
+// the token's first non-empty '='-separated piece, and the value is what
+// follows the key's length plus one byte of the token, so a semantics spec
+// keeps its own '=' (window:w=10). Unknown keys are rejected, so typos
+// fail loudly instead of silently mining with defaults; a repeated key
+// overwrites the earlier value.
+Status ParseQueryField(std::string_view verb_name, unsigned verb,
+                       std::string_view token, ServeCommand* command) {
+  size_t pos = 0;
+  const std::string_view key = NextToken(token, "=", &pos);
+  const std::string_view value =
+      token.size() > key.size() + 1 ? token.substr(key.size() + 1) : "";
+  const QueryField* field = FindQueryField(key, verb);
+  if (field == nullptr) return BadArg(verb_name, token, AcceptedKeys(verb));
   MineRequest& request = command->request;
-  for (size_t i = first; i < tokens.size(); ++i) {
-    const std::vector<std::string> kv = Split(tokens[i], "=");
-    // semantics specs contain '=' themselves (window:w=10) — re-join.
-    const std::string key = kv.empty() ? "" : kv[0];
-    const std::string value =
-        tokens[i].size() > key.size() + 1 ? tokens[i].substr(key.size() + 1)
-                                          : "";
-    if (allow.find("," + key + ",") == std::string_view::npos) {
-      return BadArg(verb, tokens[i],
-                    "accepted keys: " + std::string(allow.substr(1)));
-    }
-    uint64_t n = 0;
-    double d = 0.0;
-    if (key == "algo") {
+  switch (field->kind) {
+    case FieldKind::kAlgo:
       if (value == "closed") {
         request.miner = MineRequest::Miner::kClosed;
       } else if (value == "all") {
@@ -54,160 +137,174 @@ Status ParseQueryArgs(std::string_view verb,
       } else if (value == "gap") {
         request.miner = MineRequest::Miner::kGapConstrained;
       } else {
-        return BadArg(verb, tokens[i], "algo=closed|all|gap");
+        return BadArg(verb_name, token, field->shape);
       }
-    } else if (key == "min_sup") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "min_sup=N");
-      request.options.min_support = n;
-    } else if (key == "max_len") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "max_len=N");
-      request.options.max_pattern_length = static_cast<size_t>(n);
-    } else if (key == "budget") {
-      // Written as !(d > 0) so NaN, which compares false to everything, is
-      // rejected too: a NaN budget would never expire.
-      if (!ParseDouble(value, &d) || !(d > 0)) {
-        return BadArg(verb, tokens[i], "budget=SECONDS");
+      return Status::OK();
+    case FieldKind::kCount: {
+      uint64_t n = 0;
+      if (!ParseInRange(value, &n, field->min, field->max)) {
+        return BadArg(verb_name, token, field->shape);
       }
-      request.options.time_budget_seconds = d;
-    } else if (key == "threads") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "threads=N");
-      request.options.num_threads = static_cast<size_t>(n);
-    } else if (key == "semantics") {
+      field->set(*command, n);
+      return Status::OK();
+    }
+    case FieldKind::kSeconds:
+      // The least positive double is the lower bound, so 0 fails; a NaN
+      // budget, which would never expire, fails every comparison.
+      if (!ParseInRange(value, &request.options.time_budget_seconds,
+                        std::numeric_limits<double>::denorm_min(),
+                        std::numeric_limits<double>::infinity())) {
+        return BadArg(verb_name, token, field->shape);
+      }
+      return Status::OK();
+    case FieldKind::kSemantics: {
       Result<SemanticsOptions> parsed = ParseSemanticsSpec(value);
       if (!parsed.ok()) return parsed.status();
       request.options.semantics = *parsed;
-    } else if (key == "events") {
-      request.event_filter = Split(value, ",");
+      return Status::OK();
+    }
+    case FieldKind::kEvents: {
+      request.event_filter.clear();
+      request.event_filter.reserve(
+          static_cast<size_t>(std::count(value.begin(), value.end(), ',')) +
+          1);
+      size_t at = 0;
+      for (std::string_view name = NextToken(value, ",", &at); !name.empty();
+           name = NextToken(value, ",", &at)) {
+        request.event_filter.emplace_back(name);
+      }
       if (request.event_filter.empty()) {
-        return BadArg(verb, tokens[i], "events=name[,name...]");
+        return BadArg(verb_name, token, field->shape);
       }
-    } else if (key == "min_gap") {
-      if (!ParseUint64(value, &n) || n > std::numeric_limits<uint32_t>::max()) {
-        return BadArg(verb, tokens[i], "min_gap=N");
-      }
-      request.gap.min_gap = static_cast<uint32_t>(n);
-    } else if (key == "max_gap") {
-      if (!ParseUint64(value, &n) || n > std::numeric_limits<uint32_t>::max()) {
-        return BadArg(verb, tokens[i], "max_gap=N");
-      }
-      request.gap.max_gap = static_cast<uint32_t>(n);
-    } else if (key == "limit") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "limit=N");
-      command->limit = static_cast<size_t>(n);
-    } else if (key == "k") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "k=N");
-      request.options.k = static_cast<size_t>(n);
-    } else if (key == "min_len") {
-      if (!ParseUint64(value, &n)) return BadArg(verb, tokens[i], "min_len=N");
-      request.options.min_length = static_cast<size_t>(n);
+      return Status::OK();
     }
   }
   return Status::OK();
 }
 
+// The protocol's verbs, in the order the unknown-verb error lists them
+// ("exit" is an unlisted spelling of quit).
+struct VerbName {
+  std::string_view name;
+  ServeCommand::Verb verb;
+};
+
+constexpr VerbName kVerbs[] = {
+    {"append", ServeCommand::Verb::kAppend},
+    {"extend", ServeCommand::Verb::kExtend},
+    {"mine", ServeCommand::Verb::kMine},
+    {"topk", ServeCommand::Verb::kTopK},
+    {"batch", ServeCommand::Verb::kBatch},
+    {"run", ServeCommand::Verb::kRun},
+    {"stats", ServeCommand::Verb::kStats},
+    {"metrics", ServeCommand::Verb::kMetrics},
+    {"trace", ServeCommand::Verb::kTrace},
+    {"checkpoint", ServeCommand::Verb::kCheckpoint},
+    {"recover", ServeCommand::Verb::kRecover},
+    {"quit", ServeCommand::Verb::kQuit},
+    {"exit", ServeCommand::Verb::kQuit},
+};
+
+// The tokens after `*pos`, as owned event names.
+std::vector<std::string> RestAsNames(std::string_view line, size_t* pos) {
+  std::vector<std::string> names;
+  for (std::string_view token = NextToken(line, kBlanks, pos); !token.empty();
+       token = NextToken(line, kBlanks, pos)) {
+    names.emplace_back(token);
+  }
+  return names;
+}
+
 }  // namespace
 
 Result<ServeCommand> ParseServeCommand(std::string_view line) {
-  const std::vector<std::string> tokens = Split(line, " \t");
-  if (tokens.empty()) {
+  size_t pos = 0;
+  const std::string_view verb = NextToken(line, kBlanks, &pos);
+  if (verb.empty()) {
     return Status::InvalidArgument("empty command");
   }
+  const VerbName* known = nullptr;
+  for (const VerbName& v : kVerbs) {
+    if (v.name == verb) {
+      known = &v;
+      break;
+    }
+  }
+  if (known == nullptr) {
+    return Status::InvalidArgument(
+        "unknown verb '" + std::string(verb) +
+        "' (append, extend, mine, topk, batch, run, stats, metrics, trace, "
+        "checkpoint, recover, quit)");
+  }
   ServeCommand command;
-  const std::string& verb = tokens[0];
-  if (verb == "append") {
-    command.verb = ServeCommand::Verb::kAppend;
-    command.events.assign(tokens.begin() + 1, tokens.end());
-    return command;
-  }
-  if (verb == "extend") {
-    command.verb = ServeCommand::Verb::kExtend;
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("extend: expected 'extend <seq> event...'");
+  command.verb = known->verb;
+  switch (command.verb) {
+    case ServeCommand::Verb::kAppend:
+      command.events = RestAsNames(line, &pos);
+      return command;
+    case ServeCommand::Verb::kExtend: {
+      const std::string_view seq = NextToken(line, kBlanks, &pos);
+      if (seq.empty()) {
+        return Status::InvalidArgument(
+            "extend: expected 'extend <seq> event...'");
+      }
+      uint64_t id = 0;
+      if (!ParseInRange<uint64_t>(seq, &id, 0, kNoPosition - 1)) {
+        return Status::InvalidArgument("extend: bad sequence id '" +
+                                       std::string(seq) + "'");
+      }
+      command.seq = static_cast<SeqId>(id);
+      command.events = RestAsNames(line, &pos);
+      return command;
     }
-    uint64_t seq = 0;
-    if (!ParseUint64(tokens[1], &seq) ||
-        seq >= static_cast<uint64_t>(kNoPosition)) {
-      return Status::InvalidArgument("extend: bad sequence id '" + tokens[1] +
-                                     "'");
+    case ServeCommand::Verb::kMine:
+    case ServeCommand::Verb::kTopK: {
+      const bool topk = command.verb == ServeCommand::Verb::kTopK;
+      if (topk) command.request.miner = MineRequest::Miner::kTopK;
+      for (std::string_view token = NextToken(line, kBlanks, &pos);
+           !token.empty(); token = NextToken(line, kBlanks, &pos)) {
+        Status st = ParseQueryField(verb, topk ? kTopKVerb : kMineVerb, token,
+                                    &command);
+        if (!st.ok()) return st;
+      }
+      return command;
     }
-    command.seq = static_cast<SeqId>(seq);
-    command.events.assign(tokens.begin() + 2, tokens.end());
-    return command;
-  }
-  if (verb == "mine") {
-    command.verb = ServeCommand::Verb::kMine;
-    Status st = ParseQueryArgs(
-        "mine", tokens, 1,
-        ",algo,min_sup,max_len,budget,threads,semantics,events,"
-        "min_gap,max_gap,limit,",
-        &command);
-    if (!st.ok()) return st;
-    return command;
-  }
-  if (verb == "topk") {
-    command.verb = ServeCommand::Verb::kTopK;
-    command.request.miner = MineRequest::Miner::kTopK;
-    Status st = ParseQueryArgs(
-        "topk", tokens, 1,
-        ",k,min_len,max_len,budget,threads,semantics,events,limit,", &command);
-    if (!st.ok()) return st;
-    return command;
-  }
-  if (verb == "batch") {
-    command.verb = ServeCommand::Verb::kBatch;
-    return command;
-  }
-  if (verb == "run") {
-    command.verb = ServeCommand::Verb::kRun;
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      const std::vector<std::string> kv = Split(tokens[i], "=");
-      uint64_t n = 0;
-      if (kv.size() == 2 && kv[0] == "threads" && ParseUint64(kv[1], &n)) {
+    case ServeCommand::Verb::kRun:
+      // Each argument is exactly two non-empty '='-separated pieces,
+      // threads and a count.
+      for (std::string_view token = NextToken(line, kBlanks, &pos);
+           !token.empty(); token = NextToken(line, kBlanks, &pos)) {
+        size_t at = 0;
+        const std::string_view key = NextToken(token, "=", &at);
+        const std::string_view value = NextToken(token, "=", &at);
+        uint64_t n = 0;
+        if (key != "threads" || !NextToken(token, "=", &at).empty() ||
+            !ParseInRange<uint64_t>(value, &n, 0, kAnyCount)) {
+          return BadArg("run", token, "threads=N");
+        }
         command.run_threads = static_cast<size_t>(n);
-      } else {
-        return BadArg("run", tokens[i], "threads=N");
       }
-    }
-    return command;
-  }
-  if (verb == "stats") {
-    command.verb = ServeCommand::Verb::kStats;
-    return command;
-  }
-  if (verb == "metrics") {
-    command.verb = ServeCommand::Verb::kMetrics;
-    return command;
-  }
-  if (verb == "trace") {
-    command.verb = ServeCommand::Verb::kTrace;
-    if (tokens.size() < 2 || tokens[1] != "last" || tokens.size() > 3) {
-      return Status::InvalidArgument("trace: expected 'trace last [n]'");
-    }
-    if (tokens.size() == 3) {
-      uint64_t n = 0;
-      if (!ParseUint64(tokens[2], &n) || n == 0) {
-        return Status::InvalidArgument("trace: bad count '" + tokens[2] + "'");
+      return command;
+    case ServeCommand::Verb::kTrace: {
+      const std::string_view last = NextToken(line, kBlanks, &pos);
+      const std::string_view count = NextToken(line, kBlanks, &pos);
+      if (last != "last" || !NextToken(line, kBlanks, &pos).empty()) {
+        return Status::InvalidArgument("trace: expected 'trace last [n]'");
       }
-      command.trace_n = static_cast<size_t>(n);
+      if (!count.empty()) {
+        uint64_t n = 0;
+        if (!ParseInRange<uint64_t>(count, &n, 1, kAnyCount)) {
+          return Status::InvalidArgument("trace: bad count '" +
+                                         std::string(count) + "'");
+        }
+        command.trace_n = static_cast<size_t>(n);
+      }
+      return command;
     }
-    return command;
+    default:
+      // The remaining verbs take no argument; trailing tokens are ignored.
+      return command;
   }
-  if (verb == "checkpoint") {
-    command.verb = ServeCommand::Verb::kCheckpoint;
-    return command;
-  }
-  if (verb == "recover") {
-    command.verb = ServeCommand::Verb::kRecover;
-    return command;
-  }
-  if (verb == "quit" || verb == "exit") {
-    command.verb = ServeCommand::Verb::kQuit;
-    return command;
-  }
-  return Status::InvalidArgument(
-      "unknown verb '" + verb +
-      "' (append, extend, mine, topk, batch, run, stats, metrics, trace, "
-      "checkpoint, recover, quit)");
 }
 
 void CanonicalizeMineRequest(MineRequest* request) {
@@ -228,20 +325,18 @@ void CanonicalizeMineRequest(MineRequest* request) {
   SortDedup(&options.restrict_alphabet);
   if (!request->event_filter.empty()) options.restrict_alphabet.clear();
 
-  // Round-trip the semantics selection through its canonical spec string:
-  // parameters of disabled measures (a window width with fixed_window off,
-  // gap bounds with gap_occurrences off) reset to defaults, so selections
-  // that annotate identically compare equal.
-  if (options.semantics.AnyEnabled()) {
-    Result<SemanticsOptions> round_trip =
-        ParseSemanticsSpec(SemanticsSpecToString(options.semantics));
-    // invariant: SemanticsSpecToString emits exactly the vocabulary
-    // ParseSemanticsSpec accepts (its own doc contract); a failed
-    // round-trip is a codec bug, not input.
-    GSGROW_CHECK(round_trip.ok());
-    options.semantics = *round_trip;
-  } else {
-    options.semantics = SemanticsOptions{};
+  // Parameters of disabled measures (a window width with fixed_window off,
+  // gap bounds with gap_occurrences off) reset to their defaults, so
+  // selections that annotate identically compare equal. This is what a
+  // round trip through the spec string gives (SemanticsSpecToString omits
+  // them); RequestCanonicalization.SemanticsResetEqualsSpecRoundTrip pins
+  // the two equal.
+  SemanticsOptions& semantics = options.semantics;
+  const SemanticsOptions unset;
+  if (!semantics.fixed_window) semantics.window_width = unset.window_width;
+  if (!semantics.gap_occurrences) {
+    semantics.min_gap = unset.min_gap;
+    semantics.max_gap = unset.max_gap;
   }
 
   // Fields of inactive miners are dead weight: default them so `mine
@@ -258,12 +353,41 @@ void CanonicalizeMineRequest(MineRequest* request) {
   }
 }
 
-ResultCacheKey CanonicalRequestKey(const MineRequest& request) {
-  MineRequest canonical = request;
+namespace {
+
+void AppendNumber(uint64_t value, std::string* out) {
+  char digits[20];
+  const std::to_chars_result end =
+      std::to_chars(digits, digits + sizeof(digits), value);
+  out->append(digits, end.ptr);
+}
+
+// Appends " <name>=<value>" to the key text.
+void AppendField(std::string_view name, uint64_t value, std::string* key) {
+  key->push_back(' ');
+  key->append(name);
+  key->push_back('=');
+  AppendNumber(value, key);
+}
+
+}  // namespace
+
+ResultCacheKey CanonicalRequestKey(const MineRequest& request,
+                                   MineRequest* canonical_out) {
+  MineRequest local;
+  MineRequest& canonical = canonical_out != nullptr ? *canonical_out : local;
+  canonical = request;
   CanonicalizeMineRequest(&canonical);
   const MinerOptions& options = canonical.options;
 
-  std::string key = "algo=";
+  // The fixed fields fit in 96 bytes; a name filter adds its names.
+  size_t reserve = 96;
+  for (const std::string& name : canonical.event_filter) {
+    reserve += name.size() + 1;
+  }
+  std::string key;
+  key.reserve(reserve);
+  key += "algo=";
   switch (canonical.miner) {
     case MineRequest::Miner::kAll: key += "all"; break;
     case MineRequest::Miner::kClosed: key += "closed"; break;
@@ -271,37 +395,39 @@ ResultCacheKey CanonicalRequestKey(const MineRequest& request) {
     case MineRequest::Miner::kGapConstrained: key += "gap"; break;
   }
   if (canonical.miner == MineRequest::Miner::kTopK) {
-    key += " k=" + std::to_string(options.k);
-    key += " min_len=" + std::to_string(options.min_length);
+    AppendField("k", options.k, &key);
+    AppendField("min_len", options.min_length, &key);
   } else {
-    key += " min_sup=" + std::to_string(options.min_support);
+    AppendField("min_sup", options.min_support, &key);
   }
   // Default-valued fields are elided, so an explicitly-spelled default
   // ("max_gap=4294967295") and an elided one share a key.
   if (options.max_pattern_length != std::numeric_limits<size_t>::max()) {
-    key += " max_len=" + std::to_string(options.max_pattern_length);
+    AppendField("max_len", options.max_pattern_length, &key);
   }
   if (options.max_patterns != std::numeric_limits<uint64_t>::max()) {
-    key += " max_patterns=" + std::to_string(options.max_patterns);
+    AppendField("max_patterns", options.max_patterns, &key);
   }
   // Finite budgets make a request uncacheable (mining_service.cc), but the
   // canonical form is also an equality oracle for tests — keep budget
   // identity-bearing rather than silently conflating.
   if (options.time_budget_seconds !=
       std::numeric_limits<double>::infinity()) {
-    key += " budget=" + std::to_string(options.time_budget_seconds);
+    key += " budget=";
+    key += std::to_string(options.time_budget_seconds);
   }
   if (!options.collect_patterns) key += " collect=0";
   if (canonical.miner == MineRequest::Miner::kGapConstrained) {
     if (canonical.gap.min_gap != 0) {
-      key += " min_gap=" + std::to_string(canonical.gap.min_gap);
+      AppendField("min_gap", canonical.gap.min_gap, &key);
     }
     if (canonical.gap.max_gap != std::numeric_limits<uint32_t>::max()) {
-      key += " max_gap=" + std::to_string(canonical.gap.max_gap);
+      AppendField("max_gap", canonical.gap.max_gap, &key);
     }
   }
   if (options.semantics.AnyEnabled()) {
-    key += " semantics=" + SemanticsSpecToString(options.semantics);
+    key += " semantics=";
+    key += SemanticsSpecToString(options.semantics);
   }
   if (!canonical.event_filter.empty()) {
     // Event names cannot contain whitespace (the protocol tokenizes on it)
@@ -316,7 +442,7 @@ ResultCacheKey CanonicalRequestKey(const MineRequest& request) {
     key += " ids=";
     for (size_t i = 0; i < options.restrict_alphabet.size(); ++i) {
       if (i > 0) key.push_back(',');
-      key += std::to_string(options.restrict_alphabet[i]);
+      AppendNumber(options.restrict_alphabet[i], &key);
     }
   }
   return ResultCacheKey(std::move(key));

@@ -554,12 +554,11 @@ MineResponse MiningService::ExecuteCached(const ServiceSnapshot& snapshot,
   if (cache_ == nullptr || !CacheableRequest(request)) {
     return ExecuteMineStage(snapshot, request, trace);
   }
-  MineRequest canonical = request;
+  MineRequest canonical;
   ResultCacheKey key = [&] {
     obs::StageTimer timer(trace, obs::Stage::kCanonicalize,
                           StageHistogram(obs::Stage::kCanonicalize));
-    CanonicalizeMineRequest(&canonical);
-    return CanonicalRequestKey(canonical);
+    return CanonicalRequestKey(request, &canonical);
   }();
   obs::StageTimer probe_timer(trace, obs::Stage::kCacheProbe,
                               StageHistogram(obs::Stage::kCacheProbe));

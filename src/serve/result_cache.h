@@ -65,6 +65,17 @@
 
 namespace gsgrow {
 
+class ResultCacheKey;
+
+/// The ONE ResultCacheKey factory: canonicalizes a copy of `request`
+/// (CanonicalizeMineRequest) and renders the canonical text form. When
+/// `canonical` is given, the canonical request is left there, so a caller
+/// that needs both (the cache probe) canonicalizes once. Defined in
+/// io/request_io.cc next to the protocol parser so the canonical form and
+/// the wire form evolve together.
+ResultCacheKey CanonicalRequestKey(const MineRequest& request,
+                                   MineRequest* canonical = nullptr);
+
 /// Strong key type: the canonical text form of a MineRequest. The private
 /// constructor makes CanonicalRequestKey the single producer — equivalent
 /// requests (permuted filters, elided defaults, thread-count differences)
@@ -80,27 +91,22 @@ class ResultCacheKey {
 
  private:
   explicit ResultCacheKey(std::string text) : text_(std::move(text)) {}
-  friend ResultCacheKey CanonicalRequestKey(const MineRequest& request);
+  friend ResultCacheKey CanonicalRequestKey(const MineRequest& request,
+                                            MineRequest* canonical);
 
   std::string text_;
 };
 
 /// Rewrites `request` into its canonical equivalent: event_filter /
 /// restrict_alphabet sorted and deduplicated (a non-empty filter clears
-/// the id restriction it replaces), semantics round-tripped through its
-/// spec string (parameters of disabled measures reset), fields of inactive
-/// miners defaulted (k / min_length off the top-K path, min_support on it,
-/// gap off the gap path), and answer-invariant execution knobs (thread
-/// count, ablation toggles, the warm-start hint) reset. Two requests with
-/// equal canonical forms have byte-identical untruncated answers on every
-/// corpus. Defined in io/request_io.cc.
+/// the id restriction it replaces), parameters of disabled semantics
+/// measures reset to their defaults, fields of inactive miners defaulted
+/// (k / min_length off the top-K path, min_support on it, gap off the gap
+/// path), and answer-invariant execution knobs (thread count, ablation
+/// toggles, the warm-start hint) reset. Two requests with equal canonical
+/// forms have byte-identical untruncated answers on every corpus. Defined
+/// in io/request_io.cc.
 void CanonicalizeMineRequest(MineRequest* request);
-
-/// The ONE ResultCacheKey factory: canonicalizes a copy of `request` and
-/// renders the canonical text form. Defined in io/request_io.cc next to
-/// the protocol parser so the canonical form and the wire form evolve
-/// together.
-ResultCacheKey CanonicalRequestKey(const MineRequest& request);
 
 struct ResultCacheOptions {
   /// Byte budget over the cached responses (approximate deep size).

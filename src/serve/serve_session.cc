@@ -1,6 +1,7 @@
 #include "serve/serve_session.h"
 
 #include <memory>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,6 +77,47 @@ obs::Counter* RejectedCounter(const Status& status) {
   }
 }
 
+// How ReadRequestLine ended.
+enum class LineRead { kLine, kTooLong, kEnd };
+
+// Reads the next line of `in` into *line without its '\n', as std::getline
+// does, but never holds more than kMaxRequestLineBytes of it: the rest of a
+// longer line is consumed up to its newline without being kept, and the
+// answer is kTooLong with *line cleared. *length is the line's full length.
+// kEnd means the input ended before another line began. Like getline it
+// reads through a sentry, which flushes the stream tied to `in` (std::cin's
+// is std::cout) so every answer reaches an interactive client before the
+// session waits for the next line, and it sets eofbit (and failbit on kEnd)
+// when the input ends.
+LineRead ReadRequestLine(std::istream& in, std::string* line,
+                         size_t* length) {
+  using Traits = std::char_traits<char>;
+  line->clear();
+  const std::istream::sentry sentry(in, /*noskipws=*/true);
+  if (!sentry) return LineRead::kEnd;
+  std::streambuf* buf = in.rdbuf();
+  size_t n = 0;
+  for (int c = buf->sbumpc(); c != '\n'; c = buf->sbumpc()) {
+    if (Traits::eq_int_type(c, Traits::eof())) {
+      if (n == 0) {
+        in.setstate(std::ios::eofbit | std::ios::failbit);
+        return LineRead::kEnd;
+      }
+      in.setstate(std::ios::eofbit);
+      break;
+    }
+    if (n < kMaxRequestLineBytes) {
+      line->push_back(Traits::to_char_type(c));
+    } else if (n == kMaxRequestLineBytes) {
+      line->clear();
+      line->shrink_to_fit();
+    }
+    ++n;
+  }
+  *length = n;
+  return n > kMaxRequestLineBytes ? LineRead::kTooLong : LineRead::kLine;
+}
+
 }  // namespace
 
 int RunServeSession(MiningService& service, std::istream& in,
@@ -103,7 +145,17 @@ int RunServeSession(MiningService& service, std::istream& in,
   };
 
   std::string line;
-  while (std::getline(in, line)) {
+  size_t length = 0;
+  for (LineRead read = ReadRequestLine(in, &line, &length);
+       read != LineRead::kEnd;
+       read = ReadRequestLine(in, &line, &length)) {
+    if (read == LineRead::kTooLong) {
+      fail(Status::InvalidArgument(
+          "request line of " + std::to_string(length) +
+          " bytes exceeds the " + std::to_string(kMaxRequestLineBytes) +
+          "-byte limit"));
+      continue;
+    }
     const std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     const WallTimer request_timer;

@@ -12,6 +12,7 @@
 #ifndef GSGROW_SERVE_SERVE_SESSION_H_
 #define GSGROW_SERVE_SERVE_SESSION_H_
 
+#include <cstddef>
 #include <istream>
 #include <ostream>
 
@@ -19,10 +20,16 @@
 
 namespace gsgrow {
 
-/// Runs the protocol loop until `quit` or EOF. Malformed lines answer with
-/// one "error ..." line and the session continues — a serving process must
-/// outlive bad input. Returns the number of commands that answered with an
-/// error (0 for a clean session), so scripted callers can gate on it. A
+/// The longest request line a session reads, in bytes without the newline.
+/// A longer line is discarded up to its newline, never held whole, and
+/// answered with one "error InvalidArgument ..." line.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
+
+/// Runs the protocol loop until `quit` or EOF. Malformed lines, and lines
+/// over kMaxRequestLineBytes, answer with one "error ..." line and the
+/// session continues — a serving process must outlive bad input. Returns
+/// the number of commands that answered with an error (0 for a clean
+/// session), so scripted callers can gate on it. A
 /// `batch` still open at `quit` or end of input is not run; it answers one
 /// "error ... batch not run (N queued)" line and counts as an error.
 int RunServeSession(MiningService& service, std::istream& in,

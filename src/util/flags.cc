@@ -9,15 +9,19 @@ namespace gsgrow {
 
 namespace {
 
-bool ParseValue(const std::string& raw, int64_t* out) {
+bool ParseValue(std::string_view raw, int64_t* out) {
   return ParseInt64(raw, out);
 }
 
-bool ParseValue(const std::string& raw, double* out) {
+bool ParseValue(std::string_view raw, uint64_t* out) {
+  return ParseUint64(raw, out);
+}
+
+bool ParseValue(std::string_view raw, double* out) {
   return ParseDouble(raw, out);
 }
 
-bool ParseValue(const std::string& raw, bool* out) {
+bool ParseValue(std::string_view raw, bool* out) {
   if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") {
     *out = true;
     return true;
@@ -87,21 +91,33 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
+template <typename T>
+bool ParseInRange(std::string_view raw, T* value, T min, T max) {
+  T parsed{};
+  // Written so that a NaN, which compares false to everything, fails.
+  if (!ParseValue(raw, &parsed) || !(parsed >= min && parsed <= max)) {
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
+template bool ParseInRange(std::string_view, int64_t*, int64_t, int64_t);
+template bool ParseInRange(std::string_view, uint64_t*, uint64_t, uint64_t);
+template bool ParseInRange(std::string_view, double*, double, double);
+template bool ParseInRange(std::string_view, bool*, bool, bool);
+
 namespace {
 
 // Parses `raw` into *value when it is a T within [min, max]; otherwise an
 // InvalidArgument naming `label`, with *value unchanged.
 template <typename T>
-Status ReadChecked(const std::string& label, const std::string& raw, T* value,
+Status ReadChecked(std::string_view label, std::string_view raw, T* value,
                    T min, T max) {
-  T parsed{};
-  // Written so that a NaN, which compares false to everything, fails.
-  if (ParseValue(raw, &parsed) && parsed >= min && parsed <= max) {
-    *value = parsed;
-    return Status::OK();
-  }
-  return Status::InvalidArgument(label + " must be " + Expected(min, max) +
-                                 ", got '" + raw + "'");
+  if (ParseInRange(raw, value, min, max)) return Status::OK();
+  return Status::InvalidArgument(std::string(label) + " must be " +
+                                 Expected(min, max) + ", got '" +
+                                 std::string(raw) + "'");
 }
 
 }  // namespace
@@ -121,7 +137,7 @@ template Status Flags::Get(const std::string&, bool*, bool, bool) const;
 Status EnvDouble(const char* name, double* value, double min, double max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return Status::OK();
-  return ReadChecked(std::string(name), std::string(raw), value, min, max);
+  return ReadChecked(name, raw, value, min, max);
 }
 
 }  // namespace gsgrow

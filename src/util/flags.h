@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -29,7 +30,7 @@ class Flags {
   /// caller's default) as it is; a value that does not parse as T, or lies
   /// outside [min, max], is an InvalidArgument error naming the flag, and
   /// *value is left unchanged. T is int64_t, double (NaN never passes) or
-  /// bool (true|false, 1|0, yes|no, on|off).
+  /// bool (true|false, 1|0, yes|no, on|off); the check is ParseInRange.
   template <typename T>
   Status Get(const std::string& name, T* value,
              T min = std::numeric_limits<T>::lowest(),
@@ -41,6 +42,15 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The parse-and-bounds step behind Flags::Get and EnvDouble, for callers
+/// that word their own errors (the serve protocol, io/request_io.cc): true
+/// when `raw` parses as a T within [min, max], stored in *value; otherwise
+/// false with *value unchanged. T is int64_t, uint64_t (the full range, no
+/// sign), double (NaN never passes) or bool. Surrounding ASCII whitespace
+/// is ignored for the numeric types.
+template <typename T>
+bool ParseInRange(std::string_view raw, T* value, T min, T max);
 
 /// Checked read of environment variable `name` into *value, with the rules
 /// of Flags::Get: an unset variable leaves *value (the caller's default) as

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -8,14 +9,25 @@ namespace gsgrow {
 
 std::vector<std::string> Split(std::string_view s, std::string_view delims) {
   std::vector<std::string> out;
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find_first_of(delims, start);
-    if (end == std::string_view::npos) end = s.size();
-    if (end > start) out.emplace_back(s.substr(start, end - start));
-    start = end + 1;
+  size_t pos = 0;
+  for (std::string_view token = NextToken(s, delims, &pos); !token.empty();
+       token = NextToken(s, delims, &pos)) {
+    out.emplace_back(token);
   }
   return out;
+}
+
+std::string_view NextToken(std::string_view s, std::string_view delims,
+                           size_t* pos) {
+  const size_t begin = s.find_first_not_of(delims, std::min(*pos, s.size()));
+  if (begin == std::string_view::npos) {
+    *pos = s.size();
+    return {};
+  }
+  size_t end = s.find_first_of(delims, begin);
+  if (end == std::string_view::npos) end = s.size();
+  *pos = end;
+  return s.substr(begin, end - begin);
 }
 
 std::string_view Trim(std::string_view s) {

@@ -14,6 +14,12 @@ namespace gsgrow {
 /// dropped. Split("a  b", " ") == {"a", "b"}.
 std::vector<std::string> Split(std::string_view s, std::string_view delims);
 
+/// Split's tokens one at a time, without copying: the next maximal run of
+/// bytes not in `delims` at or after *pos, skipping the delimiters before
+/// it, with *pos moved past it. Empty when no token is left.
+std::string_view NextToken(std::string_view s, std::string_view delims,
+                           size_t* pos);
+
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

@@ -122,6 +122,30 @@ TEST(TopK, KLargerThanPatternCount) {
   EXPECT_EQ(top[0].events.size(), 2u);
 }
 
+// A root whose event count is below the floor of a full heap cannot feed
+// it (no pattern has more support than its first event's count), so the
+// engine skips it before building its support set. A root that ties the
+// floor is still visited: a tie can displace the weakest entry.
+TEST(TopK, SkipsRootsBelowTheFullHeapFloor) {
+  // Event counts A 4, B 4, C 2, D 1; roots are visited in that order.
+  SequenceDatabase db = MakeDatabaseFromStrings({"AAAA", "BBBB", "CC", "D"});
+  InvertedIndex index(db);
+  MinerOptions options;
+  options.k = 1;
+  options.min_length = 1;
+  options.support_floor_hint = 1;  // one engine run, at threshold 1
+  const MiningResult top = MineTopKClosed(index, options);
+  ASSERT_EQ(top.patterns.size(), 1u);
+  EXPECT_EQ(std::vector<EventId>(top.patterns[0].events.begin(),
+                                 top.patterns[0].events.end()),
+            std::vector<EventId>{0});
+  EXPECT_EQ(top.patterns[0].support, 4u);
+  // A fills the heap at support 4, and its child AA (support 2) falls
+  // below the floor; B ties the floor and is visited; C and D are skipped.
+  // Without the skip, C and D would be visited too (4 nodes).
+  EXPECT_EQ(top.stats.nodes_visited, 2u);
+}
+
 TEST(TopK, EmptyDatabase) {
   SequenceDatabase db;
   MinerOptions options;

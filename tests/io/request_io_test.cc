@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -100,6 +101,78 @@ TEST(RequestIo, RejectsUnknownKeysAndVerbs) {
   EXPECT_FALSE(ParseServeCommand("unknownverb").ok());
   EXPECT_FALSE(ParseServeCommand("run speed=11").ok());
   EXPECT_TRUE(ParseServeCommand("run threads=3").ok());
+}
+
+// The wire's error texts are part of the protocol (the smoke goldens pin
+// some of them).
+TEST(RequestIo, ErrorTextsArePinned) {
+  const auto error_of = [](const std::string& line) {
+    return ParseServeCommand(line).status().ToString();
+  };
+  EXPECT_EQ(error_of("mine min_sup=zero"),
+            "InvalidArgument: mine: bad argument 'min_sup=zero' (min_sup=N)");
+  EXPECT_EQ(error_of("mine max_gap=4294967296"),
+            "InvalidArgument: mine: bad argument 'max_gap=4294967296' "
+            "(max_gap=N)");
+  EXPECT_EQ(error_of("topk budget=nan"),
+            "InvalidArgument: topk: bad argument 'budget=nan' "
+            "(budget=SECONDS)");
+  EXPECT_EQ(error_of("mine events=,,"),
+            "InvalidArgument: mine: bad argument 'events=,,' "
+            "(events=name[,name...])");
+  EXPECT_EQ(error_of("mine frobnicate=1"),
+            "InvalidArgument: mine: bad argument 'frobnicate=1' (accepted "
+            "keys: algo,min_sup,max_len,budget,threads,semantics,events,"
+            "min_gap,max_gap,limit,)");
+  EXPECT_EQ(error_of("topk min_sup=3"),
+            "InvalidArgument: topk: bad argument 'min_sup=3' (accepted "
+            "keys: k,min_len,max_len,budget,threads,semantics,events,"
+            "limit,)");
+  EXPECT_EQ(error_of("bogus"),
+            "InvalidArgument: unknown verb 'bogus' (append, extend, mine, "
+            "topk, batch, run, stats, metrics, trace, checkpoint, recover, "
+            "quit)");
+  EXPECT_EQ(error_of("extend 4294967295 A"),
+            "InvalidArgument: extend: bad sequence id '4294967295'");
+  EXPECT_EQ(error_of("trace last 0"), "InvalidArgument: trace: bad count '0'");
+}
+
+// A key holding a comma is an unknown key, not a run of known keys to be
+// silently ignored.
+TEST(RequestIo, KeyWithACommaIsUnknown) {
+  for (const char* line : {"mine algo,min_sup=5", "topk k,min_len=2"}) {
+    const Result<ServeCommand> parsed = ParseServeCommand(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().message().find("accepted keys"),
+              std::string::npos);
+  }
+}
+
+// Numbers are read by the checked conversion of the CLI flags, at their
+// full range and no further.
+TEST(RequestIo, NumbersAtTheirBounds) {
+  EXPECT_EQ(MustParse("mine min_sup=18446744073709551615")
+                .request.options.min_support,
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(ParseServeCommand("mine min_sup=18446744073709551616").ok());
+  EXPECT_EQ(MustParse("mine algo=gap max_gap=4294967295").request.gap.max_gap,
+            std::numeric_limits<uint32_t>::max());
+  EXPECT_FALSE(ParseServeCommand("mine max_gap=4294967296").ok());
+  EXPECT_EQ(MustParse("mine min_sup=0").request.options.min_support, 0u);
+  EXPECT_FALSE(ParseServeCommand("mine min_sup=-0").ok());
+  EXPECT_EQ(MustParse("mine budget=inf").request.options.time_budget_seconds,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(MustParse("mine budget=4.9e-324")
+                .request.options.time_budget_seconds,
+            std::numeric_limits<double>::denorm_min());
+  // Only ' ' and '\t' separate tokens; other ASCII space around a number
+  // is ignored by the conversion, as before.
+  EXPECT_EQ(MustParse("mine min_sup=5\r").request.options.min_support, 5u);
+  // Repeated keys: the last one wins.
+  EXPECT_EQ(MustParse("mine min_sup=2 min_sup=3").request.options.min_support,
+            3u);
+  EXPECT_EQ(MustParse("mine events=a events=b,c").request.event_filter,
+            (std::vector<std::string>{"b", "c"}));
 }
 
 TEST(RequestIo, FormatsResponses) {
@@ -282,6 +355,65 @@ TEST(RequestCanonicalization, SemanticsSpecsNormalize) {
   MineRequest stale_none = none;
   stale_none.options.semantics.window_width = 99;
   EXPECT_EQ(KeyOf(none), KeyOf(stale_none));
+}
+
+// Canonicalization resets the parameters of disabled measures directly;
+// that must equal a round trip of the selection through its spec string,
+// for every selection.
+TEST(RequestCanonicalization, SemanticsResetEqualsSpecRoundTrip) {
+  for (unsigned bits = 0; bits < 64; ++bits) {
+    for (const size_t width : {size_t{1}, size_t{10}, size_t{99}}) {
+      for (const auto& [min_gap, max_gap] :
+           {std::pair<size_t, size_t>{0, SIZE_MAX}, {2, 5}, {3, SIZE_MAX},
+            {0, 0}}) {
+        MineRequest request;
+        SemanticsOptions& s = request.options.semantics;
+        s.sequence_count = (bits & 1) != 0;
+        s.fixed_window = (bits & 2) != 0;
+        s.minimal_window = (bits & 4) != 0;
+        s.gap_occurrences = (bits & 8) != 0;
+        s.interaction = (bits & 16) != 0;
+        s.iterative = (bits & 32) != 0;
+        s.window_width = width;
+        s.min_gap = min_gap;
+        s.max_gap = max_gap;
+        SemanticsOptions round_trip;
+        if (s.AnyEnabled()) {
+          Result<SemanticsOptions> parsed =
+              ParseSemanticsSpec(SemanticsSpecToString(s));
+          ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+          round_trip = *parsed;
+        }
+        CanonicalizeMineRequest(&request);
+        EXPECT_EQ(request.options.semantics, round_trip)
+            << bits << " w=" << width << " gap=" << min_gap << ".."
+            << max_gap;
+      }
+    }
+  }
+}
+
+// The key factory hands back the canonical request it built: the same
+// request CanonicalizeMineRequest makes, and the same key either way.
+TEST(RequestCanonicalization, KeyFactoryHandsBackTheCanonicalRequest) {
+  const MineRequest request =
+      MustParse("mine algo=gap min_gap=1 max_gap=4 min_sup=3 events=c,a,b,a "
+                "threads=4 semantics=window:w=5,seqcount")
+          .request;
+  MineRequest handed;
+  const ResultCacheKey key = CanonicalRequestKey(request, &handed);
+  MineRequest expected = request;
+  CanonicalizeMineRequest(&expected);
+  EXPECT_EQ(key.text(), CanonicalRequestKey(request).text());
+  EXPECT_EQ(key.text(), CanonicalRequestKey(expected).text());
+  EXPECT_EQ(handed.event_filter, expected.event_filter);
+  EXPECT_EQ(handed.options.semantics, expected.options.semantics);
+  EXPECT_EQ(handed.options.num_threads, 1u);
+  EXPECT_EQ(key.text(),
+            "algo=gap min_sup=3 min_gap=1 max_gap=4 "
+            "semantics=sequence_count,fixed_window:w=5 events=a\x1f"
+            "b\x1f"
+            "c");
 }
 
 TEST(RequestCanonicalization, CanonicalizationIsIdempotent) {

@@ -6,7 +6,10 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -125,6 +128,108 @@ TEST(ServeSession, ErrorsDoNotKillTheSession) {
   EXPECT_NE(result.output.find("result patterns=1 epoch=1\n2\tA\n"),
             std::string::npos);
   EXPECT_NE(result.output.find("bye\n"), std::string::npos);
+}
+
+// A line over kMaxRequestLineBytes is discarded up to its newline and
+// answered with exactly one error line; the session goes on.
+TEST(ServeSession, OverLongLineIsOneErrorAndTheSessionContinues) {
+  const std::string stats =
+      "stats sequences=0 alphabet=0 events=0 epoch=0 appends=0 queries=0 "
+      "cache_hits=0 cache_misses=0 cache_revalidated=0 cache_evicted=0 "
+      "wal_segments=0 wal_bytes=0 checkpoints=0 replay_records=0\n";
+  const size_t long_bytes = size_t{40} << 20;
+  std::string script = "stats\nappend ";
+  script.append(long_bytes - 7, 'A');
+  script += "\nstats\n";
+  const SessionResult result = RunScript(script);
+  EXPECT_EQ(result.errors, 1);
+  EXPECT_EQ(result.output,
+            stats + "error InvalidArgument: request line of " +
+                std::to_string(long_bytes) + " bytes exceeds the " +
+                std::to_string(kMaxRequestLineBytes) + "-byte limit\n" +
+                stats);
+}
+
+// The limit is inclusive: a line of exactly kMaxRequestLineBytes is read
+// (here a comment, so it answers nothing); one byte more is refused, also
+// when the input ends without a newline.
+TEST(ServeSession, LineLimitIsInclusive) {
+  std::string at_limit = "#";
+  at_limit.append(kMaxRequestLineBytes - 1, 'x');
+  SessionResult result = RunScript(at_limit + "\n");
+  EXPECT_EQ(result.errors, 0);
+  EXPECT_EQ(result.output, "");
+
+  result = RunScript(at_limit + "x");
+  EXPECT_EQ(result.errors, 1);
+  EXPECT_EQ(result.output,
+            "error InvalidArgument: request line of " +
+                std::to_string(kMaxRequestLineBytes + 1) +
+                " bytes exceeds the " +
+                std::to_string(kMaxRequestLineBytes) + "-byte limit\n");
+}
+
+// An output buffer that remembers how much of its text had been flushed.
+class FlushRecordingBuf : public std::stringbuf {
+ public:
+  size_t unflushed_bytes() const { return str().size() - flushed_; }
+
+ protected:
+  int sync() override {
+    flushed_ = str().size();
+    return 0;
+  }
+
+ private:
+  size_t flushed_ = 0;
+};
+
+// An input buffer that hands out one line per underflow, so it is asked
+// for the next line only when the session reads it; it records how many
+// written bytes of `out` were still unflushed at that moment.
+class LineAtATimeBuf : public std::streambuf {
+ public:
+  LineAtATimeBuf(std::vector<std::string> lines, const FlushRecordingBuf* out)
+      : lines_(std::move(lines)), out_(out) {}
+
+  const std::vector<size_t>& unflushed_at_read() const {
+    return unflushed_at_read_;
+  }
+
+ protected:
+  int_type underflow() override {
+    unflushed_at_read_.push_back(out_->unflushed_bytes());
+    if (next_ == lines_.size()) return traits_type::eof();
+    std::string& line = lines_[next_++];
+    setg(line.data(), line.data(), line.data() + line.size());
+    return traits_type::to_int_type(line.front());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  size_t next_ = 0;
+  const FlushRecordingBuf* out_;
+  std::vector<size_t> unflushed_at_read_;
+};
+
+// serve_cli reads std::cin, which is tied to std::cout: every answer must
+// be flushed before the session waits for the next line, or a client that
+// sends one request and waits for its answer over a pipe never gets it.
+TEST(ServeSession, FlushesTheTiedStreamBeforeEachRead) {
+  FlushRecordingBuf out_buf;
+  std::ostream out(&out_buf);
+  LineAtATimeBuf in_buf({"append A B A\n", "mine algo=all min_sup=1\n",
+                         "stats\n", "bogus\n"},
+                        &out_buf);
+  std::istream in(&in_buf);
+  in.tie(&out);
+  MiningService service;
+  EXPECT_EQ(RunServeSession(service, in, out), 1);
+  // One read per line, then one that finds the end of the input.
+  EXPECT_EQ(in_buf.unflushed_at_read(), std::vector<size_t>(5, 0));
+  EXPECT_NE(out_buf.str().find("ok seq=0 len=3\n"), std::string::npos);
+  EXPECT_EQ(out_buf.unflushed_bytes(), 0u);
+  EXPECT_TRUE(in.eof());
 }
 
 TEST(ServeSession, BatchRejectsAppends) {

@@ -127,5 +127,33 @@ TEST(EnvDouble, ReadsAndDefaults) {
   ::unsetenv("GSGROW_TEST_ENV_DOUBLE");
 }
 
+// The parse-and-bounds step on its own, as the serve protocol uses it:
+// unsigned values over the full range, bounds inclusive, and a rejected
+// value leaves the target as it was.
+TEST(Flags, ParseInRangeChecksTypeAndBounds) {
+  uint64_t n = 7;
+  EXPECT_TRUE(ParseInRange<uint64_t>("18446744073709551615", &n, 0,
+                                     std::numeric_limits<uint64_t>::max()));
+  EXPECT_EQ(n, std::numeric_limits<uint64_t>::max());
+  n = 7;
+  for (const char* bad : {"18446744073709551616", "-1", "+1", "", "1x"}) {
+    EXPECT_FALSE(ParseInRange<uint64_t>(bad, &n, 0, 100)) << bad;
+    EXPECT_EQ(n, 7u) << bad;
+  }
+  EXPECT_TRUE(ParseInRange<uint64_t>("100", &n, 1, 100));
+  EXPECT_FALSE(ParseInRange<uint64_t>("0", &n, 1, 100));
+  double d = 1.0;
+  EXPECT_FALSE(ParseInRange(std::string_view("nan"), &d,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(ParseInRange(std::string_view("0"), &d,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(ParseInRange(std::string_view("inf"), &d,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(d, std::numeric_limits<double>::infinity());
+}
+
 }  // namespace
 }  // namespace gsgrow
